@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, FormatError
 
 CONSISTENCY_EPS = 1e-8
 
@@ -146,7 +146,12 @@ def save_residual_params(params: CameraResidualParams, path) -> None:
 
 def load_residual_params(path) -> CameraResidualParams:
     with open(path) as fh:
-        doc = json.load(fh)
-    matrices = {int(c): np.array(v["matrix"], dtype=np.float64) for c, v in doc.items()}
-    biases = {int(c): np.array(v["bias"], dtype=np.float64) for c, v in doc.items()}
+        try:
+            doc = json.load(fh)
+            matrices = {int(c): np.array(v["matrix"], dtype=np.float64) for c, v in doc.items()}
+            biases = {int(c): np.array(v["bias"], dtype=np.float64) for c, v in doc.items()}
+        except (KeyError, TypeError, AttributeError, ValueError) as e:
+            raise FormatError(
+                f"{path}: malformed residual parameters ({type(e).__name__}: {e})"
+            ) from e
     return CameraResidualParams(matrices, biases)

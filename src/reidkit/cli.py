@@ -16,7 +16,7 @@ import numpy as np
 from . import camera as camera_mod
 from . import ensemble, featurize, gallery, imaging, metrics, mining, tsne
 from . import distance as distance_mod
-from .errors import ReidError
+from .errors import DataError, ReidError
 
 
 class _UsageError(Exception):
@@ -48,6 +48,16 @@ def _load_images(index: gallery.GalleryIndex, root: str) -> list:
         with open(path, "rb") as fh:
             images.append(imaging.decode_image(fh.read()))
     return images
+
+
+def _load_aligned(index_path, emb_path):
+    """An index and the embedding file whose rows it describes, checked to
+    have the same number of rows."""
+    index = gallery.load_index(index_path)
+    emb = gallery.load_embeddings(emb_path)
+    if len(index) != emb.n:
+        raise DataError(f"{index_path} has {len(index)} rows but {emb_path} has {emb.n}")
+    return index, emb
 
 
 def _distance_for(args, emb_q, emb_g) -> distance_mod.DistanceMatrix:
@@ -124,8 +134,7 @@ def _cmd_eval(args):
 
 
 def _cmd_mine(args):
-    index = gallery.load_index(args.index)
-    emb = gallery.load_embeddings(args.emb)
+    index, emb = _load_aligned(args.index, args.emb)
     cfg = mining.MiningConfig(p=args.p, k=args.k, margin=args.margin, seed=args.seed)
     batch = mining.pk_sample(index, cfg)
     feats = emb.global_[batch]
@@ -159,8 +168,7 @@ def _cmd_ema(args):
 
 
 def _cmd_camera(args):
-    index = gallery.load_index(args.index)
-    emb = gallery.load_embeddings(args.emb)
+    index, emb = _load_aligned(args.index, args.emb)
     camids = index.camera_ids()
     pids = index.person_ids()
     offsets = camera_mod.camera_offsets(emb.global_, camids, pids)
@@ -183,8 +191,7 @@ def _cmd_camera(args):
 
 
 def _cmd_tsne(args):
-    index = gallery.load_index(args.index)
-    emb = gallery.load_embeddings(args.emb)
+    index, emb = _load_aligned(args.index, args.emb)
     if args.role == "all":
         keep = np.arange(len(index))
     else:
@@ -204,7 +211,7 @@ def _cmd_tsne(args):
     lines = ["x\ty\tperson_id\tcamera_id"]
     for row, i in zip(coords, keep):
         rec = index.records[i]
-        lines.append(f"{row[0]!r}\t{row[1]!r}\t{rec.person_id}\t{rec.camera_id}")
+        lines.append(f"{float(row[0])!r}\t{float(row[1])!r}\t{rec.person_id}\t{rec.camera_id}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.trace:
         _emit("\n".join(repr(v) for v in trace) + "\n", args.trace)
@@ -298,7 +305,7 @@ def run_cli(argv=None) -> int:
         return 1
     try:
         args.func(args)
-    except (ReidError, FileNotFoundError) as e:
+    except (ReidError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -93,37 +93,66 @@ def squash(x):
     return np.tanh(x / 2.0)
 
 
-def _cost_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
+# Cells (S1 * S2 * query rows * gallery rows) in one tile of stripe-cost
+# grids; bounds the kernel's memory at any N (one Market-1501 query row alone
+# has 64 x 15,913 cells at S=8).
+_TILE_CELLS = 1 << 16
+
+
+def _stripe_costs(ql: np.ndarray, gl: np.ndarray) -> np.ndarray:
+    """Squashed euclidean stripe-to-stripe cost grids of every (query,
+    gallery) pair, laid out (S1, S2, nq, ng), from (nq, S1, Dl) and
+    (ng, S2, Dl) stripe stacks.
+
+    Squared distances accumulate direct differences one feature dimension at
+    a time rather than the |a|^2 + |b|^2 - 2ab expansion, so identical
+    stripes cost exactly 0 and no entry depends on cancellation."""
+    if ql.ndim != 3 or gl.ndim != 3:
         raise DataError("stripe sequences must be 2-D (S x Dl)")
-    if a.shape[1] != b.shape[1]:
-        raise DataError(f"stripe dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    diff = a[:, None, :] - b[None, :, :]
-    return squash(np.sqrt(np.sum(diff * diff, axis=2)))
+    if ql.shape[2] != gl.shape[2]:
+        raise DataError(f"stripe dimension mismatch: {ql.shape[2]} vs {gl.shape[2]}")
+    (nq, s1, dl), (ng, s2) = ql.shape, gl.shape[:2]
+    # rows (stripe, query) x columns (stripe, gallery): one 2-D outer
+    # difference per feature dimension
+    qa = np.ascontiguousarray(ql.transpose(2, 1, 0)).reshape(dl, s1 * nq)
+    ga = np.ascontiguousarray(gl.transpose(2, 1, 0)).reshape(dl, s2 * ng)
+    acc = np.zeros((s1 * nq, s2 * ng))
+    diff = np.empty_like(acc)
+    for k in range(dl):
+        np.subtract.outer(qa[k], ga[k], out=diff)
+        diff *= diff
+        acc += diff
+    cost = squash(np.sqrt(acc, out=acc))
+    return cost.reshape(s1, nq, s2, ng).transpose(0, 2, 1, 3)
+
+
+def _min_path_costs(c: np.ndarray) -> np.ndarray:
+    """Minimum total cost over monotone (right/down) paths from the top-left
+    to the bottom-right cell of each (S1, S2) grid in a (S1, S2, ...) stack,
+    endpoints included; the DP sweeps one grid row at a time over the whole
+    stack."""
+    d = np.cumsum(c[0], axis=0)
+    for i in range(1, c.shape[0]):
+        d[0] += c[i, 0]
+        for j in range(1, c.shape[1]):
+            np.minimum(d[j], d[j - 1], out=d[j])
+            d[j] += c[i, j]
+    return d[-1]
 
 
 def min_path_cost(cost: np.ndarray) -> float:
     """Minimum total cost over monotone (right/down) paths from the top-left
     to the bottom-right cell of a cost grid, endpoints included."""
     cost = np.asarray(cost, dtype=np.float64)
-    s1, s2 = cost.shape
-    d = np.empty_like(cost)
-    d[0, 0] = cost[0, 0]
-    for j in range(1, s2):
-        d[0, j] = d[0, j - 1] + cost[0, j]
-    for i in range(1, s1):
-        d[i, 0] = d[i - 1, 0] + cost[i, 0]
-        for j in range(1, s2):
-            d[i, j] = cost[i, j] + min(d[i - 1, j], d[i, j - 1])
-    return float(d[s1 - 1, s2 - 1])
+    return float(_min_path_costs(cost[:, :, None])[0])
 
 
 def aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Minimum-cost monotone path through the squashed stripe-to-stripe
     euclidean cost grid."""
-    return min_path_cost(_cost_grid(a, b))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return float(_min_path_costs(_stripe_costs(a[None], b[None]))[0, 0])
 
 
 def one_to_one_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -135,8 +164,7 @@ def one_to_one_distance(a: np.ndarray, b: np.ndarray) -> float:
             f"stripe count mismatch ({a.shape[0]} vs {b.shape[0]}); "
             "use the DP-aligned distance for unequal stripe counts"
         )
-    cost = _cost_grid(a, b)
-    return float(np.trace(cost))
+    return float(np.trace(_stripe_costs(a[None], b[None])[:, :, 0, 0]))
 
 
 def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> DistanceMatrix:
@@ -148,16 +176,16 @@ def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> 
     if q.local is None or g.local is None:
         raise DataError("both embedding sets need local features")
     nq, ng = q.n, g.n
+    ql = q.local.astype(np.float64)
+    gl = g.local.astype(np.float64)
     out = np.zeros((nq, ng), dtype=np.float64)
     if mode is LocalMode.ONE_TO_ONE:
-        if q.local.shape[1] != g.local.shape[1]:
+        if ql.shape[1] != gl.shape[1]:
             raise DataError(
-                f"stripe count mismatch ({q.local.shape[1]} vs {g.local.shape[1]}); "
+                f"stripe count mismatch ({ql.shape[1]} vs {gl.shape[1]}); "
                 "use the DP-aligned distance for unequal stripe counts"
             )
         # vectorized: per-stripe euclidean over all (q, g) pairs
-        ql = q.local.astype(np.float64)
-        gl = g.local.astype(np.float64)
         for s in range(ql.shape[1]):
             diff_sq = (
                 np.sum(ql[:, s] ** 2, axis=1)[:, None]
@@ -166,9 +194,16 @@ def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> 
             )
             out += squash(np.sqrt(np.maximum(diff_sq, 0.0)))
     else:
-        for i in range(nq):
-            for j in range(ng):
-                out[i, j] = aligned_distance(q.local[i], g.local[j])
+        # tiles of tq x tg pairs hold at most _TILE_CELLS grid cells, or one
+        # pair when a single grid is larger
+        pairs = max(1, _TILE_CELLS // (ql.shape[1] * gl.shape[1]))
+        tg = max(1, min(ng, pairs))
+        tq = max(1, pairs // tg)
+        for i in range(0, nq, tq):
+            for j in range(0, ng, tg):
+                out[i : i + tq, j : j + tg] = _min_path_costs(
+                    _stripe_costs(ql[i : i + tq], gl[j : j + tg])
+                )
     return DistanceMatrix(out, f"local_{mode.value}")
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, FormatError
 from .gallery import EmbeddingSet, load_embeddings, save_embeddings
 
 
@@ -88,18 +88,22 @@ def save_ema_state(state: EmaState, directory) -> None:
 
 
 def load_ema_state(directory) -> EmaState:
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    tensors = {}
-    for name, info in manifest["tensors"].items():
-        emb = load_embeddings(os.path.join(directory, info["file"]))
-        tensors[name] = emb.global_.astype(np.float64).reshape(info["shape"])
-    return EmaState(
-        tensors,
-        alpha=manifest["alpha"],
-        step=manifest["step"],
-        warmup=manifest.get("warmup", False),
-    )
+    path = os.path.join(directory, "manifest.json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        tensors = {}
+        for name, info in manifest["tensors"].items():
+            emb = load_embeddings(os.path.join(directory, info["file"]))
+            tensors[name] = emb.global_.astype(np.float64).reshape(info["shape"])
+        return EmaState(
+            tensors,
+            alpha=manifest["alpha"],
+            step=manifest["step"],
+            warmup=manifest.get("warmup", False),
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise FormatError(f"{path}: malformed EMA manifest ({type(e).__name__}: {e})") from e
 
 
 def load_named_tensors(directory) -> dict:

@@ -69,6 +69,19 @@ def dataset(tmp_path):
     return tmp_path
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def write_index(path, n, role="gallery"):
+    with open(path, "w") as fh:
+        fh.write("index,person_id,camera_id,role,path\n")
+        for i in range(n):
+            fh.write(f"{i},{i % 3},{i % 2},{role},x{i}.ppm\n")
+
+
 class TestEvalPipeline:
     def _embed(self, ds, csv, images_root, out):
         rc = run_cli(
@@ -113,6 +126,19 @@ class TestEvalPipeline:
         )
         assert rc == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_directory_as_index_exit_2(self, dataset, capsys):
+        rc = run_cli(
+            [
+                "eval",
+                "--queries", str(dataset / "images"),
+                "--gallery", str(dataset / "gallery.csv"),
+                "--emb-q", str(dataset / "q.remb"),
+                "--emb-g", str(dataset / "g.remb"),
+            ]
+        )
+        assert rc == 2
+        assert_one_line_error(capsys)
 
     def test_usage_error_exit_1(self, capsys):
         assert run_cli(["eval"]) == 1
@@ -256,6 +282,18 @@ class TestEmaCommand:
             atol=1e-7,
         )
 
+    @pytest.mark.parametrize(
+        "manifest", ["{not json", '{"alpha": 0.5, "step": 0}', '{"tensors": [], "alpha": 0.5}']
+    )
+    def test_malformed_manifest_exit_2(self, tmp_path, capsys, manifest):
+        (tmp_path / "s").mkdir()
+        (tmp_path / "s" / "manifest.json").write_text(manifest)
+        rc = run_cli(
+            ["ema", "--init", "--student", str(tmp_path / "s"), "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert_one_line_error(capsys)
+
     def test_update_without_state_fails(self, tmp_path):
         rc = run_cli(["ema", "--student", str(tmp_path), "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -288,6 +326,46 @@ class TestCameraCommand:
         norm = gallery.load_embeddings(tmp_path / "norm.remb")
         assert norm.global_.shape[0] == 6
 
+    @pytest.mark.parametrize("params", ["[1, 2", '{"0": {"bias": [0.0]}}', "[1, 2]"])
+    def test_malformed_residual_params_exit_2(self, tmp_path, capsys, params):
+        emb = gallery.EmbeddingSet(np.zeros((4, 1), np.float32))
+        gallery.save_embeddings(emb, tmp_path / "e.remb")
+        write_index(tmp_path / "meta.csv", 4)
+        (tmp_path / "res.json").write_text(params)
+        rc = run_cli(
+            [
+                "camera",
+                "--index", str(tmp_path / "meta.csv"),
+                "--emb", str(tmp_path / "e.remb"),
+                "--residual", str(tmp_path / "res.json"),
+                "--out-emb", str(tmp_path / "o.remb"),
+            ]
+        )
+        assert rc == 2
+        assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mine", "--p", "2", "--k", "2"],
+        ["tsne", "--perplexity", "2", "--iterations", "5"],
+        ["camera"],
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize("index_rows,emb_rows", [(40, 10), (10, 40)])
+def test_index_embedding_row_mismatch_exit_2(tmp_path, capsys, command, index_rows, emb_rows):
+    rng = np.random.default_rng(0)
+    emb = gallery.EmbeddingSet(rng.standard_normal((emb_rows, 4)).astype(np.float32))
+    gallery.save_embeddings(emb, tmp_path / "e.remb")
+    write_index(tmp_path / "meta.csv", index_rows, role="train" if command[0] == "mine" else "gallery")
+    rc = run_cli(
+        [*command, "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb")]
+    )
+    assert rc == 2
+    assert_one_line_error(capsys)
+
 
 class TestTsneCommand:
     def test_coords_output(self, tmp_path, rng):
@@ -314,6 +392,9 @@ class TestTsneCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "x\ty\tperson_id\tcamera_id"
         assert len(lines) == n + 1
+        for line in lines[1:]:
+            x, y = line.split("\t")[:2]
+            float(x), float(y)
 
     def test_deterministic_given_seed(self, tmp_path, rng):
         emb = gallery.EmbeddingSet(rng.standard_normal((10, 3)).astype(np.float32))

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from reidkit import distance
 from reidkit.errors import DataError
 from reidkit.distance import (
     DistanceMatrix,
@@ -191,6 +195,53 @@ class TestLocalDistanceMatrix:
         e = EmbeddingSet(np.zeros((2, 3), np.float32))
         with pytest.raises(DataError, match="local"):
             local_distance_matrix(e, e, LocalMode.DP_ALIGNED)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_tiled_dp_matches_path_enumeration(self, data):
+        s1 = data.draw(st.integers(1, 6), label="s1")
+        s2 = data.draw(st.integers(1, 6).filter(lambda s: s != s1), label="s2")
+        nq = data.draw(st.integers(2, 4), label="nq")
+        ng = data.draw(st.integers(3, 6), label="ng")
+        dl = data.draw(st.integers(1, 4), label="dl")
+        # fewer pairs per tile than gallery rows: tiles split both axes
+        per_tile = data.draw(st.integers(1, ng - 1), label="per_tile")
+        elems = st.floats(-3, 3, width=32)
+        ql = data.draw(hnp.arrays(np.float32, (nq, s1, dl), elements=elems), label="ql")
+        gl = data.draw(hnp.arrays(np.float32, (ng, s2, dl), elements=elems), label="gl")
+        q = EmbeddingSet(np.zeros((nq, 1), np.float32), ql)
+        g = EmbeddingSet(np.zeros((ng, 1), np.float32), gl)
+        tiles = []
+        stripe_costs = distance._stripe_costs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "_TILE_CELLS", s1 * s2 * per_tile)
+            mp.setattr(
+                distance, "_stripe_costs", lambda a, b: tiles.append(1) or stripe_costs(a, b)
+            )
+            d = local_distance_matrix(q, g, LocalMode.DP_ALIGNED).values
+        assert len(tiles) == nq * math.ceil(ng / per_tile)
+        for i in range(nq):
+            for j in range(ng):
+                a = ql[i].astype(np.float64)
+                b = gl[j].astype(np.float64)
+                cost = np.tanh(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) / 2)
+                assert d[i, j] == pytest.approx(min_path_cost_oracle(cost), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        offset=st.floats(1e3, 1e7) | st.floats(-1e7, -1e3),
+        noise=hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(24)),
+                         elements=st.floats(-1, 1)),
+    )
+    def test_self_distance_exactly_zero_with_large_offset(self, offset, noise):
+        a = offset + noise
+        assert one_to_one_distance(a, a) == 0.0
+        # every monotone path leaves the diagonal, so the DP cost is 0 only
+        # when all stripes are equal
+        same = np.repeat(a[:1], len(a), axis=0)
+        assert aligned_distance(same, same) == 0.0
 
 
 class TestCombine:
