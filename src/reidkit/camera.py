@@ -57,6 +57,16 @@ class CameraResidualParams:
                 raise DataError(f"camera {c}: bias dimension mismatch")
 
 
+def _row_cameras(camids, n: int):
+    """Row camera ids as int64, and the distinct ids in order of first appearance
+    (a per-camera check then fails on the first offending row's camera)."""
+    camids = np.asarray(camids, dtype=np.int64)
+    if camids.shape != (n,):
+        raise DataError("camera id count != row count")
+    cams, first = np.unique(camids, return_index=True)
+    return camids, [int(c) for c in cams[np.argsort(first)]]
+
+
 def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:
     """Per-camera mean displacement from the global mean.
 
@@ -66,17 +76,15 @@ def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:
     score is reported as 0.0 for degenerate single-group data.
     """
     e = np.asarray(emb, dtype=np.float64)
-    camids = np.asarray(camids)
     if e.ndim != 2 or e.shape[0] == 0:
         raise DataError("need a non-empty N x D embedding matrix")
-    if len(camids) != e.shape[0]:
-        raise DataError("camera id count != row count")
+    camids, cams = _row_cameras(camids, e.shape[0])
     global_mean = e.mean(axis=0)
     offsets, counts = {}, {}
-    for c in np.unique(camids):
+    for c in sorted(cams):
         rows = e[camids == c]
-        offsets[int(c)] = rows.mean(axis=0) - global_mean
-        counts[int(c)] = rows.shape[0]
+        offsets[c] = rows.mean(axis=0) - global_mean
+        counts[c] = rows.shape[0]
 
     score = 0.0
     if pids is not None:
@@ -101,24 +109,21 @@ def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:
 def camera_normalize(emb: np.ndarray, offsets: CameraOffsets, camids) -> np.ndarray:
     """Subtract each row's camera offset; afterwards every per-camera mean
     equals the global mean."""
-    e = np.asarray(emb, dtype=np.float64)
-    camids = np.asarray(camids)
-    out = e.copy()
-    for i, c in enumerate(camids):
-        c = int(c)
+    out = np.array(emb, dtype=np.float64)
+    camids, cams = _row_cameras(camids, out.shape[0])
+    for c in cams:
         if c not in offsets.offsets:
             raise DataError(f"unknown camera id {c}")
-        out[i] -= offsets.offsets[c]
+        np.subtract(out, offsets.offsets[c], out=out, where=(camids == c)[:, None])
     return out
 
 
 def apply_camera_residual(emb: np.ndarray, params: CameraResidualParams, camids) -> np.ndarray:
     """row -> row + A_c @ row + b_c per row's camera."""
     e = np.asarray(emb, dtype=np.float64)
-    camids = np.asarray(camids)
+    camids, cams = _row_cameras(camids, e.shape[0])
     out = np.empty_like(e)
-    for i, c in enumerate(camids):
-        c = int(c)
+    for c in cams:
         if c not in params.matrices:
             raise DataError(f"no residual parameters for camera {c}")
         a = np.asarray(params.matrices[c], dtype=np.float64)
@@ -127,7 +132,9 @@ def apply_camera_residual(emb: np.ndarray, params: CameraResidualParams, camids)
             raise DataError(
                 f"camera {c}: parameter dimension {a.shape[0]} != embedding dim {e.shape[1]}"
             )
-        out[i] = e[i] + a @ e[i] + b
+        rows = camids == c
+        x = e[rows]
+        out[rows] = x + x @ a.T + b
     return out
 
 

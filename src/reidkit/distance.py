@@ -61,6 +61,14 @@ class DistanceMatrix:
         return self.values.shape
 
 
+def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances between the rows of a and b from the
+    |a|^2 + |b|^2 - 2ab expansion, clamped in place at 0 against cancellation."""
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+    sq -= 2.0 * (a @ b.T)
+    return np.maximum(sq, 0.0, out=sq)
+
+
 def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLIDEAN) -> DistanceMatrix:
     """Pairwise Q x G distances between global feature matrices."""
     q = np.asarray(q, dtype=np.float64)
@@ -71,9 +79,8 @@ def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLID
         raise DataError(f"dimension mismatch: {q.shape[1]} vs {g.shape[1]}")
     metric = Metric(metric)
     if metric is Metric.EUCLIDEAN:
-        sq = np.sum(q * q, axis=1)[:, None] + np.sum(g * g, axis=1)[None, :]
-        sq -= 2.0 * (q @ g.T)
-        d = np.sqrt(np.maximum(sq, 0.0))
+        d = _sq_euclidean(q, g)
+        np.sqrt(d, out=d)
     else:
         qn = np.linalg.norm(q, axis=1)
         gn = np.linalg.norm(g, axis=1)
@@ -185,14 +192,9 @@ def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> 
                 f"stripe count mismatch ({ql.shape[1]} vs {gl.shape[1]}); "
                 "use the DP-aligned distance for unequal stripe counts"
             )
-        # vectorized: per-stripe euclidean over all (q, g) pairs
         for s in range(ql.shape[1]):
-            diff_sq = (
-                np.sum(ql[:, s] ** 2, axis=1)[:, None]
-                + np.sum(gl[:, s] ** 2, axis=1)[None, :]
-                - 2.0 * (ql[:, s] @ gl[:, s].T)
-            )
-            out += squash(np.sqrt(np.maximum(diff_sq, 0.0)))
+            d = _sq_euclidean(ql[:, s], gl[:, s])
+            out += squash(np.sqrt(d, out=d))
     else:
         # tiles of tq x tg pairs hold at most _TILE_CELLS grid cells, or one
         # pair when a single grid is larger

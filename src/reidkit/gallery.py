@@ -134,42 +134,45 @@ def load_index(metadata_file) -> GalleryIndex:
     Expected header: ``index,person_id,camera_id,role,path``. Row index
     must equal line order (0-based) so embeddings stay row-aligned.
     """
-    with open(metadata_file, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(metadata_file, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(
+            f"{metadata_file}: malformed metadata CSV ({type(e).__name__}: {e})"
+        ) from None
+    if not rows:
+        raise FormatError(f"{metadata_file}: empty file, header line required")
+    if [h.strip() for h in rows[0]] != METADATA_HEADER:
+        raise FormatError(
+            f"{metadata_file}: bad header {rows[0]!r}, "
+            f"expected {','.join(METADATA_HEADER)}"
+        )
+    records = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise FormatError(f"{metadata_file}:{lineno}: expected 5 fields, got {len(row)}")
+        idx_s, pid_s, cam_s, role_s, path = [c.strip() for c in row]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{metadata_file}: empty file, header line required")
-        if [h.strip() for h in header] != METADATA_HEADER:
+            idx = int(idx_s, 10)
+            pid = int(pid_s, 10)
+            cam = int(cam_s, 10)
+        except ValueError as e:
+            raise FormatError(f"{metadata_file}:{lineno}: {e}") from None
+        if idx != len(records):
             raise FormatError(
-                f"{metadata_file}: bad header {header!r}, "
-                f"expected {','.join(METADATA_HEADER)}"
+                f"{metadata_file}:{lineno}: index {idx} out of order, "
+                f"expected {len(records)}"
             )
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise FormatError(f"{metadata_file}:{lineno}: expected 5 fields, got {len(row)}")
-            idx_s, pid_s, cam_s, role_s, path = [c.strip() for c in row]
-            try:
-                idx = int(idx_s, 10)
-                pid = int(pid_s, 10)
-                cam = int(cam_s, 10)
-            except ValueError as e:
-                raise FormatError(f"{metadata_file}:{lineno}: {e}") from None
-            if idx != len(records):
-                raise FormatError(
-                    f"{metadata_file}:{lineno}: index {idx} out of order, "
-                    f"expected {len(records)}"
-                )
-            try:
-                role = Role(role_s)
-            except ValueError:
-                raise FormatError(
-                    f"{metadata_file}:{lineno}: unknown role {role_s!r}"
-                ) from None
-            records.append(GalleryRecord(pid, cam, path, role))
+        try:
+            role = Role(role_s)
+        except ValueError:
+            raise FormatError(
+                f"{metadata_file}:{lineno}: unknown role {role_s!r}"
+            ) from None
+        records.append(GalleryRecord(pid, cam, path, role))
     return GalleryIndex(tuple(records))
 
 

@@ -129,21 +129,22 @@ def mask_from_image(img: Image) -> Mask:
     return Mask((img.pixels[:, :, 0] >= MASK_THRESHOLD).astype(np.uint8))
 
 
-def resize_nearest(img: Image, width: int, height: int) -> Image:
-    """Nearest-neighbor resize; source index = floor(target * src / dst)."""
+def _resize_nearest(a: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Nearest-neighbor resample of the first two (height, width) axes of a."""
     if width < 1 or height < 1:
         raise DataError("target dimensions must be positive")
-    rows = (np.arange(height) * img.height) // height
-    cols = (np.arange(width) * img.width) // width
-    return Image(img.pixels[np.ix_(rows, cols)])
+    rows = (np.arange(height) * a.shape[0]) // height
+    cols = (np.arange(width) * a.shape[1]) // width
+    return a[np.ix_(rows, cols)]
+
+
+def resize_nearest(img: Image, width: int, height: int) -> Image:
+    """Nearest-neighbor resize; source index = floor(target * src / dst)."""
+    return Image(_resize_nearest(img.pixels, width, height))
 
 
 def resize_mask_nearest(m: Mask, width: int, height: int) -> Mask:
-    if width < 1 or height < 1:
-        raise DataError("target dimensions must be positive")
-    rows = (np.arange(height) * m.height) // height
-    cols = (np.arange(width) * m.width) // width
-    return Mask(m.values[np.ix_(rows, cols)])
+    return Mask(_resize_nearest(m.values, width, height))
 
 
 def apply_mask(img: Image, m: Mask) -> Image:

@@ -87,11 +87,8 @@ def cmc_curve(first_hit_ranks, max_rank: int) -> np.ndarray:
         raise DataError("no queries to aggregate")
     if (ranks < 1).any():
         raise DataError("ranks must be >= 1")
-    curve = np.zeros(max_rank, dtype=np.float64)
-    for r in ranks:
-        if r <= max_rank:
-            curve[r - 1 :] += 1.0
-    return curve / len(ranks)
+    hits = np.bincount(ranks[ranks <= max_rank] - 1, minlength=max_rank)
+    return np.cumsum(hits) / len(ranks)
 
 
 def evaluate(

@@ -78,19 +78,17 @@ def batch_hard(d_batch: np.ndarray, labels) -> TripletSet:
     if d.shape != (n, n):
         raise DataError(f"distance matrix shape {d.shape} != ({n}, {n})")
     same = labels[:, None] == labels[None, :]
-    triplets = []
-    for a in range(n):
-        pos_mask = same[a].copy()
-        pos_mask[a] = False
-        neg_mask = ~same[a]
-        if not pos_mask.any():
-            raise DataError(f"anchor {a} has no positive in batch")
-        if not neg_mask.any():
-            raise DataError(f"anchor {a} has no negative in batch")
-        pos_d = np.where(pos_mask, d[a], -np.inf)
-        neg_d = np.where(neg_mask, d[a], np.inf)
-        triplets.append(Triplet(a, int(np.argmax(pos_d)), int(np.argmin(neg_d))))
-    return TripletSet(tuple(triplets))
+    pos_mask = same & ~np.eye(n, dtype=bool)
+    no_pos = ~pos_mask.any(axis=1)
+    bad = no_pos | same.all(axis=1)
+    if bad.any():
+        a = int(np.argmax(bad))
+        raise DataError(f"anchor {a} has no {'positive' if no_pos[a] else 'negative'} in batch")
+    if n == 0:
+        return TripletSet(())
+    pos = np.argmax(np.where(pos_mask, d, -np.inf), axis=1)
+    neg = np.argmin(np.where(same, np.inf, d), axis=1)
+    return TripletSet(tuple(map(Triplet, range(n), pos.tolist(), neg.tolist())))
 
 
 def triplet_loss_grad(emb: np.ndarray, triplets: TripletSet, margin: float):

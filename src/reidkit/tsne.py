@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distance import _sq_euclidean
 from .errors import DataError
 
 P_FLOOR = 1e-12
@@ -36,14 +37,6 @@ class TsneParams:
             raise DataError("perplexity must exceed 1")
 
 
-def _sq_distances(x: np.ndarray) -> np.ndarray:
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
 def _row_entropy_bits(p: np.ndarray) -> float:
     nz = p[p > 0]
     return float(-np.sum(nz * np.log2(nz)))
@@ -64,7 +57,8 @@ def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     n = x.shape[0]
     if perplexity >= n:
         raise DataError(f"perplexity {perplexity} must be < N = {n}")
-    d2 = _sq_distances(x)
+    d2 = _sq_euclidean(x, x)
+    np.fill_diagonal(d2, 0.0)
     if d2.max() == 0.0:
         raise DataError("degenerate input: all points identical")
     cond = np.zeros((n, n), dtype=np.float64)
@@ -91,11 +85,17 @@ def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     return p_sym / p_sym.sum()  # restore unit mass after flooring
 
 
-def _student_kernel(y: np.ndarray):
-    num = 1.0 / (1.0 + _sq_distances(y))
+def _kl_and_gradient(p: np.ndarray, p_grad: np.ndarray, y: np.ndarray):
+    """KL(P || Q) under the Student-t kernel Q of y, and the gradient of
+    KL(P_grad || Q) w.r.t. y (P_grad is the exaggerated P early in descent)."""
+    num = 1.0 / (1.0 + _sq_euclidean(y, y))
     np.fill_diagonal(num, 0.0)
-    q = num / num.sum()
-    return np.maximum(q, P_FLOOR), num
+    q = np.maximum(num / num.sum(), P_FLOOR)
+    mask = ~np.eye(p.shape[0], dtype=bool)
+    kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    w = (p_grad - q) * num
+    np.fill_diagonal(w, 0.0)
+    return kl, 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
 
 
 def kl_and_gradient(p: np.ndarray, y: np.ndarray):
@@ -106,13 +106,7 @@ def kl_and_gradient(p: np.ndarray, y: np.ndarray):
     n = p.shape[0]
     if p.shape != (n, n) or y.shape[0] != n:
         raise DataError("shape mismatch between P and Y")
-    q, num = _student_kernel(y)
-    mask = ~np.eye(n, dtype=bool)
-    kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-    w = (p - q) * num
-    np.fill_diagonal(w, 0.0)
-    grad = 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
-    return kl, grad
+    return _kl_and_gradient(p, p, y)
 
 
 def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):
@@ -130,12 +124,8 @@ def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):
     trace = []
     for it in range(params.iterations):
         p_eff = p * params.exaggeration if it < params.exaggeration_iters else p
-        q, num = _student_kernel(y)
-        mask = ~np.eye(n, dtype=bool)
-        trace.append(float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
-        w = (p_eff - q) * num
-        np.fill_diagonal(w, 0.0)
-        grad = 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
+        kl, grad = _kl_and_gradient(p, p_eff, y)
+        trace.append(kl)
         momentum = params.momentum_early if it < params.momentum_switch else params.momentum_late
         same_sign = np.sign(grad) == np.sign(velocity)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)

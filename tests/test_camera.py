@@ -119,6 +119,25 @@ class TestCameraNormalize:
             camera_normalize(e, off, np.array([0, 0, 7]))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_row_loop(self, rng, dtype):
+        e, pids, cams, _ = ring_data(rng, n_cams=5, noise=0.3)
+        e = (e * 7 + 40).astype(dtype)
+        off = camera_offsets(e, cams, pids)
+        expected = np.asarray(e, dtype=np.float64).copy()
+        for i, c in enumerate(cams):
+            expected[i] -= off.offsets[int(c)]
+        out = camera_normalize(e, off, cams)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, expected)
+
+    def test_unknown_camera_names_first_offending_row(self, rng):
+        e = rng.standard_normal((5, 2))
+        off = camera_offsets(e[:2], [0, 1])
+        with pytest.raises(DataError, match="unknown camera id 9$"):
+            camera_normalize(e, off, [0, 9, 1, 4, 9])
+
+
 class TestCameraResidual:
     def test_zero_params_identity(self, rng):
         e = rng.standard_normal((4, 3))
@@ -155,6 +174,19 @@ class TestCameraResidual:
         params = CameraResidualParams({0: a}, {0: b})
         out = apply_camera_residual(e, params, np.zeros(2, dtype=int))
         np.testing.assert_allclose(out[0], e[0] + a @ e[0] + b, atol=1e-12)
+
+    def test_three_cameras_match_per_row_reference(self, rng):
+        dim = 6
+        e = rng.standard_normal((40, dim)) * 3
+        cams = rng.integers(0, 3, 40)
+        params = CameraResidualParams(
+            {c: rng.standard_normal((dim, dim)) for c in range(3)},
+            {c: rng.standard_normal(dim) for c in range(3)},
+        )
+        expected = np.array(
+            [row + params.matrices[int(c)] @ row + params.biases[int(c)] for row, c in zip(e, cams)]
+        )
+        np.testing.assert_allclose(apply_camera_residual(e, params, cams), expected, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         params = CameraResidualParams({0: np.zeros((2, 2))}, {0: np.zeros(2)})

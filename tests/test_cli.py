@@ -367,6 +367,27 @@ def test_index_embedding_row_mismatch_exit_2(tmp_path, capsys, command, index_ro
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["mine", "--index", "meta.csv", "--emb", "e.remb"], b"\xff" + np.random.default_rng(0).bytes(199)),
+        (
+            ["eval", "--queries", "meta.csv", "--gallery", "meta.csv", "--emb-q", "e.remb", "--emb-g", "e.remb"],
+            b"index,person_id,camera_id,role,path\n0,1,1,query," + b"x" * 200_000 + b"\n",
+        ),
+    ],
+    ids=["non_utf8_index", "oversized_csv_field"],
+)
+def test_unreadable_index_exit_2(tmp_path, monkeypatch, capsys, argv, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "meta.csv").write_bytes(content)
+    gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((1, 2), np.float32)), tmp_path / "e.remb")
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: meta.csv: malformed metadata CSV")
+    assert err.count("\n") == 1
+
+
 class TestTsneCommand:
     def test_coords_output(self, tmp_path, rng):
         # synthetic embeddings, gallery-role index

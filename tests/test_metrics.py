@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reidkit.errors import DataError
 from reidkit.distance import DistanceMatrix
@@ -79,6 +81,19 @@ class TestCmcCurve:
         ranks = rng.integers(1, 30, size=50)
         curve = cmc_curve(ranks, 20)
         assert (np.diff(curve) >= 0).all()
+
+
+    @given(
+        st.lists(st.integers(1, 60), min_size=1, max_size=200),
+        st.integers(1, 30),
+    )
+    def test_matches_loop_oracle(self, ranks, max_rank):
+        expected = np.zeros(max_rank)
+        for r in ranks:
+            if r <= max_rank:
+                expected[r - 1 :] += 1.0
+        expected /= len(ranks)
+        assert cmc_curve(ranks, max_rank).tobytes() == expected.tobytes()
 
 
 class TestEvaluate:

@@ -114,6 +114,18 @@ class TestBatchHard:
         with pytest.raises(DataError, match="negative"):
             batch_hard(np.zeros((2, 2)), ["a", "a"])
 
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ([0, 0, 1, 2, 2], "anchor 2 has no positive"),
+            ([0, 1, 1], "anchor 0 has no positive"),
+            ([3, 3, 3], "anchor 0 has no negative"),
+        ],
+    )
+    def test_error_names_first_offending_anchor(self, labels, message):
+        with pytest.raises(DataError, match=f"^{message} in batch$"):
+            batch_hard(np.zeros((len(labels), len(labels))), labels)
+
 
 class TestTripletLoss:
     def _embed_with_distances(self, d_ap, d_an):

@@ -168,3 +168,11 @@ class TestRunTsne:
         nn = np.argsort(d, axis=1)[:, :5]
         purity = (labels[nn] == labels[:, None]).mean()
         assert purity >= 0.9
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_first_trace_entry_is_kl_of_initial_layout(self, rng, seed):
+        x, _ = make_clusters(rng, per_cluster=8, dim=4)
+        _, trace = run_tsne(x, TsneParams(perplexity=5, iterations=1, seed=seed))
+        p = perplexity_affinities(x, 5)
+        y0 = np.random.default_rng(seed).normal(scale=1e-4, size=(x.shape[0], 2))
+        assert trace[0] == kl_and_gradient(p, y0)[0]
