@@ -218,9 +218,9 @@ def combine_distances(dg: DistanceMatrix, dl: DistanceMatrix, lam: float) -> Dis
     return DistanceMatrix(dg.values + lam * dl.values, f"{dg.metric}+{lam}*{dl.metric}")
 
 
-def encode_distance_matrix(d: DistanceMatrix) -> bytes:
+def encode_distance_matrix(d: DistanceMatrix) -> bytearray:
     """Serialize with the shared binary container (magic RDMX, S=0)."""
-    return _encode_container(DISTANCE_MAGIC, d.values.astype(np.float32), None)
+    return _encode_container(DISTANCE_MAGIC, d.values, None)
 
 
 def decode_distance_matrix(data: bytes, metric: str = "unknown") -> DistanceMatrix:

@@ -184,25 +184,26 @@ def save_index(index: GalleryIndex, metadata_file) -> None:
             writer.writerow([i, r.person_id, r.camera_id, r.role.value, r.path])
 
 
-def _encode_container(magic: bytes, main: np.ndarray, local: Optional[np.ndarray]) -> bytes:
+def _encode_container(magic: bytes, main: np.ndarray, local: Optional[np.ndarray]) -> bytearray:
+    """Header and float32 payload in one buffer: each array is cast straight
+    into its place, so the payload is copied once. Non-finite values are
+    rejected as float32, so a float64 value that overflows float32 is too."""
     n, d = main.shape
-    if local is None:
-        s, dl = 0, 0
-    else:
-        s, dl = local.shape[1], local.shape[2]
-    bad = np.argwhere(~np.isfinite(main))
-    if bad.size:
-        r, c = bad[0]
-        raise DataError(f"non-finite value at ({r}, {c})")
-    parts = [_HEADER.pack(magic, CONTAINER_VERSION, n, d, s, dl)]
-    parts.append(np.ascontiguousarray(main, dtype="<f4").tobytes())
-    if local is not None:
-        bad = np.argwhere(~np.isfinite(local))
-        if bad.size:
-            r, st, c = bad[0]
-            raise DataError(f"non-finite local value at ({r}, {st}, {c})")
-        parts.append(np.ascontiguousarray(local, dtype="<f4").tobytes())
-    return b"".join(parts)
+    s, dl = (0, 0) if local is None else local.shape[1:]
+    buf = bytearray(_HEADER.size + 4 * (n * d + n * s * dl))
+    _HEADER.pack_into(buf, 0, magic, CONTAINER_VERSION, n, d, s, dl)
+    off = _HEADER.size
+    for arr, what in ((main, "value"), (local, "local value")):
+        if arr is None:
+            continue
+        view = np.frombuffer(buf, "<f4", arr.size, off).reshape(arr.shape)
+        view[...] = arr
+        finite = np.isfinite(view)
+        if not finite.all():
+            cell = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise DataError(f"non-finite {what} at {cell}")
+        off += 4 * arr.size
+    return buf
 
 
 def _decode_container(data: bytes, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -233,7 +234,7 @@ def _decode_container(data: bytes, magic: bytes) -> tuple[np.ndarray, Optional[n
     return main, local
 
 
-def encode_embeddings(emb: EmbeddingSet) -> bytes:
+def encode_embeddings(emb: EmbeddingSet) -> bytearray:
     """Serialize an EmbeddingSet; deterministic byte layout."""
     return _encode_container(EMBEDDING_MAGIC, emb.global_, emb.local)
 

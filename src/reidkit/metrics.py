@@ -91,13 +91,38 @@ def cmc_curve(first_hit_ranks, max_rank: int) -> np.ndarray:
     return np.cumsum(hits) / len(ranks)
 
 
+def _relevant_ranks(row: np.ndarray, relevant: np.ndarray, n_valid: int) -> np.ndarray:
+    """Ascending 1-based ranks of the relevant items in the ranking that
+    rank_gallery would give, without sorting indices. ``row`` holds +inf
+    at filtered-out items, so they sort after every valid one.
+
+    rank(j) = 1 + #{valid i: d_i < d_j} + #{valid i < j: d_i == d_j}
+    """
+    s = np.sort(row)
+    # a non-finite valid entry makes slot 0 -inf, or slot n_valid - 1 +inf
+    # or NaN (NaN sorts after the +inf fill)
+    if not np.isfinite(s[[0, n_valid - 1]]).all():
+        raise DataError("distances must be finite")
+    d = row[relevant]
+    ranks = np.searchsorted(s, d, "left") + 1
+    for k in np.flatnonzero(np.searchsorted(s, d, "right") - ranks > 0):
+        ranks[k] += np.count_nonzero(row[: relevant[k]] == d[k])
+    ranks.sort()
+    return ranks
+
+
 def evaluate(
     queries: GalleryIndex,
     gallery: GalleryIndex,
     dist: DistanceMatrix,
     protocol: EvalProtocol = EvalProtocol(),
 ) -> EvalReport:
-    """Full retrieval protocol over a query/gallery pair."""
+    """Full retrieval protocol over a query/gallery pair.
+
+    Only the ranks of each query's relevant items are computed; AP and the
+    first hit follow from them exactly as average_precision and
+    rank_gallery would give them.
+    """
     nq, ng = len(queries), len(gallery)
     if dist.shape != (nq, ng):
         raise DataError(f"distance shape {dist.shape} != ({nq}, {ng})")
@@ -106,17 +131,21 @@ def evaluate(
     per_query_ap = []
     first_hits = []
     for qi, q in enumerate(queries.records):
+        row = dist.values[qi]
+        same_pid = g_pids == q.person_id
+        n_valid = ng
         if protocol.cross_camera_filter:
-            valid = ~((g_pids == q.person_id) & (g_cams == q.camera_id))
-        else:
-            valid = np.ones(ng, dtype=bool)
-        relevant = valid & (g_pids == q.person_id)
-        if not relevant.any():
+            junk = same_pid & (g_cams == q.camera_id)
+            same_pid &= ~junk
+            n_valid -= int(np.count_nonzero(junk))
+            row = np.where(junk, np.inf, row)
+        relevant = np.flatnonzero(same_pid)
+        if not relevant.size:
             continue
-        order = rank_gallery(dist.values[qi], valid)
-        rel_ranked = g_pids[order] == q.person_id
-        per_query_ap.append(average_precision(rel_ranked))
-        first_hits.append(int(np.argmax(rel_ranked)) + 1)
+        ranks = _relevant_ranks(row, relevant, n_valid)
+        r = relevant.size
+        per_query_ap.append(float(np.sum(np.arange(1, r + 1) / ranks) / r))
+        first_hits.append(int(ranks[0]))
     if not per_query_ap:
         raise DataError("empty evaluation: every query has zero valid positives")
     return EvalReport(

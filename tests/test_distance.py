@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -276,3 +277,22 @@ def test_distance_matrix_serialization_round_trip(rng):
     d = DistanceMatrix(rng.uniform(0, 2, (3, 5)).astype(np.float32), "euclidean")
     back = decode_distance_matrix(encode_distance_matrix(d), "euclidean")
     np.testing.assert_array_equal(back.values, d.values)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (1, 1), (6, 9)])
+def test_distance_matrix_container_layout(rng, shape):
+    v = rng.uniform(0, 3, shape)
+    v[:, :1] = -0.0
+    v[1:2, 1:2] = 1e-40  # rounds to a float32 subnormal
+    v = v.T.copy().T  # column-major input
+    expected = struct.pack("<4s5I", b"RDMX", 1, *shape, 0, 0)
+    expected += np.ascontiguousarray(v, "<f4").tobytes()
+    assert encode_distance_matrix(DistanceMatrix(v, "euclidean")) == expected
+
+
+def test_distance_matrix_float32_overflow_named_by_cell():
+    v = np.ones((3, 4))
+    v[2, 1] = 1e39  # finite as float64, inf as float32
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DataError, match=r"^non-finite value at \(2, 1\)$"):
+            encode_distance_matrix(DistanceMatrix(v, "euclidean"))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,41 @@ class TestEmbeddingContainer:
         path = tmp_path / "e.remb"
         save_embeddings(emb, path)
         assert np.array_equal(load_embeddings(path).global_, emb.global_)
+
+
+def reference_container(magic, main, local=None):
+    """The container layout spelled out: header, then each array as
+    contiguous little-endian float32."""
+    n, d = main.shape
+    s, dl = (0, 0) if local is None else local.shape[1:]
+    parts = [struct.pack("<4s5I", magic, 1, n, d, s, dl)]
+    parts += [np.ascontiguousarray(a, "<f4").tobytes() for a in (main, local) if a is not None]
+    return b"".join(parts)
+
+
+class TestContainerLayout:
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("with_local", [False, True])
+    def test_bytes_match_reference_layout(self, rng, n, with_local):
+        g = rng.standard_normal((n, 5)).astype(np.float32)
+        g[:, 0] = -0.0
+        g[:, 1] = np.float32(1e-42)  # subnormal
+        local = rng.standard_normal((n, 3, 4)).astype(np.float32) if with_local else None
+        emb = EmbeddingSet(np.asfortranarray(g), local)
+        assert encode_embeddings(emb) == reference_container(b"REMB", g, local)
+
+    def test_non_finite_local_named_by_cell(self):
+        local = np.zeros((2, 3, 4), dtype=np.float32)
+        local[1, 2, 3] = -np.inf
+        with pytest.raises(DataError, match=r"^non-finite local value at \(1, 2, 3\)$"):
+            encode_embeddings(EmbeddingSet(np.zeros((2, 2), dtype=np.float32), local))
+
+    def test_global_error_reported_before_local(self):
+        g = np.zeros((2, 2), dtype=np.float32)
+        g[1, 0] = np.nan
+        local = np.full((2, 1, 1), np.nan, dtype=np.float32)
+        with pytest.raises(DataError, match=r"^non-finite value at \(1, 0\)$"):
+            encode_embeddings(EmbeddingSet(g, local))
 
 
 class TestEmbeddingSetInvariants:

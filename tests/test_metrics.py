@@ -1,8 +1,9 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reidkit.errors import DataError
@@ -27,6 +28,115 @@ def ap_oracle(relevance):
         if relevance[k - 1]:
             acc += sum(relevance[:k]) / k
     return acc / total
+
+
+def evaluate_oracle(queries, gallery, dist, protocol):
+    """Reference protocol: a full stable ranking of every query row, then
+    average_precision and the first hit read off the ranked relevance."""
+    g_pids, g_cams = gallery.person_ids(), gallery.camera_ids()
+    aps, first_hits = [], []
+    for qi, q in enumerate(queries.records):
+        valid = np.ones(len(gallery), dtype=bool)
+        if protocol.cross_camera_filter:
+            valid = ~((g_pids == q.person_id) & (g_cams == q.camera_id))
+        if not (valid & (g_pids == q.person_id)).any():
+            continue
+        rel_ranked = g_pids[rank_gallery(dist.values[qi], valid)] == q.person_id
+        aps.append(average_precision(rel_ranked))
+        first_hits.append(int(np.argmax(rel_ranked)) + 1)
+    if not aps:
+        raise DataError("empty evaluation: every query has zero valid positives")
+    return EvalReport(
+        float(np.mean(aps)), cmc_curve(first_hits, protocol.max_rank), aps, len(aps), protocol
+    ).to_dict()
+
+
+def outcome(fn, *args):
+    """JSON text of a report (exact float reprs), or the error it raised."""
+    try:
+        return json.dumps(fn(*args))
+    except DataError as e:
+        return f"DataError: {e}"
+
+
+def random_problem(seed, nq, ng, n_pids, n_cams, levels):
+    """Index pair and distances quantised to `levels` values (0 = continuous),
+    with about a third of the zero entries stored as -0.0. Query identities
+    range over about a tenth more values than gallery identities, so some
+    queries have no match in the gallery."""
+    rng = np.random.default_rng(seed)
+    q_pids = rng.integers(0, n_pids + n_pids // 10 + 1, nq)
+    queries = build_index(
+        [(int(p), int(c), "query") for p, c in zip(q_pids, rng.integers(0, n_cams, nq))]
+    )
+    gallery = build_index(
+        [(int(p), int(c), "gallery") for p, c in
+         zip(rng.integers(0, n_pids, ng), rng.integers(0, n_cams, ng))]
+    )
+    v = rng.integers(0, levels, (nq, ng)) / 4.0 if levels else rng.random((nq, ng))
+    v[(v == 0) & (rng.random((nq, ng)) < 0.3)] = -0.0
+    return queries, gallery, DistanceMatrix(v, "euclidean")
+
+
+class TestEvaluateOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nq=st.integers(1, 8),
+        ng=st.integers(1, 60),
+        n_pids=st.integers(1, 6),
+        n_cams=st.integers(1, 4),
+        levels=st.integers(0, 6),
+        cross_camera_filter=st.booleans(),
+        max_rank=st.integers(1, 30),
+    )
+    def test_matches_full_ranking_oracle(
+        self, seed, nq, ng, n_pids, n_cams, levels, cross_camera_filter, max_rank
+    ):
+        queries, gallery, d = random_problem(seed, nq, ng, n_pids, n_cams, levels)
+        protocol = EvalProtocol(cross_camera_filter, max_rank)
+        got = outcome(lambda *a: evaluate(*a).to_dict(), queries, gallery, d, protocol)
+        assert got == outcome(evaluate_oracle, queries, gallery, d, protocol)
+
+    @pytest.mark.parametrize("cross_camera_filter", [True, False])
+    @pytest.mark.parametrize("levels", [0, 64])
+    def test_matches_oracle_at_realistic_width(self, cross_camera_filter, levels):
+        # 50 x 5,000 with 300 identities over 6 cameras: about 17 gallery
+        # images per identity; with 64 levels every row is full of ties
+        queries, gallery, d = random_problem(7 + levels, 50, 5000, 300, 6, levels)
+        protocol = EvalProtocol(cross_camera_filter, 30)
+        report = evaluate(queries, gallery, d, protocol)
+        assert 0 < report.num_valid_queries < 50
+        assert json.dumps(report.to_dict()) == outcome(
+            evaluate_oracle, queries, gallery, d, protocol
+        )
+
+
+class TestEvaluateFiniteInput:
+    def _setup(self):
+        queries = build_index([(1, 1, "query"), (2, 1, "query")])
+        gallery = build_index(
+            [(1, 1, "gallery"), (1, 2, "gallery"), (2, 2, "gallery"), (3, 1, "gallery")]
+        )
+        d = DistanceMatrix(np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.5, 0.2, 0.9]]), "euclidean")
+        return queries, gallery, d
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 1), (0, 3), (1, 0), (1, 2)])
+    def test_non_finite_valid_entry_rejected(self, bad, cell):
+        queries, gallery, d = self._setup()
+        d.values[cell] = bad
+        with pytest.raises(DataError, match="^distances must be finite$"):
+            evaluate(queries, gallery, d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_filtered_entry_ignored(self, bad):
+        queries, gallery, d = self._setup()
+        expected = evaluate(queries, gallery, d).to_dict()
+        d.values[0, 0] = bad  # same person, same camera as query 0
+        assert evaluate(queries, gallery, d).to_dict() == expected
+        with pytest.raises(DataError, match="^distances must be finite$"):
+            evaluate(queries, gallery, d, EvalProtocol(cross_camera_filter=False))
 
 
 class TestRankGallery:
