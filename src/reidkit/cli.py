@@ -61,15 +61,10 @@ def _load_aligned(index_path, emb_path):
 
 
 def _distance_for(args, emb_q, emb_g) -> distance_mod.DistanceMatrix:
-    cfg = distance_mod.DistanceConfig(
-        metric=distance_mod.Metric(args.metric),
-        lam=args.lam,
-        local_mode=distance_mod.LocalMode(args.local_mode),
-    )
-    d = distance_mod.distance_matrix(emb_q.global_, emb_g.global_, cfg.metric)
-    if cfg.local_mode is not distance_mod.LocalMode.NONE:
-        dl = distance_mod.local_distance_matrix(emb_q, emb_g, cfg.local_mode)
-        d = distance_mod.combine_distances(d, dl, cfg.lam)
+    d = distance_mod.distance_matrix(emb_q.global_, emb_g.global_, args.metric)
+    if args.local_mode != distance_mod.LocalMode.NONE:
+        dl = distance_mod.local_distance_matrix(emb_q, emb_g, args.local_mode)
+        d = distance_mod.combine_distances(d, dl, args.lam)
     return d
 
 
@@ -106,6 +101,7 @@ def _cmd_mask(args):
 
 
 def _cmd_dist(args):
+    distance_mod.check_lambda(args.lam)
     emb_q = gallery.load_embeddings(args.emb_q)
     emb_g = gallery.load_embeddings(args.emb_g)
     d = _distance_for(args, emb_q, emb_g)
@@ -114,15 +110,16 @@ def _cmd_dist(args):
 
 
 def _cmd_eval(args):
+    distance_mod.check_lambda(args.lam)
+    protocol = metrics.EvalProtocol(
+        cross_camera_filter=not args.no_cross_camera_filter,
+        max_rank=args.max_rank,
+    )
     queries = gallery.load_index(args.queries)
     gal = gallery.load_index(args.gallery)
     emb_q = gallery.load_embeddings(args.emb_q)
     emb_g = gallery.load_embeddings(args.emb_g)
     d = _distance_for(args, emb_q, emb_g)
-    protocol = metrics.EvalProtocol(
-        cross_camera_filter=not args.no_cross_camera_filter,
-        max_rank=args.max_rank,
-    )
     report = metrics.evaluate(queries, gal, d, protocol)
     doc = report.to_dict()
     doc["config"] = {
@@ -168,12 +165,12 @@ def _cmd_ema(args):
 
 
 def _cmd_camera(args):
+    if (args.residual or args.normalize) and not args.out_emb:
+        raise ReidError("--out-emb is required with --normalize or --residual")
     index, emb = _load_aligned(args.index, args.emb)
     camids = index.camera_ids()
     pids = index.person_ids()
     offsets = camera_mod.camera_offsets(emb.global_, camids, pids)
-    if (args.residual or args.normalize) and not args.out_emb:
-        raise ReidError("--out-emb is required with --normalize or --residual")
     if args.residual:
         params = camera_mod.load_residual_params(args.residual)
         transformed = camera_mod.apply_camera_residual(emb.global_, params, camids)

@@ -30,21 +30,15 @@ class LocalMode(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class DistanceConfig:
-    metric: Metric = Metric.EUCLIDEAN
-    lam: float = 1.0
-    local_mode: LocalMode = LocalMode.NONE
-
-    def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise DataError("lambda must be finite and >= 0")
+def check_lambda(lam: float) -> None:
+    """Reject a global/local mixing weight that is negative or not finite."""
+    if not np.isfinite(lam) or lam < 0:
+        raise DataError("lambda must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
     values: np.ndarray
-    metric: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -89,7 +83,7 @@ def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLID
             cos = np.where(denom > 0, (q @ g.T) / np.where(denom > 0, denom, 1.0), 0.0)
         # zero-norm rows get cos 0, hence distance 1
         d = np.clip(1.0 - cos, 0.0, 2.0)
-    return DistanceMatrix(d, metric.value)
+    return DistanceMatrix(d)
 
 
 def squash(x):
@@ -206,16 +200,15 @@ def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> 
                 out[i : i + tq, j : j + tg] = _min_path_costs(
                     _stripe_costs(ql[i : i + tq], gl[j : j + tg])
                 )
-    return DistanceMatrix(out, f"local_{mode.value}")
+    return DistanceMatrix(out)
 
 
 def combine_distances(dg: DistanceMatrix, dl: DistanceMatrix, lam: float) -> DistanceMatrix:
     """Entrywise global + lambda * local combination."""
     if dg.shape != dl.shape:
         raise DataError(f"shape mismatch: {dg.shape} vs {dl.shape}")
-    if not np.isfinite(lam) or lam < 0:
-        raise DataError("lambda must be finite and >= 0")
-    return DistanceMatrix(dg.values + lam * dl.values, f"{dg.metric}+{lam}*{dl.metric}")
+    check_lambda(lam)
+    return DistanceMatrix(dg.values + lam * dl.values)
 
 
 def encode_distance_matrix(d: DistanceMatrix) -> bytearray:
@@ -223,6 +216,6 @@ def encode_distance_matrix(d: DistanceMatrix) -> bytearray:
     return _encode_container(DISTANCE_MAGIC, d.values, None)
 
 
-def decode_distance_matrix(data: bytes, metric: str = "unknown") -> DistanceMatrix:
+def decode_distance_matrix(data: bytes) -> DistanceMatrix:
     main, _ = _decode_container(data, DISTANCE_MAGIC)
-    return DistanceMatrix(main.astype(np.float64), metric)
+    return DistanceMatrix(main.astype(np.float64))

@@ -69,9 +69,6 @@ class GalleryIndex:
     def camera_ids(self) -> np.ndarray:
         return np.array([r.camera_id for r in self.records], dtype=np.int64)
 
-    def restrict(self, role: Role) -> "GalleryIndex":
-        return GalleryIndex(tuple(r for r in self.records if r.role == role))
-
 
 @dataclass(frozen=True)
 class EmbeddingSet:
@@ -101,10 +98,6 @@ class EmbeddingSet:
     @property
     def n(self) -> int:
         return self.global_.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.global_.shape[1]
 
 
 def parse_record(

@@ -453,7 +453,7 @@ def test_cmc_monotonicity_guard():
             [(int(p), int(c), "gallery") for p, c in
              zip(rng.integers(0, 3, ng), rng.integers(0, 2, ng))]
         )
-        d = DistanceMatrix(rng.uniform(0.01, 1.0, (nq, ng)), "euclidean")
+        d = DistanceMatrix(rng.uniform(0.01, 1.0, (nq, ng)))
         try:
             report = evaluate(queries, gal, d, EvalProtocol(max_rank=8))
         except Exception:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reidkit import gallery, imaging
+from reidkit import camera, distance, gallery, imaging
 from reidkit.cli import run_cli
 from reidkit.ensemble import EmaState, load_ema_state, save_ema_state
 
@@ -343,6 +343,56 @@ class TestCameraCommand:
         )
         assert rc == 2
         assert_one_line_error(capsys)
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("flag validation ran after the computation it guards")
+
+
+def write_retrieval_inputs(tmp_path):
+    """A 4-row index and a .remb with local stripes describing its rows."""
+    rng = np.random.default_rng(0)
+    emb = gallery.EmbeddingSet(
+        rng.standard_normal((4, 3)).astype(np.float32),
+        rng.standard_normal((4, 2, 3)).astype(np.float32),
+    )
+    gallery.save_embeddings(emb, tmp_path / "e.remb")
+    write_index(tmp_path / "meta.csv", 4)
+    emb_flags = ["--emb-q", str(tmp_path / "e.remb"), "--emb-g", str(tmp_path / "e.remb")]
+    return {
+        "dist": ["dist", *emb_flags, "--out", str(tmp_path / "d.rdmx")],
+        "eval": ["eval", "--queries", str(tmp_path / "meta.csv"),
+                 "--gallery", str(tmp_path / "meta.csv"), *emb_flags],
+    }
+
+
+@pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("local_mode", ["dp_aligned", "one_to_one", "none"])
+@pytest.mark.parametrize("command", ["dist", "eval"])
+def test_bad_lambda_exit_2_before_any_distance(tmp_path, monkeypatch, capsys, command, local_mode, lam):
+    argv = write_retrieval_inputs(tmp_path)[command]
+    monkeypatch.setattr(distance, "distance_matrix", fail_if_called)
+    monkeypatch.setattr(distance, "local_distance_matrix", fail_if_called)
+    assert run_cli([*argv, "--local-mode", local_mode, "--lam", lam]) == 2
+    assert capsys.readouterr().err == "error: lambda must be finite and >= 0\n"
+
+
+def test_eval_bad_max_rank_exit_2_before_any_distance(tmp_path, monkeypatch, capsys):
+    argv = write_retrieval_inputs(tmp_path)["eval"]
+    monkeypatch.setattr(distance, "distance_matrix", fail_if_called)
+    assert run_cli([*argv, "--max-rank", "0"]) == 2
+    assert capsys.readouterr().err == "error: max_rank must be >= 1\n"
+
+
+@pytest.mark.parametrize("flags", [["--normalize"], ["--residual", "res.json"]], ids=lambda f: f[0])
+def test_camera_without_out_emb_exit_2_before_offsets(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((4, 2), np.float32)), tmp_path / "e.remb")
+    write_index(tmp_path / "meta.csv", 4)
+    (tmp_path / "res.json").write_text("{}")
+    monkeypatch.setattr(camera, "camera_offsets", fail_if_called)
+    assert run_cli(["camera", "--index", "meta.csv", "--emb", "e.remb", *flags]) == 2
+    assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize(

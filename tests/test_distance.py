@@ -170,6 +170,12 @@ class TestLocalDistanceMatrix:
             d = local_distance_matrix(e, e, mode).values
             if mode is LocalMode.ONE_TO_ONE:
                 np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-9)
+            else:
+                # a monotone path leaves the diagonal unless all stripes are
+                # equal, so d(x, x) is the scalar self-distance, not 0
+                self_d = [aligned_distance(local[i], local[i]) for i in range(3)]
+                np.testing.assert_allclose(np.diag(d), self_d, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)
 
     def test_matches_scalar_ops(self, rng):
         la = rng.standard_normal((2, 3, 2)).astype(np.float32)
@@ -247,19 +253,19 @@ class TestBatchedKernel:
 
 class TestCombine:
     def test_lambda_zero(self, rng):
-        dg = DistanceMatrix(rng.uniform(0, 1, (3, 3)), "euclidean")
-        dl = DistanceMatrix(rng.uniform(0, 1, (3, 3)), "local")
+        dg = DistanceMatrix(rng.uniform(0, 1, (3, 3)))
+        dl = DistanceMatrix(rng.uniform(0, 1, (3, 3)))
         np.testing.assert_allclose(combine_distances(dg, dl, 0.0).values, dg.values)
 
     def test_linearity(self, rng):
-        dg = DistanceMatrix(rng.uniform(0, 1, (3, 3)), "euclidean")
+        dg = DistanceMatrix(rng.uniform(0, 1, (3, 3)))
         np.testing.assert_allclose(
             combine_distances(dg, dg, 1.0).values, 2 * dg.values
         )
 
     def test_rowwise_argmin_invariant_to_constant_local(self, rng):
-        dg = DistanceMatrix(rng.uniform(0, 1, (4, 6)), "euclidean")
-        dl = DistanceMatrix(np.tile(rng.uniform(0, 1, (4, 1)), (1, 6)), "local")
+        dg = DistanceMatrix(rng.uniform(0, 1, (4, 6)))
+        dl = DistanceMatrix(np.tile(rng.uniform(0, 1, (4, 1)), (1, 6)))
         for lam in (0.0, 0.5, 3.0):
             combined = combine_distances(dg, dl, lam).values
             np.testing.assert_array_equal(
@@ -267,15 +273,21 @@ class TestCombine:
             )
 
     def test_shape_mismatch(self, rng):
-        dg = DistanceMatrix(np.zeros((2, 2)), "a")
-        dl = DistanceMatrix(np.zeros((2, 3)), "b")
+        dg = DistanceMatrix(np.zeros((2, 2)))
+        dl = DistanceMatrix(np.zeros((2, 3)))
         with pytest.raises(DataError):
             combine_distances(dg, dl, 1.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_bad_lambda(self, lam):
+        d = DistanceMatrix(np.zeros((2, 2)))
+        with pytest.raises(DataError, match=r"^lambda must be finite and >= 0$"):
+            combine_distances(d, d, lam)
+
 
 def test_distance_matrix_serialization_round_trip(rng):
-    d = DistanceMatrix(rng.uniform(0, 2, (3, 5)).astype(np.float32), "euclidean")
-    back = decode_distance_matrix(encode_distance_matrix(d), "euclidean")
+    d = DistanceMatrix(rng.uniform(0, 2, (3, 5)).astype(np.float32))
+    back = decode_distance_matrix(encode_distance_matrix(d))
     np.testing.assert_array_equal(back.values, d.values)
 
 
@@ -287,7 +299,7 @@ def test_distance_matrix_container_layout(rng, shape):
     v = v.T.copy().T  # column-major input
     expected = struct.pack("<4s5I", b"RDMX", 1, *shape, 0, 0)
     expected += np.ascontiguousarray(v, "<f4").tobytes()
-    assert encode_distance_matrix(DistanceMatrix(v, "euclidean")) == expected
+    assert encode_distance_matrix(DistanceMatrix(v)) == expected
 
 
 def test_distance_matrix_float32_overflow_named_by_cell():
@@ -295,4 +307,4 @@ def test_distance_matrix_float32_overflow_named_by_cell():
     v[2, 1] = 1e39  # finite as float64, inf as float32
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(DataError, match=r"^non-finite value at \(2, 1\)$"):
-            encode_distance_matrix(DistanceMatrix(v, "euclidean"))
+            encode_distance_matrix(DistanceMatrix(v))

@@ -75,7 +75,7 @@ def random_problem(seed, nq, ng, n_pids, n_cams, levels):
     )
     v = rng.integers(0, levels, (nq, ng)) / 4.0 if levels else rng.random((nq, ng))
     v[(v == 0) & (rng.random((nq, ng)) < 0.3)] = -0.0
-    return queries, gallery, DistanceMatrix(v, "euclidean")
+    return queries, gallery, DistanceMatrix(v)
 
 
 class TestEvaluateOracle:
@@ -118,7 +118,7 @@ class TestEvaluateFiniteInput:
         gallery = build_index(
             [(1, 1, "gallery"), (1, 2, "gallery"), (2, 2, "gallery"), (3, 1, "gallery")]
         )
-        d = DistanceMatrix(np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.5, 0.2, 0.9]]), "euclidean")
+        d = DistanceMatrix(np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.5, 0.2, 0.9]]))
         return queries, gallery, d
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -210,7 +210,7 @@ class TestEvaluate:
     def test_perfect_retrieval(self):
         queries = build_index([(1, 1, "query")])
         gallery = build_index([(1, 2, "gallery"), (2, 2, "gallery")])
-        d = DistanceMatrix(np.array([[0.1, 0.9]]), "euclidean")
+        d = DistanceMatrix(np.array([[0.1, 0.9]]))
         report = evaluate(queries, gallery, d)
         assert report.map == 1.0
         assert report.cmc[0] == 1.0
@@ -218,7 +218,7 @@ class TestEvaluate:
     def test_same_camera_positive_filtered(self):
         queries = build_index([(1, 1, "query")])
         gallery = build_index([(1, 1, "gallery"), (1, 2, "gallery"), (2, 1, "gallery")])
-        d = DistanceMatrix(np.array([[0.0, 0.5, 0.2]]), "euclidean")
+        d = DistanceMatrix(np.array([[0.0, 0.5, 0.2]]))
         report = evaluate(queries, gallery, d, EvalProtocol(max_rank=2))
         # same-pid same-cam item removed; ranking [pid2, pid1-cam2]
         assert report.map == pytest.approx(0.5)
@@ -228,7 +228,7 @@ class TestEvaluate:
     def test_filter_off_keeps_same_camera(self):
         queries = build_index([(1, 1, "query")])
         gallery = build_index([(1, 1, "gallery"), (2, 1, "gallery")])
-        d = DistanceMatrix(np.array([[0.0, 0.5]]), "euclidean")
+        d = DistanceMatrix(np.array([[0.0, 0.5]]))
         report = evaluate(
             queries, gallery, d, EvalProtocol(cross_camera_filter=False, max_rank=2)
         )
@@ -237,7 +237,7 @@ class TestEvaluate:
     def test_queries_without_positives_excluded(self):
         queries = build_index([(1, 1, "query"), (9, 1, "query")])
         gallery = build_index([(1, 2, "gallery"), (2, 2, "gallery")])
-        d = DistanceMatrix(np.array([[0.1, 0.9], [0.5, 0.5]]), "euclidean")
+        d = DistanceMatrix(np.array([[0.1, 0.9], [0.5, 0.5]]))
         report = evaluate(queries, gallery, d)
         assert report.num_valid_queries == 1
         assert report.map == 1.0
@@ -245,14 +245,14 @@ class TestEvaluate:
     def test_all_queries_excluded_errors(self):
         queries = build_index([(9, 1, "query")])
         gallery = build_index([(1, 2, "gallery")])
-        d = DistanceMatrix(np.array([[0.1]]), "euclidean")
+        d = DistanceMatrix(np.array([[0.1]]))
         with pytest.raises(DataError, match="empty evaluation"):
             evaluate(queries, gallery, d)
 
     def test_shape_mismatch(self):
         queries = build_index([(1, 1, "query")])
         gallery = build_index([(1, 2, "gallery")])
-        d = DistanceMatrix(np.zeros((2, 2)), "euclidean")
+        d = DistanceMatrix(np.zeros((2, 2)))
         with pytest.raises(DataError, match="shape"):
             evaluate(queries, gallery, d)
 
@@ -272,8 +272,8 @@ class TestProperties:
 
     def test_monotone_transform_invariance(self, rng):
         queries, gallery, d = self._random_setup(rng)
-        r1 = evaluate(queries, gallery, DistanceMatrix(d, "euclidean"))
-        r2 = evaluate(queries, gallery, DistanceMatrix(np.expm1(3 * d), "euclidean"))
+        r1 = evaluate(queries, gallery, DistanceMatrix(d))
+        r2 = evaluate(queries, gallery, DistanceMatrix(np.expm1(3 * d)))
         assert r1.map == pytest.approx(r2.map, abs=1e-12)
         np.testing.assert_allclose(r1.cmc, r2.cmc)
 
@@ -283,8 +283,8 @@ class TestProperties:
         permuted = build_index(
             [(gallery[i].person_id, gallery[i].camera_id, "gallery") for i in perm]
         )
-        r1 = evaluate(queries, gallery, DistanceMatrix(d, "euclidean"))
-        r2 = evaluate(queries, permuted, DistanceMatrix(d[:, perm], "euclidean"))
+        r1 = evaluate(queries, gallery, DistanceMatrix(d))
+        r2 = evaluate(queries, permuted, DistanceMatrix(d[:, perm]))
         assert r1.map == pytest.approx(r2.map, abs=1e-12)
         np.testing.assert_allclose(r1.cmc, r2.cmc)
 
