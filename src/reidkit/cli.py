@@ -115,10 +115,8 @@ def _cmd_eval(args):
         cross_camera_filter=not args.no_cross_camera_filter,
         max_rank=args.max_rank,
     )
-    queries = gallery.load_index(args.queries)
-    gal = gallery.load_index(args.gallery)
-    emb_q = gallery.load_embeddings(args.emb_q)
-    emb_g = gallery.load_embeddings(args.emb_g)
+    queries, emb_q = _load_aligned(args.queries, args.emb_q)
+    gal, emb_g = _load_aligned(args.gallery, args.emb_g)
     d = _distance_for(args, emb_q, emb_g)
     report = metrics.evaluate(queries, gal, d, protocol)
     doc = report.to_dict()
@@ -131,8 +129,8 @@ def _cmd_eval(args):
 
 
 def _cmd_mine(args):
-    index, emb = _load_aligned(args.index, args.emb)
     cfg = mining.MiningConfig(p=args.p, k=args.k, margin=args.margin, seed=args.seed)
+    index, emb = _load_aligned(args.index, args.emb)
     batch = mining.pk_sample(index, cfg)
     feats = emb.global_[batch]
     labels = index.person_ids()[batch]
@@ -167,12 +165,12 @@ def _cmd_ema(args):
 def _cmd_camera(args):
     if (args.residual or args.normalize) and not args.out_emb:
         raise ReidError("--out-emb is required with --normalize or --residual")
+    params = camera_mod.load_residual_params(args.residual) if args.residual else None
     index, emb = _load_aligned(args.index, args.emb)
     camids = index.camera_ids()
     pids = index.person_ids()
     offsets = camera_mod.camera_offsets(emb.global_, camids, pids)
-    if args.residual:
-        params = camera_mod.load_residual_params(args.residual)
+    if params is not None:
         transformed = camera_mod.apply_camera_residual(emb.global_, params, camids)
         gallery.save_embeddings(gallery.EmbeddingSet(transformed.astype(np.float32)), args.out_emb)
     elif args.normalize:
@@ -188,6 +186,12 @@ def _cmd_camera(args):
 
 
 def _cmd_tsne(args):
+    params = tsne.TsneParams(
+        perplexity=args.perplexity,
+        iterations=args.iterations,
+        learning_rate=args.learning_rate,
+        seed=args.seed,
+    )
     index, emb = _load_aligned(args.index, args.emb)
     if args.role == "all":
         keep = np.arange(len(index))
@@ -198,12 +202,6 @@ def _cmd_tsne(args):
         )
     if keep.size == 0:
         raise ReidError(f"no records with role {args.role!r}")
-    params = tsne.TsneParams(
-        perplexity=args.perplexity,
-        iterations=args.iterations,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
     coords, trace = tsne.run_tsne(emb.global_[keep], params)
     lines = ["x\ty\tperson_id\tcamera_id"]
     for row, i in zip(coords, keep):
@@ -272,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("camera", help="per-camera offset analysis and normalization")
     p.add_argument("--index", required=True)
     p.add_argument("--emb", required=True)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--residual", help="camera residual parameter file (JSON)")
+    transform = p.add_mutually_exclusive_group()
+    transform.add_argument("--normalize", action="store_true")
+    transform.add_argument("--residual", help="camera residual parameter file (JSON)")
     p.add_argument("--out-emb", help="output embedding file for normalize/residual")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_camera)

@@ -44,15 +44,13 @@ def stripe_histogram(img: Image, cfg: FeaturizerConfig = FeaturizerConfig()):
     if img.height < s_count:
         raise DataError(f"image height {img.height} < stripe count {s_count}")
     binned = (img.pixels.astype(np.int64) * bins) // 256
-    local = np.zeros((s_count, 3 * bins), dtype=np.float64)
-    for s in range(s_count):
-        top = (s * img.height) // s_count
-        bottom = ((s + 1) * img.height) // s_count
-        stripe = binned[top:bottom]
-        for ch in range(3):
-            counts = np.bincount(stripe[:, :, ch].ravel(), minlength=bins)
-            local[s, ch * bins : (ch + 1) * bins] = counts
-        local[s] /= local[s].sum()
+    bounds = (np.arange(s_count + 1) * img.height) // s_count
+    row_stripe = np.repeat(np.arange(s_count), np.diff(bounds))
+    # one flat bin per (stripe, channel, value bin), counted in one pass
+    cell = (row_stripe[:, None, None] * 3 + np.arange(3)) * bins + binned
+    counts = np.bincount(cell.ravel(), minlength=s_count * 3 * bins)
+    local = counts.reshape(s_count, 3 * bins).astype(np.float64)
+    local /= local.sum(axis=1, keepdims=True)
     glob = local.mean(axis=0)
     glob /= glob.sum()
     return glob.astype(np.float32), local.astype(np.float32)

@@ -24,6 +24,8 @@ class MiningConfig:
             raise DataError("need P >= 2 and K >= 2 for valid triplets")
         if not np.isfinite(self.margin) or self.margin < 0:
             raise DataError("margin must be finite and >= 0")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

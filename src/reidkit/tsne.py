@@ -17,24 +17,31 @@ P_FLOOR = 1e-12
 PERPLEXITY_TOL = 1e-5
 MAX_BISECTIONS = 200
 
+# Fixed descent schedule (van der Maaten & Hinton, JMLR 2008): for the first
+# EARLY_ITERATIONS the gradient uses P * EXAGGERATION and momentum
+# MOMENTUM_EARLY; afterwards the true P and MOMENTUM_LATE.
+EARLY_ITERATIONS = 250
+EXAGGERATION = 12.0
+MOMENTUM_EARLY = 0.5
+MOMENTUM_LATE = 0.8
+
 
 @dataclass(frozen=True)
 class TsneParams:
     perplexity: float = 30.0
     iterations: int = 1000
     learning_rate: float = 200.0
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch: int = 250
-    exaggeration: float = 12.0
-    exaggeration_iters: int = 250
     seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise DataError("iterations must be >= 1")
-        if self.perplexity <= 1:
-            raise DataError("perplexity must exceed 1")
+        if not np.isfinite(self.perplexity) or self.perplexity <= 1:
+            raise DataError("perplexity must be finite and exceed 1")
+        if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise DataError("learning rate must be finite and > 0")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
 
 
 def _row_entropy_bits(p: np.ndarray) -> float:
@@ -85,14 +92,14 @@ def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     return p_sym / p_sym.sum()  # restore unit mass after flooring
 
 
-def _kl_and_gradient(p: np.ndarray, p_grad: np.ndarray, y: np.ndarray):
+def _kl_and_gradient(p_off: np.ndarray, mask: np.ndarray, p_grad: np.ndarray, y: np.ndarray):
     """KL(P || Q) under the Student-t kernel Q of y, and the gradient of
-    KL(P_grad || Q) w.r.t. y (P_grad is the exaggerated P early in descent)."""
+    KL(P_grad || Q) w.r.t. y (P_grad is the exaggerated P early in descent).
+    p_off is P[mask], the off-diagonal entries of P under the boolean mask."""
     num = 1.0 / (1.0 + _sq_euclidean(y, y))
     np.fill_diagonal(num, 0.0)
     q = np.maximum(num / num.sum(), P_FLOOR)
-    mask = ~np.eye(p.shape[0], dtype=bool)
-    kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    kl = float(np.sum(p_off * np.log(p_off / q[mask])))
     w = (p_grad - q) * num
     np.fill_diagonal(w, 0.0)
     return kl, 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
@@ -106,7 +113,8 @@ def kl_and_gradient(p: np.ndarray, y: np.ndarray):
     n = p.shape[0]
     if p.shape != (n, n) or y.shape[0] != n:
         raise DataError("shape mismatch between P and Y")
-    return _kl_and_gradient(p, p, y)
+    mask = ~np.eye(n, dtype=bool)
+    return _kl_and_gradient(p[mask], mask, p, y)
 
 
 def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):
@@ -117,16 +125,19 @@ def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):
     """
     p = perplexity_affinities(x, params.perplexity)
     n = p.shape[0]
+    mask = ~np.eye(n, dtype=bool)
+    p_off = p[mask]
+    p_early = p * EXAGGERATION
     rng = np.random.default_rng(params.seed)
     y = rng.normal(scale=1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)  # per-coordinate adaptive rates, standard scheme
     trace = []
     for it in range(params.iterations):
-        p_eff = p * params.exaggeration if it < params.exaggeration_iters else p
-        kl, grad = _kl_and_gradient(p, p_eff, y)
+        early = it < EARLY_ITERATIONS
+        kl, grad = _kl_and_gradient(p_off, mask, p_early if early else p, y)
         trace.append(kl)
-        momentum = params.momentum_early if it < params.momentum_switch else params.momentum_late
+        momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
         same_sign = np.sign(grad) == np.sign(velocity)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
         np.maximum(gains, 0.01, out=gains)

@@ -327,7 +327,8 @@ class TestCameraCommand:
         assert norm.global_.shape[0] == 6
 
     @pytest.mark.parametrize("params", ["[1, 2", '{"0": {"bias": [0.0]}}', "[1, 2]"])
-    def test_malformed_residual_params_exit_2(self, tmp_path, capsys, params):
+    def test_malformed_residual_params_exit_2(self, tmp_path, monkeypatch, capsys, params):
+        monkeypatch.setattr(camera, "camera_offsets", fail_if_called)
         emb = gallery.EmbeddingSet(np.zeros((4, 1), np.float32))
         gallery.save_embeddings(emb, tmp_path / "e.remb")
         write_index(tmp_path / "meta.csv", 4)
@@ -343,6 +344,17 @@ class TestCameraCommand:
         )
         assert rc == 2
         assert_one_line_error(capsys)
+
+    def test_normalize_and_residual_together_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(gallery, "load_index", fail_if_called)
+        rc = run_cli(
+            [
+                "camera", "--index", "meta.csv", "--emb", "e.remb", "--normalize",
+                "--residual", "res.json", "--out-emb", str(tmp_path / "o.remb"),
+            ]
+        )
+        assert rc == 1
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 def fail_if_called(*args, **kwargs):
@@ -382,6 +394,38 @@ def test_eval_bad_max_rank_exit_2_before_any_distance(tmp_path, monkeypatch, cap
     monkeypatch.setattr(distance, "distance_matrix", fail_if_called)
     assert run_cli([*argv, "--max-rank", "0"]) == 2
     assert capsys.readouterr().err == "error: max_rank must be >= 1\n"
+
+
+@pytest.mark.parametrize("rows", [(5, 4), (4, 5)], ids=["query_index_longer", "gallery_index_longer"])
+def test_eval_row_mismatch_exit_2_before_any_distance(tmp_path, monkeypatch, capsys, rows):
+    argv = write_retrieval_inputs(tmp_path)["eval"]
+    write_index(tmp_path / "q5.csv", 5)
+    argv[argv.index("--queries" if rows[0] == 5 else "--gallery") + 1] = str(tmp_path / "q5.csv")
+    monkeypatch.setattr(distance, "distance_matrix", fail_if_called)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "q5.csv has 5 rows but" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["mine", "--seed", "-1"], "seed must be >= 0"),
+        (["tsne", "--seed", "-3"], "seed must be >= 0"),
+        (["tsne", "--perplexity", "nan"], "perplexity must be finite and exceed 1"),
+        (["tsne", "--perplexity", "inf"], "perplexity must be finite and exceed 1"),
+        (["tsne", "--learning-rate", "nan"], "learning rate must be finite and > 0"),
+        (["tsne", "--learning-rate", "-5"], "learning rate must be finite and > 0"),
+        (["tsne", "--iterations", "0"], "iterations must be >= 1"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_bad_mine_tsne_params_exit_2_before_loading(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(gallery, "load_index", fail_if_called)
+    monkeypatch.setattr(gallery, "load_embeddings", fail_if_called)
+    assert run_cli([*argv, "--index", "meta.csv", "--emb", "e.remb"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flags", [["--normalize"], ["--residual", "res.json"]], ids=lambda f: f[0])

@@ -58,10 +58,13 @@ class TestStripeHistogram:
         np.testing.assert_allclose(local, oracle, atol=1e-6)
 
     def test_random_matches_counting_oracle(self, rng):
-        px = rng.integers(0, 256, size=(9, 4, 3), dtype=np.uint8)
-        _, local = stripe_histogram(Image(px), FeaturizerConfig(stripes=3, bins=4))
-        oracle = brute_force_stripe_hist(px.tolist(), 3, 4)
-        np.testing.assert_allclose(local, oracle, atol=1e-6)
+        # heights 10, 11 and 13 are not multiples of the stripe count, so
+        # the floor(s*H/S) bounds give stripes of unequal height
+        for h, w, stripes, bins in [(9, 4, 3, 4), (10, 3, 3, 5), (11, 2, 4, 2), (13, 5, 5, 39), (7, 1, 7, 8)]:
+            px = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+            _, local = stripe_histogram(Image(px), FeaturizerConfig(stripes=stripes, bins=bins))
+            oracle = brute_force_stripe_hist(px.tolist(), stripes, bins)
+            np.testing.assert_allclose(local, oracle, atol=1e-6)
 
     def test_too_few_rows(self):
         with pytest.raises(DataError, match="height"):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from reidkit.distance import _sq_euclidean
 from reidkit.errors import DataError
 from reidkit.tsne import (
+    P_FLOOR,
     TsneParams,
     kl_and_gradient,
     perplexity_affinities,
@@ -176,3 +178,45 @@ class TestRunTsne:
         p = perplexity_affinities(x, 5)
         y0 = np.random.default_rng(seed).normal(scale=1e-4, size=(x.shape[0], 2))
         assert trace[0] == kl_and_gradient(p, y0)[0]
+
+
+def reference_descent(p, iterations, learning_rate, seed):
+    """The descent loop with the schedule written out as literals: gradient
+    on 12*P and momentum 0.5 for iterations 0..249, then P and momentum 0.8.
+    Mask, P gather and exaggerated P are rebuilt on every iteration."""
+    n = p.shape[0]
+    y = np.random.default_rng(seed).normal(scale=1e-4, size=(n, 2))
+    velocity = np.zeros_like(y)
+    gains = np.ones_like(y)
+    trace = []
+    for it in range(iterations):
+        p_eff = p * 12.0 if it < 250 else p
+        num = 1.0 / (1.0 + _sq_euclidean(y, y))
+        np.fill_diagonal(num, 0.0)
+        q = np.maximum(num / num.sum(), P_FLOOR)
+        mask = ~np.eye(n, dtype=bool)
+        trace.append(float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+        w = (p_eff - q) * num
+        np.fill_diagonal(w, 0.0)
+        grad = 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
+        momentum = 0.5 if it < 250 else 0.8
+        same_sign = np.sign(grad) == np.sign(velocity)
+        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        np.maximum(gains, 0.01, out=gains)
+        velocity = momentum * velocity - learning_rate * gains * grad
+        y = y + velocity
+    return y, trace
+
+
+@pytest.mark.parametrize(
+    "seed,per_cluster,iterations",
+    [(0, 8, 260), (4, 11, 251), (23, 6, 300), (8, 5, 40)],
+)
+def test_run_tsne_matches_reference_descent_bitwise(seed, per_cluster, iterations):
+    x, _ = make_clusters(np.random.default_rng(seed), per_cluster=per_cluster, dim=5)
+    params = TsneParams(perplexity=4, iterations=iterations, learning_rate=150.0, seed=seed)
+    y, trace = run_tsne(x, params)
+    y_ref, trace_ref = reference_descent(perplexity_affinities(x, 4), iterations, 150.0, seed)
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.array(trace).tobytes() == np.array(trace_ref).tobytes()
+
