@@ -75,8 +75,8 @@ def _add_distance_flags(p):
 
 
 def _cmd_embed(args):
-    index = gallery.load_index(args.index)
     cfg = featurize.FeaturizerConfig(stripes=args.stripes, bins=args.bins)
+    index = gallery.load_index(args.index)
     images = _load_images(index, args.images_root)
     emb = featurize.featurize_images(images, cfg)
     gallery.save_embeddings(emb, args.out)

@@ -108,10 +108,6 @@ def _stripe_costs(ql: np.ndarray, gl: np.ndarray) -> np.ndarray:
     Squared distances accumulate direct differences one feature dimension at
     a time rather than the |a|^2 + |b|^2 - 2ab expansion, so identical
     stripes cost exactly 0 and no entry depends on cancellation."""
-    if ql.ndim != 3 or gl.ndim != 3:
-        raise DataError("stripe sequences must be 2-D (S x Dl)")
-    if ql.shape[2] != gl.shape[2]:
-        raise DataError(f"stripe dimension mismatch: {ql.shape[2]} vs {gl.shape[2]}")
     (nq, s1, dl), (ng, s2) = ql.shape, gl.shape[:2]
     # rows (stripe, query) x columns (stripe, gallery): one 2-D outer
     # difference per feature dimension
@@ -148,24 +144,48 @@ def min_path_cost(cost: np.ndarray) -> float:
     return float(_min_path_costs(cost[:, :, None])[0])
 
 
+def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
+    """(nq, ng) local distances between the stripe stacks (nq, S1, Dl) and
+    (ng, S2, Dl), in float64. DP-aligned tiles hold at most _TILE_CELLS grid
+    cells, or one pair when a single grid is larger. One-to-one sums over s
+    the DP-aligned distances of the single-stripe stacks: a 1 x 1 grid has
+    one path, so each term is the squashed direct difference of stripe s."""
+    ql, gl = np.asarray(ql, dtype=np.float64), np.asarray(gl, dtype=np.float64)
+    if ql.ndim != 3 or gl.ndim != 3:
+        raise DataError("stripe sequences must be 2-D (S x Dl)")
+    if ql.shape[2] != gl.shape[2]:
+        raise DataError(f"stripe dimension mismatch: {ql.shape[2]} vs {gl.shape[2]}")
+    (nq, s1), (ng, s2) = ql.shape[:2], gl.shape[:2]
+    out = np.zeros((nq, ng))
+    if mode is LocalMode.ONE_TO_ONE:
+        if s1 != s2:
+            raise DataError(
+                f"stripe count mismatch ({s1} vs {s2}); "
+                "use the DP-aligned distance for unequal stripe counts"
+            )
+        for s in range(s1):
+            out += _local_distances(ql[:, [s]], gl[:, [s]], LocalMode.DP_ALIGNED)
+        return out
+    pairs = max(1, _TILE_CELLS // (s1 * s2))
+    tg = max(1, min(ng, pairs))
+    tq = max(1, pairs // tg)
+    for i in range(0, nq, tq):
+        for j in range(0, ng, tg):
+            out[i : i + tq, j : j + tg] = _min_path_costs(
+                _stripe_costs(ql[i : i + tq], gl[j : j + tg])
+            )
+    return out
+
+
 def aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Minimum-cost monotone path through the squashed stripe-to-stripe
     euclidean cost grid."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(_min_path_costs(_stripe_costs(a[None], b[None]))[0, 0])
+    return float(_local_distances([a], [b], LocalMode.DP_ALIGNED)[0, 0])
 
 
 def one_to_one_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of squashed euclidean distances between corresponding stripes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[0] != b.shape[0]:
-        raise DataError(
-            f"stripe count mismatch ({a.shape[0]} vs {b.shape[0]}); "
-            "use the DP-aligned distance for unequal stripe counts"
-        )
-    return float(np.trace(_stripe_costs(a[None], b[None])[:, :, 0, 0]))
+    return float(_local_distances([a], [b], LocalMode.ONE_TO_ONE)[0, 0])
 
 
 def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> DistanceMatrix:
@@ -176,31 +196,7 @@ def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> 
         raise DataError("local_mode 'none' has no local distance matrix")
     if q.local is None or g.local is None:
         raise DataError("both embedding sets need local features")
-    nq, ng = q.n, g.n
-    ql = q.local.astype(np.float64)
-    gl = g.local.astype(np.float64)
-    out = np.zeros((nq, ng), dtype=np.float64)
-    if mode is LocalMode.ONE_TO_ONE:
-        if ql.shape[1] != gl.shape[1]:
-            raise DataError(
-                f"stripe count mismatch ({ql.shape[1]} vs {gl.shape[1]}); "
-                "use the DP-aligned distance for unequal stripe counts"
-            )
-        for s in range(ql.shape[1]):
-            d = _sq_euclidean(ql[:, s], gl[:, s])
-            out += squash(np.sqrt(d, out=d))
-    else:
-        # tiles of tq x tg pairs hold at most _TILE_CELLS grid cells, or one
-        # pair when a single grid is larger
-        pairs = max(1, _TILE_CELLS // (ql.shape[1] * gl.shape[1]))
-        tg = max(1, min(ng, pairs))
-        tq = max(1, pairs // tg)
-        for i in range(0, nq, tq):
-            for j in range(0, ng, tg):
-                out[i : i + tq, j : j + tg] = _min_path_costs(
-                    _stripe_costs(ql[i : i + tq], gl[j : j + tg])
-                )
-    return DistanceMatrix(out)
+    return DistanceMatrix(_local_distances(q.local, g.local, mode))
 
 
 def combine_distances(dg: DistanceMatrix, dl: DistanceMatrix, lam: float) -> DistanceMatrix:

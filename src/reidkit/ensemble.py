@@ -13,6 +13,12 @@ from .errors import DataError, FormatError
 from .gallery import EmbeddingSet, load_embeddings, save_embeddings
 
 
+def _check_tensor_name(name) -> None:
+    # a tensor is stored as <name>.remb inside its state directory
+    if not isinstance(name, str) or name in ("", ".", "..") or not set(name).isdisjoint("/\\\0"):
+        raise DataError(f"tensor name {name!r} is not a plain file name")
+
+
 @dataclass(frozen=True)
 class EmaState:
     """Teacher parameters as a named tensor collection plus decay.
@@ -29,6 +35,12 @@ class EmaState:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise DataError("alpha must be in [0, 1)")
+        if isinstance(self.step, bool) or not isinstance(self.step, int) or self.step < 0:
+            raise DataError(f"step must be a non-negative integer, got {self.step!r}")
+        if not isinstance(self.warmup, bool):
+            raise DataError(f"warmup must be true or false, got {self.warmup!r}")
+        for name in self.tensors:
+            _check_tensor_name(name)
         object.__setattr__(
             self,
             "tensors",
@@ -94,6 +106,9 @@ def load_ema_state(directory) -> EmaState:
             manifest = json.load(fh)
         tensors = {}
         for name, info in manifest["tensors"].items():
+            _check_tensor_name(name)
+            if info["file"] != f"{name}.remb":
+                raise DataError(f"tensor {name!r} is stored in {info['file']!r}, not {name}.remb")
             emb = load_embeddings(os.path.join(directory, info["file"]))
             tensors[name] = emb.global_.astype(np.float64).reshape(info["shape"])
         return EmaState(
@@ -102,7 +117,7 @@ def load_ema_state(directory) -> EmaState:
             step=manifest["step"],
             warmup=manifest.get("warmup", False),
         )
-    except (KeyError, TypeError, AttributeError, ValueError) as e:
+    except (KeyError, TypeError, AttributeError, ValueError, DataError) as e:
         raise FormatError(f"{path}: malformed EMA manifest ({type(e).__name__}: {e})") from e
 
 

@@ -24,8 +24,9 @@ class FeaturizerConfig:
     def __post_init__(self):
         if self.stripes < 1:
             raise DataError("stripe count must be positive")
-        if self.bins < 2:
-            raise DataError("need at least 2 bins per channel")
+        # bin = floor(value * B / 256) of 8-bit values leaves bins past 256 empty
+        if not 2 <= self.bins <= 256:
+            raise DataError(f"bins per channel must be in [2, 256], got {self.bins}")
 
 
 def stripe_histogram(img: Image, cfg: FeaturizerConfig = FeaturizerConfig()):

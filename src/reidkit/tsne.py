@@ -122,6 +122,8 @@ def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):
 
     Returns (Y: N x 2, kl_trace) where the trace is the KL against the
     true (un-exaggerated) P at every iteration. Deterministic given seed.
+    Raises DataError at the first iteration whose KL or coordinates are not
+    finite (a learning rate too large for the data makes the descent diverge).
     """
     p = perplexity_affinities(x, params.perplexity)
     n = p.shape[0]
@@ -133,14 +135,21 @@ def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)  # per-coordinate adaptive rates, standard scheme
     trace = []
-    for it in range(params.iterations):
-        early = it < EARLY_ITERATIONS
-        kl, grad = _kl_and_gradient(p_off, mask, p_early if early else p, y)
-        trace.append(kl)
-        momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
-        same_sign = np.sign(grad) == np.sign(velocity)
-        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
-        np.maximum(gains, 0.01, out=gains)
-        velocity = momentum * velocity - params.learning_rate * gains * grad
-        y = y + velocity
+    # a diverging descent overflows; it is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(params.iterations):
+            early = it < EARLY_ITERATIONS
+            kl, grad = _kl_and_gradient(p_off, mask, p_early if early else p, y)
+            trace.append(kl)
+            momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
+            same_sign = np.sign(grad) == np.sign(velocity)
+            gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+            np.maximum(gains, 0.01, out=gains)
+            velocity = momentum * velocity - params.learning_rate * gains * grad
+            y = y + velocity
+            if not (np.isfinite(kl) and np.isfinite(y).all()):
+                raise DataError(
+                    f"t-SNE diverged at iteration {it + 1} of {params.iterations}: "
+                    "the coordinates or the KL are not finite"
+                )
     return y, trace

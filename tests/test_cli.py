@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -298,6 +299,36 @@ class TestEmaCommand:
         rc = run_cli(["ema", "--student", str(tmp_path), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "role,fields",
+        [
+            ("state", {"step": -1, "warmup": True}),
+            ("state", {"step": 2.5}),
+            ("state", {"step": True}),
+            ("state", {"warmup": "yes"}),
+            ("student", {"tensors": {"../../escaped": {"file": "../../escaped.remb", "shape": [1, 2]}}}),
+            ("student", {"tensors": {"w": {"file": "../w.remb", "shape": [1, 2]}}}),
+        ],
+        ids=["negative_step_warmup", "fractional_step", "bool_step", "string_warmup",
+             "escaping_name", "file_not_named_after_tensor"],
+    )
+    def test_invalid_manifest_exit_2_writes_nothing_outside_out(self, tmp_path, capsys, role, fields):
+        ev = tmp_path / "ev"
+        for name in ("state", "student"):
+            save_ema_state(EmaState({"w": np.ones((1, 2))}, alpha=0.5), ev / name)
+        manifest = ev / role / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **fields}))
+        # every file a manifest names exists, so only validation can stop the run
+        for info in fields.get("tensors", {}).values():
+            shutil.copy(ev / role / "w.remb", ev / role / info["file"])
+        before = set(tmp_path.rglob("*"))
+        out = ev / "out" / "state"
+        argv = ["ema", "--student", str(ev / "student"), "--out", str(out)]
+        argv += ["--init"] if role == "student" else ["--state", str(ev / "state")]
+        assert run_cli(argv) == 2
+        assert_one_line_error(capsys)
+        assert all(p == out or out in p.parents for p in set(tmp_path.rglob("*")) - before)
+
 
 class TestCameraCommand:
     def test_report_and_normalize(self, dataset, tmp_path, capsys):
@@ -376,6 +407,25 @@ def write_retrieval_inputs(tmp_path):
         "eval": ["eval", "--queries", str(tmp_path / "meta.csv"),
                  "--gallery", str(tmp_path / "meta.csv"), *emb_flags],
     }
+
+
+@pytest.mark.parametrize("local_mode", ["dp_aligned", "one_to_one"])
+@pytest.mark.parametrize("command", ["dist", "eval"])
+def test_stripe_dimension_mismatch_exit_2(tmp_path, capsys, command, local_mode):
+    argv = write_retrieval_inputs(tmp_path)[command]
+    wide = gallery.EmbeddingSet(np.zeros((4, 3), np.float32), np.zeros((4, 2, 5), np.float32))
+    gallery.save_embeddings(wide, tmp_path / "wide.remb")
+    argv[argv.index("--emb-g") + 1] = str(tmp_path / "wide.remb")
+    assert run_cli([*argv, "--local-mode", local_mode]) == 2
+    assert capsys.readouterr().err == "error: stripe dimension mismatch: 3 vs 5\n"
+
+
+@pytest.mark.parametrize("bins", ["1", "257", "100000000"])
+def test_embed_bad_bins_exit_2_before_loading(monkeypatch, capsys, bins):
+    monkeypatch.setattr(gallery, "load_index", fail_if_called)
+    monkeypatch.setattr(imaging, "decode_image", fail_if_called)
+    assert run_cli(["embed", "--index", "meta.csv", "--bins", bins, "--out", "e.remb"]) == 2
+    assert capsys.readouterr().err == f"error: bins per channel must be in [2, 256], got {bins}\n"
 
 
 @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
@@ -535,3 +585,24 @@ class TestTsneCommand:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_diverging_descent_exit_2_without_output(self, tmp_path, rng, capsys):
+        emb = gallery.EmbeddingSet(rng.standard_normal((12, 4)).astype(np.float32))
+        gallery.save_embeddings(emb, tmp_path / "e.remb")
+        write_index(tmp_path / "meta.csv", 12)
+        out = tmp_path / "coords.tsv"
+        rc = run_cli(
+            [
+                "tsne",
+                "--index", str(tmp_path / "meta.csv"),
+                "--emb", str(tmp_path / "e.remb"),
+                "--perplexity", "4",
+                "--iterations", "50",
+                "--learning-rate", "1e300",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t-SNE diverged at iteration ") and err.count("\n") == 1
+        assert not out.exists()

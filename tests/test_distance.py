@@ -169,7 +169,7 @@ class TestLocalDistanceMatrix:
         for mode in (LocalMode.DP_ALIGNED, LocalMode.ONE_TO_ONE):
             d = local_distance_matrix(e, e, mode).values
             if mode is LocalMode.ONE_TO_ONE:
-                np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-9)
+                np.testing.assert_array_equal(np.diag(d), 0.0)
             else:
                 # a monotone path leaves the diagonal unless all stripes are
                 # equal, so d(x, x) is the scalar self-distance, not 0
@@ -186,10 +186,8 @@ class TestLocalDistanceMatrix:
         d_oo = local_distance_matrix(ea, eb, LocalMode.ONE_TO_ONE).values
         for i in range(2):
             for j in range(2):
-                assert d_dp[i, j] == pytest.approx(aligned_distance(la[i], lb[j]), abs=1e-6)
-                assert d_oo[i, j] == pytest.approx(
-                    one_to_one_distance(la[i], lb[j]), abs=1e-6
-                )
+                assert d_dp[i, j] == aligned_distance(la[i], lb[j])
+                assert d_oo[i, j] == one_to_one_distance(la[i], lb[j])
 
     def test_modes_agree_single_stripe(self, rng):
         l = rng.standard_normal((3, 1, 4)).astype(np.float32)
@@ -235,6 +233,50 @@ class TestBatchedKernel:
                 b = gl[j].astype(np.float64)
                 cost = np.tanh(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) / 2)
                 assert d[i, j] == pytest.approx(min_path_cost_oracle(cost), abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_tiled_one_to_one_matches_direct_differences(self, data):
+        s = data.draw(st.integers(1, 6), label="s")
+        nq = data.draw(st.integers(2, 4), label="nq")
+        ng = data.draw(st.integers(3, 6), label="ng")
+        dl = data.draw(st.integers(1, 4), label="dl")
+        # each single-stripe grid is one cell: fewer cells per tile than
+        # gallery rows splits both axes
+        per_tile = data.draw(st.integers(1, ng - 1), label="per_tile")
+        elems = st.floats(-3, 3, width=32)
+        ql = data.draw(hnp.arrays(np.float32, (nq, s, dl), elements=elems), label="ql")
+        gl = data.draw(hnp.arrays(np.float32, (ng, s, dl), elements=elems), label="gl")
+        q = EmbeddingSet(np.zeros((nq, 1), np.float32), ql)
+        g = EmbeddingSet(np.zeros((ng, 1), np.float32), gl)
+        tiles = []
+        stripe_costs = distance._stripe_costs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "_TILE_CELLS", per_tile)
+            mp.setattr(
+                distance, "_stripe_costs", lambda a, b: tiles.append(1) or stripe_costs(a, b)
+            )
+            d = local_distance_matrix(q, g, LocalMode.ONE_TO_ONE).values
+        assert len(tiles) == s * nq * math.ceil(ng / per_tile)
+        for i in range(nq):
+            for j in range(ng):
+                a = ql[i].astype(np.float64)
+                b = gl[j].astype(np.float64)
+                oracle = np.tanh(np.linalg.norm(a - b, axis=1) / 2).sum()
+                assert d[i, j] == pytest.approx(oracle, rel=0, abs=1e-12)
+                assert d[i, j] == one_to_one_distance(ql[i], gl[j])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        offset=st.sampled_from([0.0, 0.4, 50.0, 1e3]),
+        noise=hnp.arrays(np.float32, st.tuples(st.integers(1, 12), st.just(8), st.just(24)),
+                         elements=st.floats(-1, 1, width=32)),
+    )
+    def test_one_to_one_matrix_self_distance_exactly_zero(self, offset, noise):
+        local = (offset + noise).astype(np.float32)
+        e = EmbeddingSet(np.zeros((len(local), 1), np.float32), local)
+        d = local_distance_matrix(e, e, LocalMode.ONE_TO_ONE).values
+        np.testing.assert_array_equal(np.diag(d), 0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(

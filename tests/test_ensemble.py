@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reidkit.errors import DataError
+from reidkit.errors import DataError, FormatError
 from reidkit.ensemble import (
     EmaState,
     consistency_loss_grad,
@@ -66,6 +66,26 @@ class TestEmaUpdate:
         with pytest.raises(DataError):
             EmaState({"w": np.zeros(1)}, alpha=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"step": -1}, "step"),
+            ({"step": 2.5}, "step"),
+            ({"step": True}, "step"),
+            ({"warmup": "yes"}, "warmup"),
+            ({"warmup": 1}, "warmup"),
+            ({"tensors": {"../../escaped": np.zeros(1)}}, "tensor name"),
+            ({"tensors": {"a/b": np.zeros(1)}}, "tensor name"),
+            ({"tensors": {"..": np.zeros(1)}}, "tensor name"),
+            ({"tensors": {"": np.zeros(1)}}, "tensor name"),
+        ],
+        ids=["negative_step", "fractional_step", "bool_step", "string_warmup", "int_warmup",
+             "escaping_name", "nested_name", "parent_name", "empty_name"],
+    )
+    def test_bad_state_fields_rejected(self, kwargs, message):
+        with pytest.raises(DataError, match=message):
+            EmaState(**{"tensors": {"w": np.zeros(1)}, **kwargs})
+
 
 class TestConsistencyLoss:
     def test_identical_zero(self, rng):
@@ -124,3 +144,11 @@ class TestPersistence:
         np.testing.assert_allclose(
             back.tensors["w"], state.tensors["w"].astype(np.float32), atol=1e-7
         )
+
+    def test_tensor_file_must_be_named_after_the_tensor(self, tmp_path):
+        save_ema_state(EmaState({"w": np.ones(2)}), tmp_path / "state")
+        manifest = tmp_path / "state" / "manifest.json"
+        manifest.write_text(manifest.read_text().replace('"w.remb"', '"../w.remb"'))
+        (tmp_path / "w.remb").write_bytes((tmp_path / "state" / "w.remb").read_bytes())
+        with pytest.raises(FormatError, match=r"stored in '\.\./w\.remb', not w\.remb"):
+            load_ema_state(tmp_path / "state")

@@ -60,11 +60,16 @@ class TestStripeHistogram:
     def test_random_matches_counting_oracle(self, rng):
         # heights 10, 11 and 13 are not multiples of the stripe count, so
         # the floor(s*H/S) bounds give stripes of unequal height
-        for h, w, stripes, bins in [(9, 4, 3, 4), (10, 3, 3, 5), (11, 2, 4, 2), (13, 5, 5, 39), (7, 1, 7, 8)]:
+        for h, w, stripes, bins in [(9, 4, 3, 4), (10, 3, 3, 5), (11, 2, 4, 2), (13, 5, 5, 39), (7, 1, 7, 8), (6, 3, 2, 256)]:
             px = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
             _, local = stripe_histogram(Image(px), FeaturizerConfig(stripes=stripes, bins=bins))
             oracle = brute_force_stripe_hist(px.tolist(), stripes, bins)
             np.testing.assert_allclose(local, oracle, atol=1e-6)
+
+    @pytest.mark.parametrize("bins", [1, 257, 100_000_000])
+    def test_bins_outside_8_bit_range_rejected(self, bins):
+        with pytest.raises(DataError, match=r"bins per channel must be in \[2, 256\]"):
+            FeaturizerConfig(bins=bins)
 
     def test_too_few_rows(self):
         with pytest.raises(DataError, match="height"):

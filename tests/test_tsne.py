@@ -171,6 +171,14 @@ class TestRunTsne:
         purity = (labels[nn] == labels[:, None]).mean()
         assert purity >= 0.9
 
+    def test_divergence_names_the_iteration(self, rng):
+        # filterwarnings=error: an overflow warning escaping the descent
+        # would fail this test before the DataError
+        x = rng.standard_normal((12, 4))
+        params = TsneParams(perplexity=4, iterations=50, learning_rate=1e300)
+        with pytest.raises(DataError, match=r"^t-SNE diverged at iteration \d+ of 50: "):
+            run_tsne(x, params)
+
     @pytest.mark.parametrize("seed", [0, 5, 17])
     def test_first_trace_entry_is_kl_of_initial_layout(self, rng, seed):
         x, _ = make_clusters(rng, per_cluster=8, dim=4)
