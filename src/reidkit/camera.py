@@ -67,6 +67,16 @@ def _row_cameras(camids, n: int):
     return camids, [int(c) for c in cams[np.argsort(first)]]
 
 
+def _groups(*keys):
+    """(key values, row indices) per group of equal keys, ascending with the last
+    key primary: slices of one stable np.lexsort, so rows stay in index order."""
+    order = np.lexsort(keys)
+    edge = np.any([k[order[1:]] != k[order[:-1]] for k in keys], axis=0)
+    bounds = np.flatnonzero(np.r_[True, edge, True])
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        yield tuple(k[order[start]] for k in keys), order[start:stop]
+
+
 def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:
     """Per-camera mean displacement from the global mean.
 
@@ -78,32 +88,23 @@ def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:
     e = np.asarray(emb, dtype=np.float64)
     if e.ndim != 2 or e.shape[0] == 0:
         raise DataError("need a non-empty N x D embedding matrix")
-    camids, cams = _row_cameras(camids, e.shape[0])
+    camids, _ = _row_cameras(camids, e.shape[0])
     global_mean = e.mean(axis=0)
-    offsets, counts = {}, {}
-    for c in sorted(cams):
-        rows = e[camids == c]
-        offsets[c] = rows.mean(axis=0) - global_mean
-        counts[c] = rows.shape[0]
-
-    score = 0.0
-    if pids is not None:
-        pids = np.asarray(pids)
-        if len(pids) != e.shape[0]:
-            raise DataError("person id count != row count")
-        person_means = {p: e[pids == p].mean(axis=0) for p in np.unique(pids)}
-        cell_scores = []
-        for c in offsets:
-            off = offsets[c]
-            denom = np.linalg.norm(off) + CONSISTENCY_EPS
-            for p, pmean in person_means.items():
-                cell = (camids == c) & (pids == p)
-                if not cell.any():
-                    continue
-                disp = e[cell].mean(axis=0) - pmean
-                cell_scores.append(np.linalg.norm(disp - off) / denom)
-        score = float(np.mean(cell_scores))
-    return CameraOffsets(offsets, counts, score)
+    cams = {int(c): rows for (c,), rows in _groups(camids)}
+    offsets = {c: e[rows].mean(axis=0) - global_mean for c, rows in cams.items()}
+    counts = {c: rows.size for c, rows in cams.items()}
+    if pids is None:
+        return CameraOffsets(offsets, counts, 0.0)
+    pids = np.asarray(pids)
+    if len(pids) != e.shape[0]:
+        raise DataError("person id count != row count")
+    person_means = {p: e[rows].mean(axis=0) for (p,), rows in _groups(pids)}
+    cell_scores = [
+        np.linalg.norm(e[rows].mean(axis=0) - person_means[p] - offsets[c])
+        / (np.linalg.norm(offsets[c]) + CONSISTENCY_EPS)
+        for (p, c), rows in _groups(pids, camids)
+    ]
+    return CameraOffsets(offsets, counts, float(np.mean(cell_scores)))
 
 
 def camera_normalize(emb: np.ndarray, offsets: CameraOffsets, camids) -> np.ndarray:
@@ -158,7 +159,6 @@ def load_residual_params(path) -> CameraResidualParams:
             matrices = {int(c): np.array(v["matrix"], dtype=np.float64) for c, v in doc.items()}
             biases = {int(c): np.array(v["bias"], dtype=np.float64) for c, v in doc.items()}
         except (KeyError, TypeError, AttributeError, ValueError) as e:
-            raise FormatError(
-                f"{path}: malformed residual parameters ({type(e).__name__}: {e})"
-            ) from e
+            msg = f"{path}: malformed residual parameters ({type(e).__name__}: {e})"
+            raise FormatError(msg) from e
     return CameraResidualParams(matrices, biases)

@@ -62,15 +62,16 @@ def _load_aligned(index_path, emb_path):
 
 def _distance_for(args, emb_q, emb_g) -> distance_mod.DistanceMatrix:
     d = distance_mod.distance_matrix(emb_q.global_, emb_g.global_, args.metric)
-    if args.local_mode != distance_mod.LocalMode.NONE:
+    if args.local_mode != "none":
         dl = distance_mod.local_distance_matrix(emb_q, emb_g, args.local_mode)
         d = distance_mod.combine_distances(d, dl, args.lam)
     return d
 
 
 def _add_distance_flags(p):
-    p.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
-    p.add_argument("--local-mode", choices=["dp_aligned", "one_to_one", "none"], default="none")
+    p.add_argument("--metric", choices=[m.value for m in distance_mod.Metric], default="euclidean")
+    local_modes = [m.value for m in distance_mod.LocalMode] + ["none"]
+    p.add_argument("--local-mode", choices=local_modes, default="none")
     p.add_argument("--lam", type=float, default=1.0, help="global/local mixing weight")
 
 

@@ -27,7 +27,6 @@ class Metric(str, Enum):
 class LocalMode(str, Enum):
     DP_ALIGNED = "dp_aligned"
     ONE_TO_ONE = "one_to_one"
-    NONE = "none"
 
 
 def check_lambda(lam: float) -> None:
@@ -147,33 +146,35 @@ def min_path_cost(cost: np.ndarray) -> float:
 def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
     """(nq, ng) local distances between the stripe stacks (nq, S1, Dl) and
     (ng, S2, Dl), in float64. DP-aligned tiles hold at most _TILE_CELLS grid
-    cells, or one pair when a single grid is larger. One-to-one sums over s
-    the DP-aligned distances of the single-stripe stacks: a 1 x 1 grid has
-    one path, so each term is the squashed direct difference of stripe s."""
+    cells, or one pair when a single grid is larger. One-to-one sums, tile by
+    tile, the DP-aligned distances of the S single-stripe stacks (a 1 x 1 grid
+    has one path: the squashed direct difference of stripe s)."""
     ql, gl = np.asarray(ql, dtype=np.float64), np.asarray(gl, dtype=np.float64)
     if ql.ndim != 3 or gl.ndim != 3:
         raise DataError("stripe sequences must be 2-D (S x Dl)")
     if ql.shape[2] != gl.shape[2]:
         raise DataError(f"stripe dimension mismatch: {ql.shape[2]} vs {gl.shape[2]}")
     (nq, s1), (ng, s2) = ql.shape[:2], gl.shape[:2]
-    out = np.zeros((nq, ng))
+    stacks, cells = [(ql, gl)], s1 * s2
     if mode is LocalMode.ONE_TO_ONE:
         if s1 != s2:
             raise DataError(
                 f"stripe count mismatch ({s1} vs {s2}); "
                 "use the DP-aligned distance for unequal stripe counts"
             )
-        for s in range(s1):
-            out += _local_distances(ql[:, [s]], gl[:, [s]], LocalMode.DP_ALIGNED)
-        return out
-    pairs = max(1, _TILE_CELLS // (s1 * s2))
+        # contiguous copies: each tile transposes its stacks, which from
+        # strided stripe views made the Market-shaped matrix ~40% slower
+        stacks, cells = [(ql[:, [s]], gl[:, [s]]) for s in range(s1)], 1
+    pairs = max(1, _TILE_CELLS // cells)
     tg = max(1, min(ng, pairs))
     tq = max(1, pairs // tg)
+    out = np.zeros((nq, ng))
     for i in range(0, nq, tq):
         for j in range(0, ng, tg):
-            out[i : i + tq, j : j + tg] = _min_path_costs(
-                _stripe_costs(ql[i : i + tq], gl[j : j + tg])
-            )
+            for a, b in stacks:
+                out[i : i + tq, j : j + tg] += _min_path_costs(
+                    _stripe_costs(a[i : i + tq], b[j : j + tg])
+                )
     return out
 
 
@@ -192,8 +193,6 @@ def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> 
     """Batched local distance: entry (i, j) compares the stripe sequences
     of query row i and gallery row j."""
     mode = LocalMode(mode)
-    if mode is LocalMode.NONE:
-        raise DataError("local_mode 'none' has no local distance matrix")
     if q.local is None or g.local is None:
         raise DataError("both embedding sets need local features")
     return DistanceMatrix(_local_distances(q.local, g.local, mode))

@@ -160,12 +160,11 @@ def load_index(metadata_file) -> GalleryIndex:
                 f"expected {len(records)}"
             )
         try:
-            role = Role(role_s)
+            records.append(GalleryRecord(pid, cam, path, Role(role_s)))
         except ValueError:
-            raise FormatError(
-                f"{metadata_file}:{lineno}: unknown role {role_s!r}"
-            ) from None
-        records.append(GalleryRecord(pid, cam, path, role))
+            raise FormatError(f"{metadata_file}:{lineno}: unknown role {role_s!r}") from None
+        except DataError as e:
+            raise FormatError(f"{metadata_file}:{lineno}: {e}") from None
     return GalleryIndex(tuple(records))
 
 

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from reidkit.errors import DataError
 from reidkit.camera import (
+    CONSISTENCY_EPS,
+    CameraOffsets,
     CameraResidualParams,
     apply_camera_residual,
     camera_normalize,
@@ -24,6 +28,35 @@ def ring_data(rng, n_persons=6, n_cams=4, dim=8, noise=0.0):
                 pids.append(p)
                 cams.append(c)
     return np.array(rows), np.array(pids), np.array(cams), shifts
+
+
+def reference_offsets(emb, camids, pids=None):
+    """camera_offsets as a mask per camera, per person and per (camera,
+    person) cell, looping over every pair and skipping empty cells."""
+    e = np.asarray(emb, dtype=np.float64)
+    camids = np.asarray(camids, dtype=np.int64)
+    global_mean = e.mean(axis=0)
+    offsets, counts = {}, {}
+    for c in sorted(int(c) for c in np.unique(camids)):
+        rows = e[camids == c]
+        offsets[c] = rows.mean(axis=0) - global_mean
+        counts[c] = rows.shape[0]
+    score = 0.0
+    if pids is not None:
+        pids = np.asarray(pids)
+        person_means = {p: e[pids == p].mean(axis=0) for p in np.unique(pids)}
+        cell_scores = []
+        for c in offsets:
+            off = offsets[c]
+            denom = np.linalg.norm(off) + CONSISTENCY_EPS
+            for p, pmean in person_means.items():
+                cell = (camids == c) & (pids == p)
+                if not cell.any():
+                    continue
+                disp = e[cell].mean(axis=0) - pmean
+                cell_scores.append(np.linalg.norm(disp - off) / denom)
+        score = float(np.mean(cell_scores))
+    return CameraOffsets(offsets, counts, score)
 
 
 class TestCameraOffsets:
@@ -70,6 +103,26 @@ class TestCameraOffsets:
     def test_empty_input(self):
         with pytest.raises(DataError):
             camera_offsets(np.zeros((0, 3)), np.array([]))
+
+    @pytest.mark.parametrize("with_pids", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_cell_loop(self, rng, dtype, with_pids):
+        seen_empty_cell = seen_single_row = False
+        for _ in range(40):
+            n = int(rng.integers(1, 120))
+            # unsorted, non-contiguous ids; few rows per id leave (camera,
+            # person) cells empty and some groups with a single row
+            cam_ids = rng.choice([40, 7, 2, 11, 0, 3], size=int(rng.integers(1, 7)), replace=False)
+            pid_ids = rng.choice(100_000, size=int(rng.integers(1, 40)), replace=False)
+            cams, pids = rng.choice(cam_ids, n), rng.choice(pid_ids, n)
+            e = (rng.standard_normal((n, int(rng.integers(1, 20)))) * 3 + 40).astype(dtype)
+            p = pids if with_pids else None
+            got = camera_offsets(e, cams, p).to_dict()
+            assert json.dumps(got) == json.dumps(reference_offsets(e, cams, p).to_dict())
+            cells = len(set(zip(cams, pids)))
+            seen_empty_cell |= cells < len(set(cams)) * len(set(pids))
+            seen_single_row |= 1 in np.unique(pids, return_counts=True)[1]
+        assert seen_empty_cell and seen_single_row
 
 
 class TestCameraNormalize:

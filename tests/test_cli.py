@@ -532,6 +532,22 @@ def test_unreadable_index_exit_2(tmp_path, monkeypatch, capsys, argv, content):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("1,-3,1,train,a.ppm", "person_id and camera_id must be non-negative"),
+        ("1,3,1,train, ", "path must be non-empty"),
+    ],
+    ids=["negative_id", "blank_path"],
+)
+def test_invalid_index_row_exit_2_names_line(tmp_path, monkeypatch, capsys, row, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "neg.csv").write_text("index,person_id,camera_id,role,path\n0,3,1,train,b.ppm\n" + row + "\n")
+    gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((2, 2), np.float32)), tmp_path / "e.remb")
+    assert run_cli(["mine", "--index", "neg.csv", "--emb", "e.remb"]) == 2
+    assert capsys.readouterr().err == f"error: neg.csv:3: {message}\n"
+
+
 class TestTsneCommand:
     def test_coords_output(self, tmp_path, rng):
         # synthetic embeddings, gallery-role index

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,20 @@ class TestBatchedKernel:
         # when all stripes are equal
         same = np.repeat(a[:1], len(a), axis=0)
         assert aligned_distance(same, same) == 0.0
+
+    def test_one_to_one_keeps_one_result_matrix(self, rng):
+        # the stripes add into one (nq, ng) output tile by tile; a full
+        # matrix per stripe would double the peak
+        q = EmbeddingSet(np.zeros((200, 1), np.float32), rng.standard_normal((200, 2, 1)))
+        g = EmbeddingSet(np.zeros((10_000, 1), np.float32), rng.standard_normal((10_000, 2, 1)))
+        tracemalloc.start()
+        try:
+            d = local_distance_matrix(q, g, LocalMode.ONE_TO_ONE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.shape == (200, 10_000)
+        assert peak < 1.5 * d.values.nbytes
 
 
 class TestCombine:
