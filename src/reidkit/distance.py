@@ -54,16 +54,99 @@ class DistanceMatrix:
         return self.values.shape
 
 
+# Cells (S1 * S2 * query rows * gallery rows) in one tile of stripe-cost
+# grids, and in one chunk of direct differences (pairs * D) of the global
+# distance; bounds their memory at any N (one Market-1501 query row alone has
+# 64 x 15,913 stripe-cost cells at S=8).
+_TILE_CELLS = 1 << 16
+
+# Result rows finished per step of the global distance: the matmul writes the
+# whole (nq, ng) result, and each step's temporaries are this many rows of it.
+_BLOCK_ROWS = 64
+
+
+def _exact_near_zero(
+    a: np.ndarray, b: np.ndarray, blk: np.ndarray, an_tau: np.ndarray, bn_tau: np.ndarray
+) -> None:
+    """Recompute as sums of squared direct differences the entries (i, j) of
+    blk, a block of squared distances between the rows of a and b, that are
+    at or below an_tau[i] + bn_tau[j], a bounded chunk of pairs at a time.
+    One reduction decides a block that has no such entry."""
+    if blk.size == 0:
+        return
+    bound = an_tau.max() + bn_tau.max()
+    if blk.min() > bound:
+        return
+    cells = np.flatnonzero(blk <= bound)
+    step = max(1, _TILE_CELLS // max(1, a.shape[1]))
+    for k in range(0, len(cells), step):
+        r, c = np.divmod(cells[k : k + step], blk.shape[1])
+        keep = blk[r, c] <= an_tau[r] + bn_tau[c]
+        r, c = r[keep], c[keep]
+        diff = a[r]
+        diff -= b[c]
+        blk[r, c] = np.einsum("ij,ij->i", diff, diff)
+
+
 def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances between the rows of a and b from the
-    |a|^2 + |b|^2 - 2ab expansion, clamped in place at 0 against cancellation."""
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-    sq -= 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0, out=sq)
+    """Squared euclidean distances between the rows of a and b.
+
+    One (na, nb) buffer holds a @ b.T; each block of _BLOCK_ROWS rows is then
+    doubled, subtracted from |a|^2 + |b|^2 and clamped at 0 in place: the same
+    float operations, in the same order, as (an + bn) - 2.0 * (a @ b.T).
+
+    Near zero that expansion cancels. Its computed value differs from the
+    true one by at most tau * (|a|^2 + |b|^2), tau = 2 gamma_{D+2},
+    gamma_n = n u / (1 - n u), u the unit roundoff (2^-53 in float64): the dot
+    product and each norm are off by at most gamma_D of their share, and the
+    norm sum, the difference and the comparison add a few u more. Every entry
+    at or below that bound is recomputed as a sum of squared direct
+    differences, so d(x, x) is exactly 0 and near-duplicates rank as their
+    direct differences do. A block whose minimum clears the bound of its
+    largest norms skips the comparison. When a is b, the diagonal is set to
+    0 directly, so self-distance matrices (t-SNE) keep that fast path."""
+    an = np.sum(a * a, axis=1)
+    bn = np.sum(b * b, axis=1)
+    sq = a @ b.T
+    n, u = a.shape[1] + 2, np.finfo(sq.dtype).eps / 2
+    tau = 2 * n * u / (1 - n * u)
+    an_tau, bn_tau = tau * an, tau * bn
+    for i in range(0, len(sq), _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        blk = sq[rows]
+        blk *= 2.0
+        np.subtract(an[rows, None] + bn, blk, out=blk)
+        if a is b:
+            # a row's distance to itself is exactly 0: +inf keeps it out of
+            # the near-zero test, which would recompute it to 0
+            diag = np.arange(len(blk)), np.arange(i, i + len(blk))
+            blk[diag] = np.inf
+        _exact_near_zero(a[rows], b, blk, an_tau[rows], bn_tau)
+        if a is b:
+            blk[diag] = 0.0
+        np.maximum(blk, 0.0, out=blk)
+    return sq
+
+
+def _cosine_block(blk: np.ndarray, qn: np.ndarray, gn: np.ndarray) -> None:
+    """Turn blk, a block of q @ g.T, into cosine distances in place, given
+    the row norms of its q and g rows. A function of its own, so that one
+    block's temporaries are freed before the next block's are made."""
+    denom = qn[:, None] * gn
+    pos = denom > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(blk, denom, out=blk, where=pos)
+    # zero-norm rows get cos 0, hence distance 1
+    blk[~pos] = 0.0
+    np.subtract(1.0, blk, out=blk)
+    np.clip(blk, 0.0, 2.0, out=blk)
 
 
 def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLIDEAN) -> DistanceMatrix:
-    """Pairwise Q x G distances between global feature matrices."""
+    """Pairwise Q x G distances between global feature matrices, finished in
+    place in one (Q, G) buffer a block of rows at a time. The float64 casts of
+    q and g are whole copies: a matmul into column slices of the result
+    changes bits on some shapes."""
     q = np.asarray(q, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2:
@@ -77,11 +160,9 @@ def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLID
     else:
         qn = np.linalg.norm(q, axis=1)
         gn = np.linalg.norm(g, axis=1)
-        denom = qn[:, None] * gn[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos = np.where(denom > 0, (q @ g.T) / np.where(denom > 0, denom, 1.0), 0.0)
-        # zero-norm rows get cos 0, hence distance 1
-        d = np.clip(1.0 - cos, 0.0, 2.0)
+        d = q @ g.T
+        for i in range(0, len(d), _BLOCK_ROWS):
+            _cosine_block(d[i : i + _BLOCK_ROWS], qn[i : i + _BLOCK_ROWS], gn)
     return DistanceMatrix(d)
 
 
@@ -93,33 +174,25 @@ def squash(x):
     return np.tanh(x / 2.0)
 
 
-# Cells (S1 * S2 * query rows * gallery rows) in one tile of stripe-cost
-# grids; bounds the kernel's memory at any N (one Market-1501 query row alone
-# has 64 x 15,913 cells at S=8).
-_TILE_CELLS = 1 << 16
-
-
-def _stripe_costs(ql: np.ndarray, gl: np.ndarray) -> np.ndarray:
+def _stripe_costs(qa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     """Squashed euclidean stripe-to-stripe cost grids of every (query,
-    gallery) pair, laid out (S1, S2, nq, ng), from (nq, S1, Dl) and
-    (ng, S2, Dl) stripe stacks.
+    gallery) pair, laid out (S1, S2, nq, ng), from stripe stacks laid out
+    feature dimension first, (Dl, S1, nq) and (Dl, S2, ng).
 
     Squared distances accumulate direct differences one feature dimension at
     a time rather than the |a|^2 + |b|^2 - 2ab expansion, so identical
     stripes cost exactly 0 and no entry depends on cancellation."""
-    (nq, s1, dl), (ng, s2) = ql.shape, gl.shape[:2]
-    # rows (stripe, query) x columns (stripe, gallery): one 2-D outer
-    # difference per feature dimension
-    qa = np.ascontiguousarray(ql.transpose(2, 1, 0)).reshape(dl, s1 * nq)
-    ga = np.ascontiguousarray(gl.transpose(2, 1, 0)).reshape(dl, s2 * ng)
-    acc = np.zeros((s1 * nq, s2 * ng))
+    (dl, s1, nq), (s2, ng) = qa.shape, ga.shape[1:]
+    # (stripe, query) x (stripe, gallery): one outer difference per feature
+    # dimension
+    acc = np.zeros((s1, nq, s2, ng))
     diff = np.empty_like(acc)
     for k in range(dl):
         np.subtract.outer(qa[k], ga[k], out=diff)
         diff *= diff
         acc += diff
     cost = squash(np.sqrt(acc, out=acc))
-    return cost.reshape(s1, nq, s2, ng).transpose(0, 2, 1, 3)
+    return cost.transpose(0, 2, 1, 3)
 
 
 def _min_path_costs(c: np.ndarray) -> np.ndarray:
@@ -149,22 +222,22 @@ def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
     cells, or one pair when a single grid is larger. One-to-one sums, tile by
     tile, the DP-aligned distances of the S single-stripe stacks (a 1 x 1 grid
     has one path: the squashed direct difference of stripe s)."""
-    ql, gl = np.asarray(ql, dtype=np.float64), np.asarray(gl, dtype=np.float64)
+    ql, gl = np.asarray(ql), np.asarray(gl)
     if ql.ndim != 3 or gl.ndim != 3:
         raise DataError("stripe sequences must be 2-D (S x Dl)")
     if ql.shape[2] != gl.shape[2]:
         raise DataError(f"stripe dimension mismatch: {ql.shape[2]} vs {gl.shape[2]}")
     (nq, s1), (ng, s2) = ql.shape[:2], gl.shape[:2]
-    stacks, cells = [(ql, gl)], s1 * s2
+    # laid out for _stripe_costs once per call; every tile is a slice
+    qa, ga = (np.ascontiguousarray(x.transpose(2, 1, 0), dtype=np.float64) for x in (ql, gl))
+    stacks, cells = [(qa, ga)], s1 * s2
     if mode is LocalMode.ONE_TO_ONE:
         if s1 != s2:
             raise DataError(
                 f"stripe count mismatch ({s1} vs {s2}); "
                 "use the DP-aligned distance for unequal stripe counts"
             )
-        # contiguous copies: each tile transposes its stacks, which from
-        # strided stripe views made the Market-shaped matrix ~40% slower
-        stacks, cells = [(ql[:, [s]], gl[:, [s]]) for s in range(s1)], 1
+        stacks, cells = [(qa[:, s : s + 1], ga[:, s : s + 1]) for s in range(s1)], 1
     pairs = max(1, _TILE_CELLS // cells)
     tg = max(1, min(ng, pairs))
     tq = max(1, pairs // tg)
@@ -173,7 +246,7 @@ def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
         for j in range(0, ng, tg):
             for a, b in stacks:
                 out[i : i + tq, j : j + tg] += _min_path_costs(
-                    _stripe_costs(a[i : i + tq], b[j : j + tg])
+                    _stripe_costs(a[..., i : i + tq], b[..., j : j + tg])
                 )
     return out
 

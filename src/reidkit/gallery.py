@@ -11,6 +11,7 @@ S = Dl = 0 means no local stripe features.
 from __future__ import annotations
 
 import csv
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -199,6 +200,7 @@ def _encode_container(magic: bytes, main: np.ndarray, local: Optional[np.ndarray
 
 
 def _decode_container(data: bytes, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(main, local) payload arrays of a container, as float32 views of data."""
     if len(data) < _HEADER.size:
         raise TruncationError(
             f"header truncated: expected at least {_HEADER.size} bytes, got {len(data)}"
@@ -214,15 +216,11 @@ def _decode_container(data: bytes, magic: bytes) -> tuple[np.ndarray, Optional[n
             f"payload length mismatch: expected {expected} bytes, got {len(data)}"
         )
     off = _HEADER.size
-    main = np.frombuffer(data, dtype="<f4", count=n * d, offset=off).reshape(n, d).copy()
+    main = np.frombuffer(data, dtype="<f4", count=n * d, offset=off).reshape(n, d)
     local = None
     if s and dl:
         off += 4 * n * d
-        local = (
-            np.frombuffer(data, dtype="<f4", count=n * s * dl, offset=off)
-            .reshape(n, s, dl)
-            .copy()
-        )
+        local = np.frombuffer(data, dtype="<f4", count=n * s * dl, offset=off).reshape(n, s, dl)
     return main, local
 
 
@@ -232,9 +230,10 @@ def encode_embeddings(emb: EmbeddingSet) -> bytearray:
 
 
 def decode_embeddings(data: bytes) -> EmbeddingSet:
-    """Inverse of encode_embeddings; bit-exact round trip."""
+    """Inverse of encode_embeddings; bit-exact round trip. The arrays are
+    copies that own their memory."""
     main, local = _decode_container(data, EMBEDDING_MAGIC)
-    return EmbeddingSet(main, local)
+    return EmbeddingSet(main.copy(), None if local is None else local.copy())
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
@@ -243,5 +242,11 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
+    """Read an embedding set. The file is read into one buffer, sized by
+    fstat, and the arrays are views of it, so the payload is copied once."""
     with open(path, "rb") as fh:
-        return decode_embeddings(fh.read())
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf) :]
+        buf += fh.read()  # whatever the file gained since fstat
+    main, local = _decode_container(buf, EMBEDDING_MAGIC)
+    return EmbeddingSet(main, local)

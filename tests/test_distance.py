@@ -93,6 +93,131 @@ class TestGlobalDistance:
         np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-6)
 
 
+def _reference_distance(q, g, metric):
+    """The whole-matrix expressions the blocked global kernel replaced."""
+    q, g = np.asarray(q, np.float64), np.asarray(g, np.float64)
+    if metric is Metric.EUCLIDEAN:
+        sq = np.sum(q * q, axis=1)[:, None] + np.sum(g * g, axis=1)[None, :]
+        sq -= 2.0 * (q @ g.T)
+        return np.sqrt(np.maximum(sq, 0.0))
+    qn = np.linalg.norm(q, axis=1)
+    gn = np.linalg.norm(g, axis=1)
+    denom = qn[:, None] * gn[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.where(denom > 0, (q @ g.T) / np.where(denom > 0, denom, 1.0), 0.0)
+    return np.clip(1.0 - cos, 0.0, 2.0)
+
+
+class TestBlockedGlobalKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nq=st.sampled_from([1, 63, 64, 65, 130]),
+        ng=st.integers(1, 40),
+        dim=st.integers(2, 96),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        metric=st.sampled_from([Metric.EUCLIDEAN, Metric.COSINE]),
+        offset=st.sampled_from([0.0, 0.4, 3.0]),
+        zero_q=st.lists(st.integers(0, 129), max_size=4),
+        zero_g=st.lists(st.integers(0, 39), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_byte_identical_to_whole_matrix_expressions(
+        self, nq, ng, dim, dtype, metric, offset, zero_q, zero_g, seed
+    ):
+        rng = np.random.default_rng(seed)
+        q = (offset + rng.standard_normal((nq, dim))).astype(dtype)
+        g = (offset + rng.standard_normal((ng, dim))).astype(dtype)
+        q[[i for i in zero_q if i < nq]] = 0.0
+        g[[j for j in zero_g if j < ng]] = 0.0
+        got = distance_matrix(q, g, metric).values
+        assert got.tobytes() == _reference_distance(q, g, metric).tobytes()
+
+    @pytest.mark.parametrize(
+        "metric, duplicates, bound",
+        [
+            (Metric.EUCLIDEAN, False, 1.3),
+            (Metric.COSINE, False, 1.3),
+            # every entry recomputed from direct differences: the indices of
+            # one block's flagged cells, 8 bytes each, come on top
+            (Metric.EUCLIDEAN, True, 1.5),
+        ],
+    )
+    def test_peak_memory_is_one_result(self, rng, metric, duplicates, bound):
+        # one (nq, ng) buffer finished in place; each block's temporaries are
+        # 64 rows, here about a fifth of the result
+        q = rng.standard_normal((300, 64))
+        g = rng.standard_normal((6_000, 64))
+        if duplicates:
+            q[:], g[:] = q[0], q[0]
+        tracemalloc.start()
+        try:
+            d = distance_matrix(q, g, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.shape == (300, 6_000)
+        assert peak < bound * d.values.nbytes
+        if duplicates:
+            np.testing.assert_array_equal(d.values, 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        offset=st.floats(1e1, 1e3) | st.floats(-1e3, -1e1),
+        n=st.integers(1, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_self_distance_exactly_zero_with_offset(self, offset, n, dtype, seed):
+        x = (offset + np.random.default_rng(seed).standard_normal((n, 2048))).astype(dtype)
+        np.testing.assert_array_equal(np.diag(distance_matrix(x, x).values), 0.0)
+        # a copy is not the same array: its diagonal is recomputed
+        np.testing.assert_array_equal(np.diag(distance_matrix(x, x.copy()).values), 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        offset=st.floats(1e1, 1e3),
+        scales=st.lists(st.floats(1e-8, 1e-5), min_size=2, max_size=8, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_near_duplicates_rank_by_direct_differences(self, offset, scales, seed):
+        rng = np.random.default_rng(seed)
+        base = offset + rng.standard_normal(2048)
+        # each gallery item moves away from the query along its own direction
+        dirs = rng.standard_normal((len(scales), 2048))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        g = base + np.asarray(scales)[:, None] * dirs
+        direct = np.sqrt(((g - base) ** 2).sum(axis=1))
+        got = distance_matrix(base[None, :], g).values[0]
+        np.testing.assert_array_equal(
+            np.argsort(got, kind="stable"), np.argsort(direct, kind="stable")
+        )
+        np.testing.assert_allclose(got, direct, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+    def test_self_distances_of_one_array(self, rng, n):
+        # the same array on both sides: the diagonal is set to 0 directly, a
+        # duplicate pair off it is recomputed, every other entry is the
+        # expansion's
+        x = 50.0 + rng.standard_normal((n, 32))
+        x[n - 1] = x[0]
+        got = distance._sq_euclidean(x, x)
+        norms = np.sum(x * x, axis=1)
+        expansion = np.maximum(norms[:, None] + norms[None, :] - 2.0 * (x @ x.T), 0.0)
+        exact = np.eye(n, dtype=bool)
+        exact[0, n - 1] = exact[n - 1, 0] = True
+        assert (got[exact] == 0.0).all()
+        assert got[~exact].tobytes() == expansion[~exact].tobytes()
+
+    def test_flagged_pairs_run_in_chunks(self, rng):
+        # every pair a duplicate, a few pairs per chunk of direct differences
+        row = 50.0 + rng.standard_normal((1, 16))
+        x = np.repeat(row, 70, axis=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "_TILE_CELLS", 16 * 7)
+            d = distance_matrix(x, x[:50]).values
+        np.testing.assert_array_equal(d, 0.0)
+
+
 class TestSquash:
     def test_zero(self):
         assert squash(0.0) == 0.0

@@ -139,6 +139,40 @@ class TestEmbeddingContainer:
         save_embeddings(emb, path)
         assert np.array_equal(load_embeddings(path).global_, emb.global_)
 
+    def test_load_decodes_views_of_one_writable_buffer(self, tmp_path, rng):
+        emb = EmbeddingSet(
+            rng.standard_normal((5, 6)).astype(np.float32),
+            rng.standard_normal((5, 2, 3)).astype(np.float32),
+        )
+        path = tmp_path / "e.remb"
+        save_embeddings(emb, path)
+        back = load_embeddings(path)
+        assert back.global_.tobytes() == emb.global_.tobytes()
+        assert back.local.tobytes() == emb.local.tobytes()
+        assert back.global_.base is not None and back.global_.flags.writeable
+        assert back.local.flags.writeable
+
+    def test_decode_of_bytes_owns_its_arrays(self, rng):
+        emb = EmbeddingSet(
+            rng.standard_normal((3, 4)).astype(np.float32),
+            rng.standard_normal((3, 2, 2)).astype(np.float32),
+        )
+        back = decode_embeddings(bytes(encode_embeddings(emb)))
+        for arr in (back.global_, back.local):
+            assert arr.flags.owndata and arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(-4, r"^payload length mismatch: expected 48 bytes, got 44$"),
+         (-30, r"^header truncated: expected at least 24 bytes, got 18$")],
+    )
+    def test_load_of_truncated_file(self, tmp_path, cut, message):
+        data = encode_embeddings(EmbeddingSet(np.zeros((2, 3), dtype=np.float32)))
+        path = tmp_path / "e.remb"
+        path.write_bytes(bytes(data[:cut]))
+        with pytest.raises(TruncationError, match=message):
+            load_embeddings(path)
+
 
 def reference_container(magic, main, local=None):
     """The container layout spelled out: header, then each array as
