@@ -60,12 +60,27 @@ def _load_aligned(index_path, emb_path):
     return index, emb
 
 
-def _distance_for(args, emb_q, emb_g) -> distance_mod.DistanceMatrix:
-    d = distance_mod.distance_matrix(emb_q.global_, emb_g.global_, args.metric)
-    if args.local_mode != "none":
-        dl = distance_mod.local_distance_matrix(emb_q, emb_g, args.local_mode)
-        d = distance_mod.combine_distances(d, dl, args.lam)
-    return d
+def _load_side(args, emb_path, index_path=None):
+    """(index or None, features) of one side of dist/eval. Without a local
+    term the features are the float64 global matrix alone, so the float32
+    file buffer is freed before the matmul; with one they are the embedding
+    set, whose stripes are views of the same buffer."""
+    if index_path is None:
+        index, emb = None, gallery.load_embeddings(emb_path)
+    else:
+        index, emb = _load_aligned(index_path, emb_path)
+    if args.local_mode == "none":
+        return index, emb.global_.astype(np.float64)
+    return index, emb
+
+
+def _distance_for(args, q, g) -> distance_mod.DistanceMatrix:
+    """Distances between two sides as _load_side gives them."""
+    if args.local_mode == "none":
+        return distance_mod.distance_matrix(q, g, args.metric)
+    d = distance_mod.distance_matrix(q.global_, g.global_, args.metric)
+    dl = distance_mod.local_distance_matrix(q, g, args.local_mode)
+    return distance_mod.combine_distances(d, dl, args.lam)
 
 
 def _add_distance_flags(p):
@@ -103,9 +118,10 @@ def _cmd_mask(args):
 
 def _cmd_dist(args):
     distance_mod.check_lambda(args.lam)
-    emb_q = gallery.load_embeddings(args.emb_q)
-    emb_g = gallery.load_embeddings(args.emb_g)
-    d = _distance_for(args, emb_q, emb_g)
+    _, q = _load_side(args, args.emb_q)
+    _, g = _load_side(args, args.emb_g)
+    d = _distance_for(args, q, g)
+    del q, g  # the result alone is held while it is encoded
     with open(args.out, "wb") as fh:
         fh.write(distance_mod.encode_distance_matrix(d))
 
@@ -116,9 +132,10 @@ def _cmd_eval(args):
         cross_camera_filter=not args.no_cross_camera_filter,
         max_rank=args.max_rank,
     )
-    queries, emb_q = _load_aligned(args.queries, args.emb_q)
-    gal, emb_g = _load_aligned(args.gallery, args.emb_g)
-    d = _distance_for(args, emb_q, emb_g)
+    queries, q = _load_side(args, args.emb_q, args.queries)
+    gal, g = _load_side(args, args.emb_g, args.gallery)
+    d = _distance_for(args, q, g)
+    del q, g  # the result alone is held while it is evaluated
     report = metrics.evaluate(queries, gal, d, protocol)
     doc = report.to_dict()
     doc["config"] = {

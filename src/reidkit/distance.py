@@ -43,9 +43,12 @@ class DistanceMatrix:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise DataError("distance matrix must be 2-D")
-        if not np.isfinite(v).all():
+        # two reductions, no full-size mask: NaN propagates through both,
+        # and -0.0 is not below 0
+        lo, hi = (v.min(), v.max()) if v.size else (0.0, 0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DataError("distance matrix contains non-finite entries")
-        if (v < 0).any():
+        if lo < 0:
             raise DataError("distance matrix contains negative entries")
         object.__setattr__(self, "values", v)
 
@@ -144,9 +147,10 @@ def _cosine_block(blk: np.ndarray, qn: np.ndarray, gn: np.ndarray) -> None:
 
 def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLIDEAN) -> DistanceMatrix:
     """Pairwise Q x G distances between global feature matrices, finished in
-    place in one (Q, G) buffer a block of rows at a time. The float64 casts of
-    q and g are whole copies: a matmul into column slices of the result
-    changes bits on some shapes."""
+    place in one (Q, G) buffer a block of rows at a time. Float32 q and g are
+    cast to float64 whole: a matmul into column slices of the result changes
+    bits on some shapes. The dist and eval commands pass float64 without a
+    local term, so the cast copies nothing there."""
     q = np.asarray(q, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2:

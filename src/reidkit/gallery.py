@@ -191,9 +191,9 @@ def _encode_container(magic: bytes, main: np.ndarray, local: Optional[np.ndarray
             continue
         view = np.frombuffer(buf, "<f4", arr.size, off).reshape(arr.shape)
         view[...] = arr
-        finite = np.isfinite(view)
-        if not finite.all():
-            cell = tuple(int(i) for i in np.argwhere(~finite)[0])
+        # two reductions (NaN propagates through both); a mask only on failure
+        if view.size and not np.isfinite([view.min(), view.max()]).all():
+            cell = tuple(int(i) for i in np.argwhere(~np.isfinite(view))[0])
             raise DataError(f"non-finite {what} at {cell}")
         off += 4 * arr.size
     return buf

@@ -128,18 +128,25 @@ def evaluate(
         raise DataError(f"distance shape {dist.shape} != ({nq}, {ng})")
     g_pids = gallery.person_ids()
     g_cams = gallery.camera_ids()
+    # each person's gallery rows, in index order, as one slice of a stable sort
+    by_pid = np.argsort(g_pids, kind="stable")
+    sorted_pids = g_pids[by_pid]
+    q_pids = queries.person_ids()
+    starts = np.searchsorted(sorted_pids, q_pids, "left")
+    stops = np.searchsorted(sorted_pids, q_pids, "right")
     per_query_ap = []
     first_hits = []
     for qi, q in enumerate(queries.records):
         row = dist.values[qi]
-        same_pid = g_pids == q.person_id
+        relevant = by_pid[starts[qi] : stops[qi]]
         n_valid = ng
         if protocol.cross_camera_filter:
-            junk = same_pid & (g_cams == q.camera_id)
-            same_pid &= ~junk
-            n_valid -= int(np.count_nonzero(junk))
-            row = np.where(junk, np.inf, row)
-        relevant = np.flatnonzero(same_pid)
+            is_junk = g_cams[relevant] == q.camera_id
+            junk, relevant = relevant[is_junk], relevant[~is_junk]
+            if junk.size:
+                n_valid -= junk.size
+                row = row.copy()
+                row[junk] = np.inf
         if not relevant.size:
             continue
         ranks = _relevant_ranks(row, relevant, n_valid)

@@ -1,5 +1,6 @@
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -622,3 +623,32 @@ class TestTsneCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: t-SNE diverged at iteration ") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dist", "eval"])
+def test_global_stage_peak_is_float64_features_and_one_result(tmp_path, command):
+    # Market-1501 in proportion (3,368 x 15,913 x 2,048, scaled down, with
+    # nq/D = 1.6): without a local term the stage holds float64 q and g and
+    # one result; neither the float32 file buffers (a fifth more here) nor
+    # full-size boolean masks may come on top. Each 64-row block of the
+    # global distance adds 64 result rows, so nq stays well above 64.
+    nq, ng, dim = 984, 4_500, 600
+    rng = np.random.default_rng(0)
+    for side, n in (("q", nq), ("g", ng)):
+        emb = gallery.EmbeddingSet(rng.standard_normal((n, dim)).astype(np.float32))
+        gallery.save_embeddings(emb, tmp_path / f"{side}.remb")
+        write_index(tmp_path / f"{side}.csv", n)
+    emb_flags = ["--emb-q", str(tmp_path / "q.remb"), "--emb-g", str(tmp_path / "g.remb")]
+    argv = {
+        "dist": ["dist", *emb_flags, "--out", str(tmp_path / "d.rdmx")],
+        "eval": ["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv"),
+                 *emb_flags, "--out", str(tmp_path / "r.json")],
+    }[command]
+    tracemalloc.start()
+    try:
+        rc = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 1.1 * 8 * (nq * ng + nq * dim + ng * dim)

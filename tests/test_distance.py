@@ -490,3 +490,67 @@ def test_distance_matrix_float32_overflow_named_by_cell():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(DataError, match=r"^non-finite value at \(2, 1\)$"):
             encode_distance_matrix(DistanceMatrix(v))
+
+
+def test_distance_matrix_float32_overflow_named_by_first_cell():
+    v = np.ones((3, 6))
+    v[2, 3] = 1e39
+    v[1, 5] = 2e39
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DataError, match=r"^non-finite value at \(1, 5\)$"):
+            encode_distance_matrix(DistanceMatrix(v))
+
+
+def test_distance_matrix_encode_holds_no_mask():
+    # the float32 buffer is the only full-size allocation; a boolean mask
+    # of the payload would add a quarter of it
+    d = DistanceMatrix(np.random.default_rng(0).uniform(0, 2, (400, 2_000)))
+    tracemalloc.start()
+    try:
+        buf = encode_distance_matrix(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * len(buf)
+
+
+class TestDistanceMatrixValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 2), (2, 4)])
+    def test_non_finite_rejected(self, rng, bad, cell):
+        v = rng.uniform(0, 1, (3, 5))
+        v[cell] = bad
+        with pytest.raises(DataError, match="^distance matrix contains non-finite entries$"):
+            DistanceMatrix(v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reported_before_negative(self, bad):
+        v = np.array([[-1.0, 0.5], [bad, 0.0]])
+        with pytest.raises(DataError, match="^distance matrix contains non-finite entries$"):
+            DistanceMatrix(v)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (2, 4)])
+    def test_negative_rejected(self, rng, cell):
+        v = rng.uniform(0, 1, (3, 5))
+        v[cell] = -1e-300
+        with pytest.raises(DataError, match="^distance matrix contains negative entries$"):
+            DistanceMatrix(v)
+
+    def test_negative_zero_accepted(self):
+        v = np.full((2, 3), -0.0)
+        assert np.signbit(DistanceMatrix(v).values).all()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
+    def test_empty_accepted(self, shape):
+        assert DistanceMatrix(np.zeros(shape)).shape == shape
+
+    def test_float64_checked_without_copy_or_mask(self, rng):
+        v = rng.uniform(0, 1, (500, 1_000))
+        tracemalloc.start()
+        try:
+            d = DistanceMatrix(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.values is v
+        assert peak < 0.01 * v.nbytes

@@ -112,6 +112,25 @@ class TestEvaluateOracle:
         )
 
 
+@pytest.mark.parametrize("cross_camera_filter", [True, False])
+def test_person_slices_match_oracle_on_edge_queries(cross_camera_filter):
+    # gallery persons out of order, so each person's rows are a slice of a
+    # sort; query 0's person has no gallery rows, and query 1's only
+    # positives share its camera (junk under the filter)
+    queries = build_index(
+        [(9, 0, "query"), (1, 0, "query"), (2, 1, "query"), (2, 0, "query"), (3, 2, "query")]
+    )
+    gallery = build_index(
+        [(pid, cam, "gallery") for pid, cam in
+         [(3, 1), (2, 0), (1, 0), (3, 0), (2, 1), (1, 0), (2, 2), (3, 2), (2, 1)]]
+    )
+    d = DistanceMatrix(np.random.default_rng(5).integers(0, 4, (5, 9)) / 4.0)
+    protocol = EvalProtocol(cross_camera_filter, 9)
+    report = evaluate(queries, gallery, d, protocol)
+    assert report.num_valid_queries == (3 if cross_camera_filter else 4)
+    assert report.to_dict() == evaluate_oracle(queries, gallery, d, protocol)
+
+
 class TestEvaluateFiniteInput:
     def _setup(self):
         queries = build_index([(1, 1, "query"), (2, 1, "query")])
