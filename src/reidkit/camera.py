@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FormatError
+from .gallery import _groups
 
 CONSISTENCY_EPS = 1e-8
 
@@ -65,16 +66,6 @@ def _row_cameras(camids, n: int):
         raise DataError("camera id count != row count")
     cams, first = np.unique(camids, return_index=True)
     return camids, [int(c) for c in cams[np.argsort(first)]]
-
-
-def _groups(*keys):
-    """(key values, row indices) per group of equal keys, ascending with the last
-    key primary: slices of one stable np.lexsort, so rows stay in index order."""
-    order = np.lexsort(keys)
-    edge = np.any([k[order[1:]] != k[order[:-1]] for k in keys], axis=0)
-    bounds = np.flatnonzero(np.r_[True, edge, True])
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        yield tuple(k[order[start]] for k in keys), order[start:stop]
 
 
 def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:

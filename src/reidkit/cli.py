@@ -41,46 +41,37 @@ def _json_report(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _load_images(index: gallery.GalleryIndex, root: str) -> list:
-    images = []
-    for rec in index.records:
-        path = os.path.join(root, rec.path)
-        with open(path, "rb") as fh:
-            images.append(imaging.decode_image(fh.read()))
-    return images
+def _read_image(path) -> imaging.Image:
+    with open(path, "rb") as fh:
+        return imaging.decode_image(fh.read())
 
 
 def _load_aligned(index_path, emb_path):
     """An index and the embedding file whose rows it describes, checked to
-    have the same number of rows."""
-    index = gallery.load_index(index_path)
+    have the same number of rows. Without an index path the index is None."""
+    index = None if index_path is None else gallery.load_index(index_path)
     emb = gallery.load_embeddings(emb_path)
-    if len(index) != emb.n:
+    if index is not None and len(index) != emb.n:
         raise DataError(f"{index_path} has {len(index)} rows but {emb_path} has {emb.n}")
     return index, emb
 
 
-def _load_side(args, emb_path, index_path=None):
-    """(index or None, features) of one side of dist/eval. Without a local
-    term the features are the float64 global matrix alone, so the float32
-    file buffer is freed before the matmul; with one they are the embedding
-    set, whose stripes are views of the same buffer."""
-    if index_path is None:
-        index, emb = None, gallery.load_embeddings(emb_path)
-    else:
-        index, emb = _load_aligned(index_path, emb_path)
-    if args.local_mode == "none":
-        return index, emb.global_.astype(np.float64)
-    return index, emb
-
-
-def _distance_for(args, q, g) -> distance_mod.DistanceMatrix:
-    """Distances between two sides as _load_side gives them."""
-    if args.local_mode == "none":
-        return distance_mod.distance_matrix(q, g, args.metric)
-    d = distance_mod.distance_matrix(q.global_, g.global_, args.metric)
-    dl = distance_mod.local_distance_matrix(q, g, args.local_mode)
-    return distance_mod.combine_distances(d, dl, args.lam)
+def _distances(args, q_index=None, g_index=None):
+    """(query index, gallery index, distances) for dist and eval, each side
+    checked against its index file (q_index, g_index) if given. The local term
+    comes first, so the float32 file buffers are freed before the global
+    matmul; every array but the result is released on return."""
+    distance_mod.check_lambda(args.lam)
+    queries, q = _load_aligned(q_index, args.emb_q)
+    gal, g = _load_aligned(g_index, args.emb_g)
+    dl = None
+    if args.local_mode != "none":
+        dl = distance_mod.local_distance_matrix(q, g, args.local_mode)
+    q, g = q.global_.astype(np.float64), g.global_.astype(np.float64)
+    d = distance_mod.distance_matrix(q, g, args.metric)
+    if dl is not None:
+        d = distance_mod.combine_distances(d, dl, args.lam)
+    return queries, gal, d
 
 
 def _add_distance_flags(p):
@@ -93,7 +84,7 @@ def _add_distance_flags(p):
 def _cmd_embed(args):
     cfg = featurize.FeaturizerConfig(stripes=args.stripes, bins=args.bins)
     index = gallery.load_index(args.index)
-    images = _load_images(index, args.images_root)
+    images = [_read_image(os.path.join(args.images_root, rec.path)) for rec in index.records]
     emb = featurize.featurize_images(images, cfg)
     gallery.save_embeddings(emb, args.out)
 
@@ -104,11 +95,9 @@ def _cmd_mask(args):
     if not names:
         raise ReidError(f"no .ppm images in {args.images}")
     for name in names:
-        with open(os.path.join(args.images, name), "rb") as fh:
-            img = imaging.decode_image(fh.read())
+        img = _read_image(os.path.join(args.images, name))
         mask_path = os.path.join(args.masks, os.path.splitext(name)[0] + ".pgm")
-        with open(mask_path, "rb") as fh:
-            m = imaging.mask_from_image(imaging.decode_image(fh.read()))
+        m = imaging.mask_from_image(_read_image(mask_path))
         if (m.height, m.width) != (img.height, img.width):
             m = imaging.resize_mask_nearest(m, img.width, img.height)
         masked = imaging.apply_mask(img, m)
@@ -117,25 +106,17 @@ def _cmd_mask(args):
 
 
 def _cmd_dist(args):
-    distance_mod.check_lambda(args.lam)
-    _, q = _load_side(args, args.emb_q)
-    _, g = _load_side(args, args.emb_g)
-    d = _distance_for(args, q, g)
-    del q, g  # the result alone is held while it is encoded
+    d = _distances(args)[2]
     with open(args.out, "wb") as fh:
         fh.write(distance_mod.encode_distance_matrix(d))
 
 
 def _cmd_eval(args):
-    distance_mod.check_lambda(args.lam)
     protocol = metrics.EvalProtocol(
         cross_camera_filter=not args.no_cross_camera_filter,
         max_rank=args.max_rank,
     )
-    queries, q = _load_side(args, args.emb_q, args.queries)
-    gal, g = _load_side(args, args.emb_g, args.gallery)
-    d = _distance_for(args, q, g)
-    del q, g  # the result alone is held while it is evaluated
+    queries, gal, d = _distances(args, args.queries, args.gallery)
     report = metrics.evaluate(queries, gal, d, protocol)
     doc = report.to_dict()
     doc["config"] = {
@@ -184,16 +165,17 @@ def _cmd_camera(args):
     if (args.residual or args.normalize) and not args.out_emb:
         raise ReidError("--out-emb is required with --normalize or --residual")
     params = camera_mod.load_residual_params(args.residual) if args.residual else None
-    index, emb = _load_aligned(args.index, args.emb)
-    camids = index.camera_ids()
-    pids = index.person_ids()
-    offsets = camera_mod.camera_offsets(emb.global_, camids, pids)
-    if params is not None:
-        transformed = camera_mod.apply_camera_residual(emb.global_, params, camids)
-        gallery.save_embeddings(gallery.EmbeddingSet(transformed.astype(np.float32)), args.out_emb)
-    elif args.normalize:
-        normalized = camera_mod.camera_normalize(emb.global_, offsets, camids)
-        gallery.save_embeddings(gallery.EmbeddingSet(normalized.astype(np.float32)), args.out_emb)
+    index, feats = _load_aligned(args.index, args.emb)
+    feats, camids = feats.global_, index.camera_ids()
+    offsets = camera_mod.camera_offsets(feats, camids, index.person_ids())
+    if args.residual or args.normalize:
+        # each step frees its input: float64 is gone before the writer's buffer
+        if params is not None:
+            feats = camera_mod.apply_camera_residual(feats, params, camids)
+        else:
+            feats = camera_mod.camera_normalize(feats, offsets, camids)
+        feats = gallery.EmbeddingSet(feats)
+        gallery.save_embeddings(feats, args.out_emb)
     doc = offsets.to_dict()
     doc["score_definition"] = (
         "mean over (camera, person) cells of "

@@ -68,13 +68,18 @@ _TILE_CELLS = 1 << 16
 _BLOCK_ROWS = 64
 
 
-def _exact_near_zero(
-    a: np.ndarray, b: np.ndarray, blk: np.ndarray, an_tau: np.ndarray, bn_tau: np.ndarray
-) -> None:
-    """Recompute as sums of squared direct differences the entries (i, j) of
-    blk, a block of squared distances between the rows of a and b, that are
-    at or below an_tau[i] + bn_tau[j], a bounded chunk of pairs at a time.
-    One reduction decides a block that has no such entry."""
+def _twice_gamma(n: int) -> float:
+    """2 gamma_n = 2 n u / (1 - n u), u the unit roundoff of float64 (2^-53)."""
+    u = np.finfo(np.float64).eps / 2
+    return 2 * n * u / (1 - n * u)
+
+
+def _exact_near_zero(a, b, blk, an_tau, bn_tau, an=None, bn=None) -> None:
+    """Recompute from direct differences of the rows of a and b the entries
+    (i, j) of blk that are at or below an_tau[i] + bn_tau[j], a bounded chunk
+    of pairs at a time. blk holds squared euclidean distances or, given the
+    row norms an and bn, cosine distances: half the squared difference of the
+    unit rows. One reduction decides a block that has no such entry."""
     if blk.size == 0:
         return
     bound = an_tau.max() + bn_tau.max()
@@ -86,9 +91,13 @@ def _exact_near_zero(
         r, c = np.divmod(cells[k : k + step], blk.shape[1])
         keep = blk[r, c] <= an_tau[r] + bn_tau[c]
         r, c = r[keep], c[keep]
-        diff = a[r]
-        diff -= b[c]
-        blk[r, c] = np.einsum("ij,ij->i", diff, diff)
+        diff, other = a[r], b[c]
+        if an is not None:
+            diff /= an[r, None]
+            other /= bn[c, None]
+        diff -= other
+        sq = np.einsum("ij,ij->i", diff, diff)
+        blk[r, c] = sq if an is None else sq / 2
 
 
 def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,8 +120,7 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     an = np.sum(a * a, axis=1)
     bn = np.sum(b * b, axis=1)
     sq = a @ b.T
-    n, u = a.shape[1] + 2, np.finfo(sq.dtype).eps / 2
-    tau = 2 * n * u / (1 - n * u)
+    tau = _twice_gamma(a.shape[1] + 2)
     an_tau, bn_tau = tau * an, tau * bn
     for i in range(0, len(sq), _BLOCK_ROWS):
         rows = slice(i, i + _BLOCK_ROWS)
@@ -149,8 +157,17 @@ def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLID
     """Pairwise Q x G distances between global feature matrices, finished in
     place in one (Q, G) buffer a block of rows at a time. Float32 q and g are
     cast to float64 whole: a matmul into column slices of the result changes
-    bits on some shapes. The dist and eval commands pass float64 without a
-    local term, so the cast copies nothing there."""
+    bits on some shapes. The dist and eval commands pass float64, so the cast
+    copies nothing there.
+
+    Euclidean entries near zero are exact as _sq_euclidean states. A cosine
+    entry 1 - q.g / (|q| |g|) differs from its true value by at most
+    tau_c = 2 gamma_{D+4} (gamma as in _sq_euclidean, D below 10^8): the dot
+    product is off by at most gamma_D |q| |g|, the two norms, their product
+    and the division scale cos by at most 1 + gamma_{D+4}, and 1 - cos is
+    exact near 0. Every entry at or below tau_c is recomputed as half the
+    squared direct difference of the unit rows, so d(x, x) = d(x, 2x) = 0
+    exactly and near-parallel rows rank by their angle."""
     q = np.asarray(q, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2:
@@ -165,8 +182,13 @@ def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLID
         qn = np.linalg.norm(q, axis=1)
         gn = np.linalg.norm(g, axis=1)
         d = q @ g.T
+        # tau_c / 2 per row of either side: tau_c per entry
+        half_tau = _twice_gamma(q.shape[1] + 4) / 2
+        q_tau, g_tau = np.full(len(q), half_tau), np.full(len(g), half_tau)
         for i in range(0, len(d), _BLOCK_ROWS):
-            _cosine_block(d[i : i + _BLOCK_ROWS], qn[i : i + _BLOCK_ROWS], gn)
+            rows = slice(i, i + _BLOCK_ROWS)
+            _cosine_block(d[rows], qn[rows], gn)
+            _exact_near_zero(q[rows], g, d[rows], q_tau[rows], g_tau, qn[rows], gn)
     return DistanceMatrix(d)
 
 
@@ -290,4 +312,4 @@ def encode_distance_matrix(d: DistanceMatrix) -> bytearray:
 
 def decode_distance_matrix(data: bytes) -> DistanceMatrix:
     main, _ = _decode_container(data, DISTANCE_MAGIC)
-    return DistanceMatrix(main.astype(np.float64))
+    return DistanceMatrix(main)

@@ -91,8 +91,7 @@ def save_ema_state(state: EmaState, directory) -> None:
     manifest = {"alpha": state.alpha, "step": state.step, "warmup": state.warmup, "tensors": {}}
     for name, tensor in sorted(state.tensors.items()):
         fname = f"{name}.remb"
-        flat = tensor.astype(np.float32).reshape(1, -1)
-        save_embeddings(EmbeddingSet(flat), os.path.join(directory, fname))
+        save_embeddings(EmbeddingSet(tensor.reshape(1, -1)), os.path.join(directory, fname))
         manifest["tensors"][name] = {"file": fname, "shape": list(tensor.shape)}
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -110,7 +109,7 @@ def load_ema_state(directory) -> EmaState:
             if info["file"] != f"{name}.remb":
                 raise DataError(f"tensor {name!r} is stored in {info['file']!r}, not {name}.remb")
             emb = load_embeddings(os.path.join(directory, info["file"]))
-            tensors[name] = emb.global_.astype(np.float64).reshape(info["shape"])
+            tensors[name] = emb.global_.reshape(info["shape"])
         return EmaState(
             tensors,
             alpha=manifest["alpha"],

@@ -47,6 +47,8 @@ class GalleryRecord:
     def __post_init__(self):
         if self.person_id < 0 or self.camera_id < 0:
             raise DataError("person_id and camera_id must be non-negative")
+        if max(self.person_id, self.camera_id) >= 2**63:
+            raise DataError("person_id and camera_id must be below 2^63 (int64)")
         if not self.path:
             raise DataError("path must be non-empty")
 
@@ -99,6 +101,18 @@ class EmbeddingSet:
     @property
     def n(self) -> int:
         return self.global_.shape[0]
+
+
+def _groups(*keys):
+    """(key values, row indices) per group of equal keys, ascending with the last
+    key primary: slices of one stable np.lexsort, so rows stay in index order."""
+    order = np.lexsort(keys)
+    if not order.size:
+        return
+    edge = np.any([k[order[1:]] != k[order[:-1]] for k in keys], axis=0)
+    bounds = np.flatnonzero(np.r_[True, edge, True])
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        yield tuple(k[order[start]] for k in keys), order[start:stop]
 
 
 def parse_record(

@@ -147,12 +147,16 @@ def resize_mask_nearest(m: Mask, width: int, height: int) -> Mask:
     return Mask(_resize_nearest(m.values, width, height))
 
 
-def apply_mask(img: Image, m: Mask) -> Image:
-    """Zero out background pixels (mask 0); foreground kept verbatim."""
+def _check_mask_size(img: Image, m: Mask) -> None:
     if (img.height, img.width) != (m.height, m.width):
         raise DataError(
             f"mask size {m.width}x{m.height} != image size {img.width}x{img.height}"
         )
+
+
+def apply_mask(img: Image, m: Mask) -> Image:
+    """Zero out background pixels (mask 0); foreground kept verbatim."""
+    _check_mask_size(img, m)
     return Image(img.pixels * m.values[:, :, None])
 
 
@@ -164,10 +168,7 @@ def fuse_mask_channel(img: Image, m: Mask) -> np.ndarray:
     """
     if img.channels != 3:
         raise DataError("fuse_mask_channel requires a 3-channel image")
-    if (img.height, img.width) != (m.height, m.width):
-        raise DataError(
-            f"mask size {m.width}x{m.height} != image size {img.width}x{img.height}"
-        )
+    _check_mask_size(img, m)
     out = np.empty((img.height, img.width, 4), dtype=np.float32)
     out[:, :, :3] = img.pixels.astype(np.float32) / 255.0
     out[:, :, 3] = m.values

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError
 from .distance import DistanceMatrix
-from .gallery import GalleryIndex
+from .gallery import GalleryIndex, _groups
 
 
 @dataclass(frozen=True)
@@ -126,19 +126,14 @@ def evaluate(
     nq, ng = len(queries), len(gallery)
     if dist.shape != (nq, ng):
         raise DataError(f"distance shape {dist.shape} != ({nq}, {ng})")
-    g_pids = gallery.person_ids()
     g_cams = gallery.camera_ids()
-    # each person's gallery rows, in index order, as one slice of a stable sort
-    by_pid = np.argsort(g_pids, kind="stable")
-    sorted_pids = g_pids[by_pid]
-    q_pids = queries.person_ids()
-    starts = np.searchsorted(sorted_pids, q_pids, "left")
-    stops = np.searchsorted(sorted_pids, q_pids, "right")
+    rows_of = {p: rows for (p,), rows in _groups(gallery.person_ids())}
+    no_rows = np.empty(0, np.intp)
     per_query_ap = []
     first_hits = []
     for qi, q in enumerate(queries.records):
         row = dist.values[qi]
-        relevant = by_pid[starts[qi] : stops[qi]]
+        relevant = rows_of.get(q.person_id, no_rows)
         n_valid = ng
         if protocol.cross_camera_filter:
             is_junk = g_cams[relevant] == q.camera_id

@@ -3,13 +3,12 @@ with analytic gradients (stopping at the embedding layer)."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .gallery import GalleryIndex, Role
+from .gallery import GalleryIndex, Role, _groups
 
 
 @dataclass(frozen=True)
@@ -53,22 +52,18 @@ def pk_sample(index: GalleryIndex, cfg: MiningConfig) -> np.ndarray:
     replacement, falling back to with-replacement when an identity has
     fewer than K images. Deterministic given the seed.
     """
-    by_pid = defaultdict(list)
-    for i, r in enumerate(index.records):
-        if r.role == Role.TRAIN:
-            by_pid[r.person_id].append(i)
-    pids = sorted(by_pid)
-    if len(pids) < cfg.p:
-        raise DataError(f"need {cfg.p} distinct person ids, found {len(pids)}")
+    train = np.flatnonzero([r.role == Role.TRAIN for r in index.records])
+    # each identity's train rows, in ascending person id order
+    groups = [train[rows] for _, rows in _groups(index.person_ids()[train])]
+    if len(groups) < cfg.p:
+        raise DataError(f"need {cfg.p} distinct person ids, found {len(groups)}")
     rng = np.random.default_rng(cfg.seed)
-    chosen_pids = rng.choice(len(pids), size=cfg.p, replace=False)
     batch = []
-    for pi in chosen_pids:
-        rows = by_pid[pids[pi]]
-        replace = len(rows) < cfg.k
-        picks = rng.choice(len(rows), size=cfg.k, replace=replace)
-        batch.extend(rows[j] for j in picks)
-    return np.array(batch, dtype=np.int64)
+    for pi in rng.choice(len(groups), size=cfg.p, replace=False):
+        rows = groups[pi]
+        picks = rng.choice(len(rows), size=cfg.k, replace=len(rows) < cfg.k)
+        batch.append(rows[picks])
+    return np.concatenate(batch)
 
 
 def batch_hard(d_batch: np.ndarray, labels) -> TripletSet:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reidkit import camera, distance, gallery, imaging
+from reidkit import camera, distance, gallery, imaging, metrics
 from reidkit.cli import run_cli
 from reidkit.ensemble import EmaState, load_ema_state, save_ema_state
 
@@ -652,3 +652,85 @@ def test_global_stage_peak_is_float64_features_and_one_result(tmp_path, command)
         tracemalloc.stop()
     assert rc == 0
     assert peak < 1.1 * 8 * (nq * ng + nq * dim + ng * dim)
+
+
+@pytest.mark.parametrize("local_mode", ["none", "dp_aligned", "one_to_one"])
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_dist_and_eval_write_the_library_composition(tmp_path, metric, local_mode):
+    rng = np.random.default_rng(3)
+    sides = {}
+    for side, n, role in (("q", 6, "query"), ("g", 9, "gallery")):
+        sides[side] = gallery.EmbeddingSet(
+            rng.standard_normal((n, 5)).astype(np.float32),
+            rng.standard_normal((n, 3, 4)).astype(np.float32),
+        )
+        gallery.save_embeddings(sides[side], tmp_path / f"{side}.remb")
+        write_index(tmp_path / f"{side}.csv", n, role=role)
+    q, g = sides["q"], sides["g"]
+    expected = distance.distance_matrix(q.global_, g.global_, metric)
+    if local_mode != "none":
+        dl = distance.local_distance_matrix(q, g, local_mode)
+        expected = distance.combine_distances(expected, dl, 0.37)
+    flags = ["--emb-q", str(tmp_path / "q.remb"), "--emb-g", str(tmp_path / "g.remb"),
+             "--metric", metric, "--local-mode", local_mode, "--lam", "0.37"]
+    assert run_cli(["dist", *flags, "--out", str(tmp_path / "d.rdmx")]) == 0
+    assert (tmp_path / "d.rdmx").read_bytes() == distance.encode_distance_matrix(expected)
+    assert run_cli(["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv"),
+                    *flags, "--out", str(tmp_path / "r.json")]) == 0
+    queries, gal = gallery.load_index(tmp_path / "q.csv"), gallery.load_index(tmp_path / "g.csv")
+    doc = metrics.evaluate(queries, gal, expected).to_dict()
+    doc["config"] = {"metric": metric, "local_mode": local_mode, "lambda": 0.37}
+    assert (tmp_path / "r.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--queries", "meta.csv", "--gallery", "meta.csv", "--emb-q", "e.remb", "--emb-g", "e.remb"],
+        ["camera", "--index", "meta.csv", "--emb", "e.remb"],
+        ["mine", "--index", "meta.csv", "--emb", "e.remb", "--p", "2", "--k", "2"],
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize(
+    "row",
+    ["2,100000000000000000000,1,train,c.ppm", "2,9223372036854775808,1,train,c.ppm",
+     "2,1,9223372036854775808,train,c.ppm"],
+    ids=["person_1e20", "person_2^63", "camera_2^63"],
+)
+def test_ids_beyond_int64_exit_2_names_line(tmp_path, monkeypatch, capsys, command, row):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "meta.csv").write_text(
+        "index,person_id,camera_id,role,path\n0,1,0,train,a.ppm\n1,2,1,train,b.ppm\n" + row + "\n"
+    )
+    gallery.save_embeddings(gallery.EmbeddingSet(np.ones((3, 2), np.float32)), tmp_path / "e.remb")
+    assert run_cli(command) == 2
+    assert capsys.readouterr().err == (
+        "error: meta.csv:4: person_id and camera_id must be below 2^63 (int64)\n"
+    )
+
+
+def test_camera_normalize_peak_is_under_four_feature_copies(tmp_path):
+    # in float32 feature sizes: the file buffer (1) and the float64 result
+    # (2), then that result and its float32 cast, are alive together, each
+    # input freed before the next step; 6 cameras keep camera_offsets' group
+    # gathers small. Holding all four copies with the writer's buffer was 5.1
+    n, dim = 6_000, 512
+    rng = np.random.default_rng(0)
+    gallery.save_embeddings(
+        gallery.EmbeddingSet(rng.standard_normal((n, dim)).astype(np.float32)), tmp_path / "e.remb"
+    )
+    with open(tmp_path / "meta.csv", "w") as fh:
+        fh.write("index,person_id,camera_id,role,path\n")
+        for i in range(n):
+            fh.write(f"{i},{i // 8},{i % 6},train,x{i}.ppm\n")
+    argv = ["camera", "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb"),
+            "--normalize", "--out-emb", str(tmp_path / "n.remb"), "--out", str(tmp_path / "c.json")]
+    tracemalloc.start()
+    try:
+        rc = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 3.6 * 4 * n * dim

@@ -140,6 +140,7 @@ class TestBlockedGlobalKernel:
             # every entry recomputed from direct differences: the indices of
             # one block's flagged cells, 8 bytes each, come on top
             (Metric.EUCLIDEAN, True, 1.5),
+            (Metric.COSINE, True, 1.5),
         ],
     )
     def test_peak_memory_is_one_result(self, rng, metric, duplicates, bound):
@@ -172,6 +173,40 @@ class TestBlockedGlobalKernel:
         np.testing.assert_array_equal(np.diag(distance_matrix(x, x).values), 0.0)
         # a copy is not the same array: its diagonal is recomputed
         np.testing.assert_array_equal(np.diag(distance_matrix(x, x.copy()).values), 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        offset=st.floats(1e1, 1e3) | st.floats(-1e3, -1e1),
+        n=st.integers(1, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cosine_self_distance_exactly_zero_with_offset(self, offset, n, dtype, seed):
+        x = (offset + np.random.default_rng(seed).standard_normal((n, 2048))).astype(dtype)
+        for g in (x, x.copy(), 2 * x):
+            np.testing.assert_array_equal(np.diag(distance_matrix(x, g, Metric.COSINE).values), 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        offset=st.floats(1e1, 1e3),
+        steps=st.lists(st.integers(1, 1000), min_size=2, max_size=8, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cosine_near_parallel_rows_rank_by_angle(self, offset, steps, seed):
+        rng = np.random.default_rng(seed)
+        base = offset + rng.standard_normal(2048)
+        # each gallery row turns away from the query by its own angle, in a
+        # direction orthogonal to the query; the last row is the query itself
+        dirs = rng.standard_normal((len(steps), 2048))
+        dirs -= np.outer(dirs @ base, base) / (base @ base)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        angles = 1e-10 * np.asarray(steps, np.float64)
+        g = base + (np.tan(angles) * np.linalg.norm(base))[:, None] * dirs
+        got = distance_matrix(base[None, :], np.vstack([g, base]), Metric.COSINE).values[0]
+        assert got[-1] == 0.0
+        np.testing.assert_array_equal(np.argsort(got[:-1]), np.argsort(angles))
+        # 1 - cos(a) = 2 sin^2(a / 2); constructing g rounds each angle by ~1e-6 relative
+        np.testing.assert_allclose(got[:-1], 2 * np.sin(angles / 2) ** 2, rtol=1e-4, atol=0)
 
     @settings(max_examples=30, deadline=None)
     @given(

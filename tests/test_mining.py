@@ -1,7 +1,12 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidkit.errors import DataError
+from reidkit.gallery import Role
 from reidkit.mining import (
     MiningConfig,
     Triplet,
@@ -29,7 +34,60 @@ def batch_hard_oracle(d, labels):
     return out
 
 
+def pk_sample_reference(index, cfg):
+    """The per-row defaultdict grouping that pk_sample replaced."""
+    by_pid = defaultdict(list)
+    for i, r in enumerate(index.records):
+        if r.role == Role.TRAIN:
+            by_pid[r.person_id].append(i)
+    pids = sorted(by_pid)
+    if len(pids) < cfg.p:
+        raise DataError(f"need {cfg.p} distinct person ids, found {len(pids)}")
+    rng = np.random.default_rng(cfg.seed)
+    chosen_pids = rng.choice(len(pids), size=cfg.p, replace=False)
+    batch = []
+    for pi in chosen_pids:
+        rows = by_pid[pids[pi]]
+        replace = len(rows) < cfg.k
+        picks = rng.choice(len(rows), size=cfg.k, replace=replace)
+        batch.extend(rows[j] for j in picks)
+    return np.array(batch, dtype=np.int64)
+
+
 class TestPkSample:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 7, 8, 40, 999, 10**6, 2**63 - 1]),
+                st.integers(0, 5),
+                st.sampled_from(["train", "train", "query", "gallery"]),
+            ),
+            max_size=60,
+        ),
+        p=st.integers(2, 5),
+        k=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, entries, p, k, seed):
+        # mixed roles, non-contiguous ids and identities with fewer than K rows
+        index = build_index(entries)
+        cfg = MiningConfig(p=p, k=k, seed=seed)
+        try:
+            expected = pk_sample_reference(index, cfg)
+        except DataError as e:
+            with pytest.raises(DataError, match=f"^{e}$"):
+                pk_sample(index, cfg)
+            return
+        got = pk_sample(index, cfg)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("entries", [[], [(1, 1, "query"), (2, 1, "gallery")]], ids=["empty", "no_train"])
+    def test_no_train_rows(self, entries):
+        with pytest.raises(DataError, match="^need 2 distinct person ids, found 0$"):
+            pk_sample(build_index(entries), MiningConfig(p=2, k=2))
+
     def _index(self, counts):
         entries = []
         for pid, n in counts.items():
