@@ -49,13 +49,16 @@ class CameraResidualParams:
     def __post_init__(self):
         if set(self.matrices) != set(self.biases):
             raise DataError("matrix and bias camera ids differ")
+        matrices, biases = {}, {}
         for c, a in self.matrices.items():
-            a = np.asarray(a, dtype=np.float64)
-            b = np.asarray(self.biases[c], dtype=np.float64)
+            a = matrices[c] = np.asarray(a, dtype=np.float64)
+            b = biases[c] = np.asarray(self.biases[c], dtype=np.float64)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise DataError(f"camera {c}: matrix must be square")
             if b.shape != (a.shape[0],):
                 raise DataError(f"camera {c}: bias dimension mismatch")
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "biases", biases)
 
 
 def _row_cameras(camids, n: int):
@@ -76,22 +79,23 @@ def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:
     from the camera's global offset. It needs person ids; without them the
     score is reported as 0.0 for degenerate single-group data.
     """
-    e = np.asarray(emb, dtype=np.float64)
+    e = np.asarray(emb)
     if e.ndim != 2 or e.shape[0] == 0:
         raise DataError("need a non-empty N x D embedding matrix")
     camids, _ = _row_cameras(camids, e.shape[0])
-    global_mean = e.mean(axis=0)
+    # means of the rows as stored, summed in float64: a float64 copy's bits
+    global_mean = e.mean(axis=0, dtype=np.float64)
     cams = {int(c): rows for (c,), rows in _groups(camids)}
-    offsets = {c: e[rows].mean(axis=0) - global_mean for c, rows in cams.items()}
+    offsets = {c: e[rows].mean(axis=0, dtype=np.float64) - global_mean for c, rows in cams.items()}
     counts = {c: rows.size for c, rows in cams.items()}
     if pids is None:
         return CameraOffsets(offsets, counts, 0.0)
     pids = np.asarray(pids)
     if len(pids) != e.shape[0]:
         raise DataError("person id count != row count")
-    person_means = {p: e[rows].mean(axis=0) for (p,), rows in _groups(pids)}
+    person_means = {p: e[rows].mean(axis=0, dtype=np.float64) for (p,), rows in _groups(pids)}
     cell_scores = [
-        np.linalg.norm(e[rows].mean(axis=0) - person_means[p] - offsets[c])
+        np.linalg.norm(e[rows].mean(axis=0, dtype=np.float64) - person_means[p] - offsets[c])
         / (np.linalg.norm(offsets[c]) + CONSISTENCY_EPS)
         for (p, c), rows in _groups(pids, camids)
     ]
@@ -111,15 +115,14 @@ def camera_normalize(emb: np.ndarray, offsets: CameraOffsets, camids) -> np.ndar
 
 
 def apply_camera_residual(emb: np.ndarray, params: CameraResidualParams, camids) -> np.ndarray:
-    """row -> row + A_c @ row + b_c per row's camera."""
-    e = np.asarray(emb, dtype=np.float64)
+    """row -> row + A_c @ row + b_c per row's camera, in float64 (float32 rows upcast exactly)."""
+    e = np.asarray(emb)
     camids, cams = _row_cameras(camids, e.shape[0])
-    out = np.empty_like(e)
+    out = np.empty(e.shape, dtype=np.float64)
     for c in cams:
         if c not in params.matrices:
             raise DataError(f"no residual parameters for camera {c}")
-        a = np.asarray(params.matrices[c], dtype=np.float64)
-        b = np.asarray(params.biases[c], dtype=np.float64)
+        a, b = params.matrices[c], params.biases[c]
         if a.shape[0] != e.shape[1]:
             raise DataError(
                 f"camera {c}: parameter dimension {a.shape[0]} != embedding dim {e.shape[1]}"
@@ -132,10 +135,7 @@ def apply_camera_residual(emb: np.ndarray, params: CameraResidualParams, camids)
 
 def save_residual_params(params: CameraResidualParams, path) -> None:
     doc = {
-        str(c): {
-            "matrix": np.asarray(params.matrices[c], dtype=np.float64).tolist(),
-            "bias": np.asarray(params.biases[c], dtype=np.float64).tolist(),
-        }
+        str(c): {"matrix": params.matrices[c].tolist(), "bias": params.biases[c].tolist()}
         for c in sorted(params.matrices)
     }
     with open(path, "w") as fh:

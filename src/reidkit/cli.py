@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data/file error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -139,10 +140,7 @@ def _cmd_mine(args):
     doc = {
         "config": {"p": cfg.p, "k": cfg.k, "margin": cfg.margin, "seed": cfg.seed},
         "batch_rows": [int(i) for i in batch],
-        "triplets": [
-            {"anchor": t.anchor, "positive": t.positive, "negative": t.negative}
-            for t in triplets
-        ],
+        "triplets": [dataclasses.asdict(t) for t in triplets],
         "loss": float(loss),
         "grad_norm": float(np.linalg.norm(grad)),
     }
@@ -193,13 +191,7 @@ def _cmd_tsne(args):
         seed=args.seed,
     )
     index, emb = _load_aligned(args.index, args.emb)
-    if args.role == "all":
-        keep = np.arange(len(index))
-    else:
-        role = gallery.Role(args.role)
-        keep = np.array(
-            [i for i, r in enumerate(index.records) if r.role == role], dtype=np.int64
-        )
+    keep = np.flatnonzero([args.role in ("all", r.role.value) for r in index.records])
     if keep.size == 0:
         raise ReidError(f"no records with role {args.role!r}")
     coords, trace = tsne.run_tsne(emb.global_[keep], params)
@@ -280,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tsne", help="embed features into 2-D for plotting")
     p.add_argument("--index", required=True)
     p.add_argument("--emb", required=True)
-    p.add_argument("--role", choices=["query", "gallery", "train", "all"], default="gallery")
+    p.add_argument("--role", choices=[r.value for r in gallery.Role] + ["all"],
+                   default=gallery.Role.GALLERY.value)
     p.add_argument("--perplexity", type=float, default=30.0)
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--learning-rate", type=float, default=200.0)

@@ -217,8 +217,11 @@ def _stripe_costs(qa: np.ndarray, ga: np.ndarray) -> np.ndarray:
         np.subtract.outer(qa[k], ga[k], out=diff)
         diff *= diff
         acc += diff
-    cost = squash(np.sqrt(acc, out=acc))
-    return cost.transpose(0, 2, 1, 3)
+    # squash in place: a root of a sum of squares is never negative
+    np.sqrt(acc, out=acc)
+    acc /= 2.0
+    np.tanh(acc, out=acc)
+    return acc.transpose(0, 2, 1, 3)
 
 
 def _min_path_costs(c: np.ndarray) -> np.ndarray:

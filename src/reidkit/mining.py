@@ -3,6 +3,7 @@ with analytic gradients (stopping at the embedding layer)."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +35,6 @@ class Triplet:
     negative: int
 
 
-@dataclass(frozen=True)
-class TripletSet:
-    triplets: tuple[Triplet, ...]
-
-    def __len__(self):
-        return len(self.triplets)
-
-    def __iter__(self):
-        return iter(self.triplets)
-
-
 def pk_sample(index: GalleryIndex, cfg: MiningConfig) -> np.ndarray:
     """Sample P identities x K images from the training split.
 
@@ -66,7 +56,7 @@ def pk_sample(index: GalleryIndex, cfg: MiningConfig) -> np.ndarray:
     return np.concatenate(batch)
 
 
-def batch_hard(d_batch: np.ndarray, labels) -> TripletSet:
+def batch_hard(d_batch: np.ndarray, labels) -> tuple[Triplet, ...]:
     """One triplet per anchor: farthest same-label positive, closest
     different-label negative; ties broken by lowest index."""
     d = np.asarray(d_batch, dtype=np.float64)
@@ -82,13 +72,13 @@ def batch_hard(d_batch: np.ndarray, labels) -> TripletSet:
         a = int(np.argmax(bad))
         raise DataError(f"anchor {a} has no {'positive' if no_pos[a] else 'negative'} in batch")
     if n == 0:
-        return TripletSet(())
+        return ()
     pos = np.argmax(np.where(pos_mask, d, -np.inf), axis=1)
     neg = np.argmin(np.where(same, np.inf, d), axis=1)
-    return TripletSet(tuple(map(Triplet, range(n), pos.tolist(), neg.tolist())))
+    return tuple(map(Triplet, range(n), pos.tolist(), neg.tolist()))
 
 
-def triplet_loss_grad(emb: np.ndarray, triplets: TripletSet, margin: float):
+def triplet_loss_grad(emb: np.ndarray, triplets: Sequence[Triplet], margin: float):
     """Mean hinge triplet loss over the set and its gradient w.r.t. the
     batch embeddings.
 

@@ -64,8 +64,7 @@ def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     n = x.shape[0]
     if perplexity >= n:
         raise DataError(f"perplexity {perplexity} must be < N = {n}")
-    d2 = _sq_euclidean(x, x)
-    np.fill_diagonal(d2, 0.0)
+    d2 = _sq_euclidean(x, x)  # diagonal exactly 0
     if d2.max() == 0.0:
         raise DataError("degenerate input: all points identical")
     cond = np.zeros((n, n), dtype=np.float64)

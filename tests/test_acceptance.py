@@ -16,7 +16,7 @@ from reidkit.distance import DistanceMatrix, aligned_distance, distance_matrix
 from reidkit.ensemble import EmaState, consistency_loss_grad, ema_update
 from reidkit.camera import camera_normalize, camera_offsets
 from reidkit.metrics import EvalProtocol, average_precision, evaluate
-from reidkit.mining import Triplet, TripletSet, batch_hard, triplet_loss_grad
+from reidkit.mining import Triplet, batch_hard, triplet_loss_grad
 from reidkit.tsne import TsneParams, kl_and_gradient, perplexity_affinities, run_tsne
 from conftest import build_index
 
@@ -145,7 +145,7 @@ def test_gradient_checks():
     checked = 0
     while checked < 100:
         e = rng.standard_normal((4, 3))
-        ts = TripletSet((Triplet(0, 1, 2), Triplet(3, 0, 1)))
+        ts = (Triplet(0, 1, 2), Triplet(3, 0, 1))
         near_kink = False
         for t in ts:
             d_ap = np.linalg.norm(e[t.anchor] - e[t.positive])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,26 @@ class TestCameraResidual:
         with pytest.raises(DataError, match="camera 1"):
             apply_camera_residual(rng.standard_normal((2, 2)), params, [0, 1])
 
+    def test_params_hold_float64_arrays(self):
+        params = CameraResidualParams({3: [[1, 0], [0, 2]]}, {3: [1, -1]})
+        for value in (params.matrices[3], params.biases[3]):
+            assert type(value) is np.ndarray and value.dtype == np.float64
+        np.testing.assert_array_equal(params.matrices[3], [[1.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(params.biases[3], [1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "matrices,biases,message",
+        [
+            # each case also breaks every check after the one it names
+            ({0: [[1.0, 2.0]], 1: [[1.0]]}, {0: [0.0]}, "matrix and bias camera ids differ"),
+            ({0: [[1.0, 2.0]]}, {0: [0.0, 0.0, 0.0]}, "camera 0: matrix must be square"),
+            ({0: [[1.0]], 1: [[1.0, 2.0]]}, {0: [0.0, 0.0], 1: [0.0]}, "camera 0: bias dimension mismatch"),
+        ],
+    )
+    def test_param_errors_in_order(self, matrices, biases, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            CameraResidualParams(matrices, biases)
+
     def test_params_file_round_trip(self, tmp_path, rng):
         params = CameraResidualParams(
             {0: rng.standard_normal((2, 2)), 1: rng.standard_normal((2, 2))},
@@ -262,3 +283,33 @@ class TestCameraResidual:
         for c in (0, 1):
             np.testing.assert_allclose(back.matrices[c], params.matrices[c])
             np.testing.assert_allclose(back.biases[c], params.biases[c])
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_camera_offsets_peak_is_under_one_feature_copy():
+    # rows are gathered as stored (float32) and summed in float64: no float64
+    # copy of the features; a copy and one of 2 cameras' gathers was 3.0
+    n, dim = 6_000, 512
+    e = np.random.default_rng(0).standard_normal((n, dim)).astype(np.float32)
+    assert traced_peak(camera_offsets, e, np.arange(n) % 2, np.arange(n) // 8) < 1.0 * e.nbytes
+
+
+def test_apply_camera_residual_peak_is_under_three_feature_copies():
+    # the float64 result (2) and one camera's float64 temporaries; with a
+    # float64 copy of the features it was 5.05
+    n, dim = 6_000, 512
+    rng = np.random.default_rng(0)
+    e = rng.standard_normal((n, dim)).astype(np.float32)
+    params = CameraResidualParams(
+        {c: 0.1 * rng.standard_normal((dim, dim)) for c in range(6)},
+        {c: rng.standard_normal(dim) for c in range(6)},
+    )
+    assert traced_peak(apply_camera_residual, e, params, np.arange(n) % 6) < 3.2 * e.nbytes

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reidkit import camera, distance, gallery, imaging, metrics
+from reidkit import camera, distance, gallery, imaging, metrics, tsne
 from reidkit.cli import run_cli
 from reidkit.ensemble import EmaState, load_ema_state, save_ema_state
 
@@ -176,6 +176,22 @@ class TestEvalPipeline:
             assert rc == 0
             maps[tag] = json.loads(out.read_text())["mAP"]
         assert maps["masked"] >= maps["plain"]
+
+    @pytest.mark.parametrize("mask_shape", [(8, 4), (24, 11)])
+    def test_mask_of_another_size_is_resized_nearest(self, tmp_path, mask_shape):
+        rng = np.random.default_rng(1)
+        (tmp_path / "img").mkdir()
+        pixels = rng.integers(0, 256, (16, 8, 3))
+        write_ppm(tmp_path / "img" / "a.ppm", pixels)
+        write_pgm(tmp_path / "img" / "a.pgm", rng.integers(0, 256, mask_shape))
+        out = tmp_path / "out"
+        argv = ["mask", "--images", str(tmp_path / "img"), "--masks", str(tmp_path / "img"), "--out", str(out)]
+        assert run_cli(argv) == 0
+        img = imaging.decode_image((tmp_path / "img" / "a.ppm").read_bytes())
+        m = imaging.mask_from_image(imaging.decode_image((tmp_path / "img" / "a.pgm").read_bytes()))
+        expected = imaging.apply_mask(img, imaging.resize_mask_nearest(m, 8, 16))
+        assert (out / "a.ppm").read_bytes() == imaging.encode_image(expected)
+        assert sorted(p.name for p in out.iterdir()) == ["a.ppm"]
 
     def test_dist_subcommand_writes_container(self, dataset, tmp_path):
         self._embed(dataset, "query.csv", dataset / "images", tmp_path / "q.remb")
@@ -376,6 +392,36 @@ class TestCameraCommand:
         )
         assert rc == 2
         assert_one_line_error(capsys)
+
+    def test_residual_writes_the_library_transform(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        n, dim = 30, 5
+        feats = (rng.standard_normal((n, dim)) + 0.4).astype(np.float32)
+        gallery.save_embeddings(gallery.EmbeddingSet(feats), tmp_path / "e.remb")
+        write_index(tmp_path / "meta.csv", n)
+        index = gallery.load_index(tmp_path / "meta.csv")
+        cams, pids = index.camera_ids(), index.person_ids()
+        params = camera.CameraResidualParams(
+            {c: 0.1 * rng.standard_normal((dim, dim)) for c in (0, 1)},
+            {c: rng.standard_normal(dim) for c in (0, 1)},
+        )
+        camera.save_residual_params(params, tmp_path / "res.json")
+        rc = run_cli(
+            [
+                "camera",
+                "--index", str(tmp_path / "meta.csv"),
+                "--emb", str(tmp_path / "e.remb"),
+                "--residual", str(tmp_path / "res.json"),
+                "--out-emb", str(tmp_path / "o.remb"),
+            ]
+        )
+        assert rc == 0
+        expected = gallery.EmbeddingSet(camera.apply_camera_residual(feats, params, cams))
+        assert (tmp_path / "o.remb").read_bytes() == gallery.encode_embeddings(expected)
+        out = capsys.readouterr().out
+        doc = camera.camera_offsets(feats, cams, pids).to_dict()
+        doc["score_definition"] = json.loads(out)["score_definition"]
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_normalize_and_residual_together_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(gallery, "load_index", fail_if_called)
@@ -603,6 +649,41 @@ class TestTsneCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("role", ["all", "query", "train"])
+    def test_role_selects_rows_in_index_order(self, tmp_path, rng, role):
+        n, roles = 24, ["query", "gallery", "train"]
+        feats = rng.standard_normal((n, 4)).astype(np.float32)
+        gallery.save_embeddings(gallery.EmbeddingSet(feats), tmp_path / "e.remb")
+        with open(tmp_path / "meta.csv", "w") as fh:
+            fh.write("index,person_id,camera_id,role,path\n")
+            for i in range(n):
+                fh.write(f"{i},{i % 5},{i % 3 + i % 2},{roles[i % 3]},x{i}.ppm\n")
+        out, trace = tmp_path / "coords.tsv", tmp_path / "kl.txt"
+        rc = run_cli(
+            [
+                "tsne",
+                "--index", str(tmp_path / "meta.csv"),
+                "--emb", str(tmp_path / "e.remb"),
+                "--role", role,
+                "--perplexity", "3",
+                "--iterations", "30",
+                "--seed", "5",
+                "--trace", str(trace),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        keep = [i for i in range(n) if role in ("all", roles[i % 3])]
+        params = tsne.TsneParams(perplexity=3, iterations=30, seed=5)
+        coords, kl = tsne.run_tsne(feats[keep], params)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "x\ty\tperson_id\tcamera_id"
+        assert lines[1:] == [
+            f"{float(x)!r}\t{float(y)!r}\t{i % 5}\t{i % 3 + i % 2}" for (x, y), i in zip(coords, keep)
+        ]
+        assert trace.read_text().splitlines() == [repr(v) for v in kl]
+        assert len(kl) == 30 and all(type(v) is float for v in kl)
+
     def test_diverging_descent_exit_2_without_output(self, tmp_path, rng, capsys):
         emb = gallery.EmbeddingSet(rng.standard_normal((12, 4)).astype(np.float32))
         gallery.save_embeddings(emb, tmp_path / "e.remb")
@@ -710,11 +791,14 @@ def test_ids_beyond_int64_exit_2_names_line(tmp_path, monkeypatch, capsys, comma
     )
 
 
-def test_camera_normalize_peak_is_under_four_feature_copies(tmp_path):
+@pytest.mark.parametrize("cameras", [6, 2])
+def test_camera_normalize_peak_is_under_four_feature_copies(tmp_path, cameras):
     # in float32 feature sizes: the file buffer (1) and the float64 result
     # (2), then that result and its float32 cast, are alive together, each
-    # input freed before the next step; 6 cameras keep camera_offsets' group
-    # gathers small. Holding all four copies with the writer's buffer was 5.1
+    # input freed before the next step; camera_offsets gathers float32 rows,
+    # so one camera's gather stays under 1 even with 2 cameras. Holding all
+    # four copies with the writer's buffer was 5.1, and a float64 copy of the
+    # features in camera_offsets 4.1 with 2 cameras
     n, dim = 6_000, 512
     rng = np.random.default_rng(0)
     gallery.save_embeddings(
@@ -723,7 +807,7 @@ def test_camera_normalize_peak_is_under_four_feature_copies(tmp_path):
     with open(tmp_path / "meta.csv", "w") as fh:
         fh.write("index,person_id,camera_id,role,path\n")
         for i in range(n):
-            fh.write(f"{i},{i // 8},{i % 6},train,x{i}.ppm\n")
+            fh.write(f"{i},{i // 8},{i % cameras},train,x{i}.ppm\n")
     argv = ["camera", "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb"),
             "--normalize", "--out-emb", str(tmp_path / "n.remb"), "--out", str(tmp_path / "c.json")]
     tracemalloc.start()

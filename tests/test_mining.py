@@ -10,7 +10,6 @@ from reidkit.gallery import Role
 from reidkit.mining import (
     MiningConfig,
     Triplet,
-    TripletSet,
     batch_hard,
     pk_sample,
     triplet_loss_grad,
@@ -140,15 +139,15 @@ class TestBatchHard:
             ]
         )
         ts = batch_hard(d, labels)
-        assert ts.triplets[0] == Triplet(0, 1, 3)
+        assert ts[0] == Triplet(0, 1, 3)
 
     def test_forced_positive_two_per_label(self, rng):
         labels = ["a", "a", "b", "b"]
         d = rng.uniform(0.1, 1.0, (4, 4))
         ts = batch_hard(d, labels)
-        assert ts.triplets[0].positive == 1
-        assert ts.triplets[1].positive == 0
-        assert ts.triplets[2].positive == 3
+        assert ts[0].positive == 1
+        assert ts[1].positive == 0
+        assert ts[2].positive == 3
 
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(1000):
@@ -192,23 +191,23 @@ class TestTripletLoss:
 
     def test_active_hinge_value(self):
         e = self._embed_with_distances(1.2, 0.8)
-        loss, _ = triplet_loss_grad(e, TripletSet((Triplet(0, 1, 2),)), 0.3)
+        loss, _ = triplet_loss_grad(e, (Triplet(0, 1, 2),), 0.3)
         assert loss == pytest.approx(0.7)
 
     def test_inactive_hinge_zero_everything(self):
         e = self._embed_with_distances(0.2, 0.9)
-        loss, grad = triplet_loss_grad(e, TripletSet((Triplet(0, 1, 2),)), 0.3)
+        loss, grad = triplet_loss_grad(e, (Triplet(0, 1, 2),), 0.3)
         assert loss == 0.0
         assert (grad == 0).all()
 
     def test_empty_triplet_set(self):
         with pytest.raises(DataError):
-            triplet_loss_grad(np.zeros((2, 2)), TripletSet(()), 0.3)
+            triplet_loss_grad(np.zeros((2, 2)), (), 0.3)
 
     def test_loss_nonnegative_random(self, rng):
         for _ in range(50):
             e = rng.standard_normal((6, 4))
-            ts = TripletSet((Triplet(0, 1, 2), Triplet(3, 4, 5)))
+            ts = (Triplet(0, 1, 2), Triplet(3, 4, 5))
             loss, _ = triplet_loss_grad(e, ts, 0.3)
             assert loss >= 0.0
 
@@ -217,7 +216,7 @@ class TestTripletLoss:
         checked = 0
         while checked < 30:
             e = rng.standard_normal((5, 4))
-            ts = TripletSet((Triplet(0, 1, 2), Triplet(3, 4, 0)))
+            ts = (Triplet(0, 1, 2), Triplet(3, 4, 0))
             # stay away from the hinge kink
             ok = True
             for t in ts:
@@ -244,9 +243,9 @@ class TestTripletLoss:
 
     def test_gradient_additive_over_triplets(self, rng):
         e = rng.standard_normal((6, 3))
-        t1 = TripletSet((Triplet(0, 1, 2),))
-        t2 = TripletSet((Triplet(3, 4, 5),))
-        both = TripletSet(t1.triplets + t2.triplets)
+        t1 = (Triplet(0, 1, 2),)
+        t2 = (Triplet(3, 4, 5),)
+        both = t1 + t2
         l1, g1 = triplet_loss_grad(e, t1, 0.3)
         l2, g2 = triplet_loss_grad(e, t2, 0.3)
         lb, gb = triplet_loss_grad(e, both, 0.3)
