@@ -138,7 +138,7 @@ def _cmd_mine(args):
     triplets = mining.batch_hard(d.values, labels)
     loss, grad = mining.triplet_loss_grad(feats, triplets, cfg.margin)
     doc = {
-        "config": {"p": cfg.p, "k": cfg.k, "margin": cfg.margin, "seed": cfg.seed},
+        "config": dataclasses.asdict(cfg),
         "batch_rows": [int(i) for i in batch],
         "triplets": [dataclasses.asdict(t) for t in triplets],
         "loss": float(loss),

@@ -192,16 +192,8 @@ def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLID
     return DistanceMatrix(d)
 
 
-def squash(x):
-    """Map a non-negative cost into [0, 1): (e^x - 1)/(e^x + 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if (x < 0).any():
-        raise DataError("squash requires non-negative input")
-    return np.tanh(x / 2.0)
-
-
 def _stripe_costs(qa: np.ndarray, ga: np.ndarray) -> np.ndarray:
-    """Squashed euclidean stripe-to-stripe cost grids of every (query,
+    """Stripe-to-stripe cost grids tanh(d/2), d euclidean, of every (query,
     gallery) pair, laid out (S1, S2, nq, ng), from stripe stacks laid out
     feature dimension first, (Dl, S1, nq) and (Dl, S2, ng).
 
@@ -217,7 +209,7 @@ def _stripe_costs(qa: np.ndarray, ga: np.ndarray) -> np.ndarray:
         np.subtract.outer(qa[k], ga[k], out=diff)
         diff *= diff
         acc += diff
-    # squash in place: a root of a sum of squares is never negative
+    # tanh(d/2) in place
     np.sqrt(acc, out=acc)
     acc /= 2.0
     np.tanh(acc, out=acc)
@@ -250,7 +242,7 @@ def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
     (ng, S2, Dl), in float64. DP-aligned tiles hold at most _TILE_CELLS grid
     cells, or one pair when a single grid is larger. One-to-one sums, tile by
     tile, the DP-aligned distances of the S single-stripe stacks (a 1 x 1 grid
-    has one path: the squashed direct difference of stripe s)."""
+    has one path: the cost of stripe s against stripe s)."""
     ql, gl = np.asarray(ql), np.asarray(gl)
     if ql.ndim != 3 or gl.ndim != 3:
         raise DataError("stripe sequences must be 2-D (S x Dl)")
@@ -281,13 +273,13 @@ def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
 
 
 def aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Minimum-cost monotone path through the squashed stripe-to-stripe
-    euclidean cost grid."""
+    """Minimum-cost monotone path through the stripe-to-stripe cost grid
+    tanh(d/2), d euclidean."""
     return float(_local_distances([a], [b], LocalMode.DP_ALIGNED)[0, 0])
 
 
 def one_to_one_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of squashed euclidean distances between corresponding stripes."""
+    """Sum of tanh(d/2), d euclidean, over corresponding stripes."""
     return float(_local_distances([a], [b], LocalMode.ONE_TO_ONE)[0, 0])
 
 

@@ -58,12 +58,10 @@ def stripe_histogram(img: Image, cfg: FeaturizerConfig = FeaturizerConfig()):
 
 
 def featurize_images(images: list[Image], cfg: FeaturizerConfig = FeaturizerConfig()) -> EmbeddingSet:
-    """Featurize a list of images into a row-aligned EmbeddingSet."""
-    if not images:
-        return EmbeddingSet(np.zeros((0, 3 * cfg.bins), dtype=np.float32))
-    globs, locs = [], []
-    for img in images:
-        g, l = stripe_histogram(img, cfg)
-        globs.append(g)
-        locs.append(l)
-    return EmbeddingSet(np.stack(globs), np.stack(locs))
+    """Featurize a list of images into a row-aligned EmbeddingSet: (N, 3B)
+    global and (N, S, 3B) local float32 features, N = 0 included."""
+    globs = np.empty((len(images), 3 * cfg.bins), dtype=np.float32)
+    locs = np.empty((len(images), cfg.stripes, 3 * cfg.bins), dtype=np.float32)
+    for i, img in enumerate(images):
+        globs[i], locs[i] = stripe_histogram(img, cfg)
+    return EmbeddingSet(globs, locs)

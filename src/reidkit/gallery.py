@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import os
-import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,8 +24,6 @@ from .errors import DataError, FormatError, MagicError, TruncationError, Version
 EMBEDDING_MAGIC = b"REMB"
 CONTAINER_VERSION = 1
 _HEADER = struct.Struct("<4s5I")
-
-DEFAULT_FILENAME_PATTERN = r"^(?P<person>\d+)_c(?P<camera>\d+)_\d+\.\w+$"
 
 METADATA_HEADER = ["index", "person_id", "camera_id", "role", "path"]
 
@@ -115,27 +112,6 @@ def _groups(*keys):
         yield tuple(k[order[start]] for k in keys), order[start:stop]
 
 
-def parse_record(
-    filename: str,
-    pattern: str = DEFAULT_FILENAME_PATTERN,
-    role: Role = Role.GALLERY,
-) -> GalleryRecord:
-    """Parse person and camera ids out of an image filename.
-
-    The pattern must expose named captures ``person`` and ``camera``;
-    the default matches names like ``0001_c3_017.png``.
-    """
-    m = re.match(pattern, filename)
-    if m is None:
-        raise DataError(f"filename {filename!r} does not match pattern {pattern!r}")
-    return GalleryRecord(
-        person_id=int(m.group("person"), 10),
-        camera_id=int(m.group("camera"), 10),
-        path=filename,
-        role=role,
-    )
-
-
 def load_index(metadata_file) -> GalleryIndex:
     """Read a GalleryIndex from the comma-separated metadata format.
 
@@ -163,12 +139,17 @@ def load_index(metadata_file) -> GalleryIndex:
         if len(row) != 5:
             raise FormatError(f"{metadata_file}:{lineno}: expected 5 fields, got {len(row)}")
         idx_s, pid_s, cam_s, role_s, path = [c.strip() for c in row]
+        ids = idx_s + pid_s + cam_s
         try:
-            idx = int(idx_s, 10)
-            pid = int(pid_s, 10)
-            cam = int(cam_s, 10)
-        except ValueError as e:
-            raise FormatError(f"{metadata_file}:{lineno}: {e}") from None
+            # int() would also read "+3", "1_000" and non-ASCII digits
+            if "+" in ids or "_" in ids or not ids.isascii():
+                raise ValueError
+            idx, pid, cam = int(idx_s, 10), int(pid_s, 10), int(cam_s, 10)
+        except ValueError:
+            raise FormatError(
+                f"{metadata_file}:{lineno}: index, person_id and camera_id must be "
+                f"decimal integers, got {idx_s!r}, {pid_s!r}, {cam_s!r}"
+            ) from None
         if idx != len(records):
             raise FormatError(
                 f"{metadata_file}:{lineno}: index {idx} out of order, "

@@ -18,7 +18,13 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.uint8)
+        p = np.asarray(self.pixels)
+        if p.dtype != np.uint8:
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
+                cast = p.astype(np.uint8)
+            if not (cast == p).all():
+                raise DataError("pixel values must be integers in [0, 255]")
+            p = cast
         if p.ndim == 2:
             p = p[:, :, None]
         if p.ndim != 3 or p.shape[2] not in (1, 3):
@@ -47,12 +53,13 @@ class Mask:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.uint8)
+        v = np.asarray(self.values)
         if v.ndim != 2:
             raise DataError("mask must be a 2-D array")
+        # checked before the uint8 cast, which would wrap 256 to 0
         if not np.isin(v, (0, 1)).all():
             raise DataError("mask values must be binary {0, 1}")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", v.astype(np.uint8, copy=False))
 
     @property
     def height(self) -> int:

@@ -7,7 +7,7 @@ left with no valid positive are excluded from both mAP and CMC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,10 +50,7 @@ class EvalReport:
             "cmc": [float(v) for v in self.cmc],
             "per_query_ap": [float(v) for v in self.per_query_ap],
             "num_valid_queries": int(self.num_valid_queries),
-            "protocol": {
-                "cross_camera_filter": self.protocol.cross_camera_filter,
-                "max_rank": self.protocol.max_rank,
-            },
+            "protocol": asdict(self.protocol),
         }
 
 

@@ -44,6 +44,8 @@ def criterion(num, name, budget_s=None):
 
 
 def ap_brute_force(relevance):
+    """Brute-force AP: precision computed at every relevant cutoff by
+    recounting from scratch."""
     total = sum(relevance)
     acc = 0.0
     for k in range(1, len(relevance) + 1):
@@ -65,6 +67,8 @@ def test_ap_oracle_equivalence():
 
 
 def min_monotone_path_oracle(cost):
+    """Minimum cost over every right/down path from (0, 0) to (s1-1, s2-1),
+    each path enumerated by the steps at which it moves down."""
     s1, s2 = cost.shape
     best = math.inf
     n_moves = s1 + s2 - 2
@@ -98,6 +102,7 @@ def test_dp_path_oracle():
 
 
 def batch_hard_oracle(d, labels):
+    """Exhaustive farthest-positive / closest-negative search."""
     out = []
     for a in range(len(labels)):
         best_p, best_pd = None, -1.0

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 import tracemalloc
 
 import numpy as np
@@ -579,20 +580,63 @@ def test_unreadable_index_exit_2(tmp_path, monkeypatch, capsys, argv, content):
     assert err.count("\n") == 1
 
 
+INDEX_HEAD = "index,person_id,camera_id,role,path\n0,3,1,train,b.ppm\n"
+NOT_DECIMAL = ":{}: index, person_id and camera_id must be decimal integers, got {}"
+
+
 @pytest.mark.parametrize(
-    "row,message",
+    "text,message",
     [
-        ("1,-3,1,train,a.ppm", "person_id and camera_id must be non-negative"),
-        ("1,3,1,train, ", "path must be non-empty"),
+        (INDEX_HEAD + "1,-3,1,train,a.ppm\n", ":3: person_id and camera_id must be non-negative"),
+        (INDEX_HEAD + "1,3,1,train, \n", ":3: path must be non-empty"),
+        (INDEX_HEAD + "+1,3,1,train,a.ppm\n", NOT_DECIMAL.format(3, "'+1', '3', '1'")),
+        (INDEX_HEAD + "1,1_000,1,train,a.ppm\n", NOT_DECIMAL.format(3, "'1', '1_000', '1'")),
+        (INDEX_HEAD + "1,3,\u0663,train,a.ppm\n", NOT_DECIMAL.format(3, "'1', '3', '\u0663'")),
+        (INDEX_HEAD + "1,--3,1,train,a.ppm\n", NOT_DECIMAL.format(3, "'1', '--3', '1'")),
+        (INDEX_HEAD + "1,,1,train,a.ppm\n", NOT_DECIMAL.format(3, "'1', '', '1'")),
+        ("", ": empty file, header line required"),
+        (
+            "index,pid,camera_id,role,path\n",
+            ": bad header ['index', 'pid', 'camera_id', 'role', 'path'], "
+            "expected index,person_id,camera_id,role,path",
+        ),
+        (INDEX_HEAD + "1,3,1,train\n", ":3: expected 5 fields, got 4"),
+        (INDEX_HEAD + "1,3,1,probe,a.ppm\n", ":3: unknown role 'probe'"),
+        # the blank line is skipped, and still counted
+        (INDEX_HEAD + "\n1,+3,1,train,a.ppm\n", NOT_DECIMAL.format(4, "'1', '+3', '1'")),
     ],
-    ids=["negative_id", "blank_path"],
+    ids=[
+        "negative_id", "blank_path", "plus_sign", "underscore", "non_ascii_digit", "double_minus",
+        "empty_field", "empty_file", "bad_header", "field_count", "unknown_role", "blank_line",
+    ],
 )
-def test_invalid_index_row_exit_2_names_line(tmp_path, monkeypatch, capsys, row, message):
+def test_invalid_index_row_exit_2_names_line(tmp_path, monkeypatch, capsys, text, message):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "neg.csv").write_text("index,person_id,camera_id,role,path\n0,3,1,train,b.ppm\n" + row + "\n")
+    (tmp_path / "neg.csv").write_text(text, encoding="utf-8")
     gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((2, 2), np.float32)), tmp_path / "e.remb")
     assert run_cli(["mine", "--index", "neg.csv", "--emb", "e.remb"]) == 2
-    assert capsys.readouterr().err == f"error: neg.csv:3: {message}\n"
+    assert capsys.readouterr().err == f"error: neg.csv{message}\n"
+
+
+def test_mask_without_ppm_images_exit_2(tmp_path, capsys):
+    (tmp_path / "images").mkdir()
+    (tmp_path / "images" / "notes.txt").write_text("not an image\n")
+    assert run_cli(["mask", "--images", str(tmp_path / "images"), "--masks", str(tmp_path),
+                    "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: no .ppm images in {tmp_path / 'images'}\n"
+
+
+@pytest.mark.parametrize("local_mode", ["dp_aligned", "one_to_one"])
+def test_embed_header_only_index_then_dist(tmp_path, local_mode):
+    write_index(tmp_path / "empty.csv", 0)
+    emb = tmp_path / "e.remb"
+    assert run_cli(["embed", "--index", str(tmp_path / "empty.csv"), "--out", str(emb)]) == 0
+    # magic, version 1, N = 0, D = 3B, S = 8 stripes, Dl = 3B, and no payload
+    assert emb.read_bytes() == struct.pack("<4s5I", b"REMB", 1, 0, 24, 8, 24)
+    out = tmp_path / "d.rdmx"
+    argv = ["dist", "--emb-q", str(emb), "--emb-g", str(emb), "--local-mode", local_mode, "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert distance.decode_distance_matrix(out.read_bytes()).shape == (0, 0)
 
 
 class TestTsneCommand:
@@ -683,6 +727,16 @@ class TestTsneCommand:
         ]
         assert trace.read_text().splitlines() == [repr(v) for v in kl]
         assert len(kl) == 30 and all(type(v) is float for v in kl)
+
+    def test_role_without_rows_exit_2(self, tmp_path, capsys):
+        gallery.save_embeddings(gallery.EmbeddingSet(np.ones((6, 4), np.float32)), tmp_path / "e.remb")
+        write_index(tmp_path / "meta.csv", 6)
+        out = tmp_path / "coords.tsv"
+        argv = ["tsne", "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb"),
+                "--role", "query", "--out", str(out)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "error: no records with role 'query'\n"
+        assert not out.exists()
 
     def test_diverging_descent_exit_2_without_output(self, tmp_path, rng, capsys):
         emb = gallery.EmbeddingSet(rng.standard_normal((12, 4)).astype(np.float32))

@@ -1,4 +1,3 @@
-import itertools
 import math
 import struct
 import tracemalloc
@@ -23,34 +22,9 @@ from reidkit.distance import (
     local_distance_matrix,
     min_path_cost,
     one_to_one_distance,
-    squash,
 )
 from reidkit.gallery import EmbeddingSet
-
-
-def enumerate_monotone_paths(s1, s2):
-    """All right/down paths from (0,0) to (s1-1,s2-1), as cell lists."""
-    paths = []
-    n_moves = s1 + s2 - 2
-    for down_at in itertools.combinations(range(n_moves), s1 - 1):
-        cells = [(0, 0)]
-        i = j = 0
-        for step in range(n_moves):
-            if step in down_at:
-                i += 1
-            else:
-                j += 1
-            cells.append((i, j))
-        paths.append(cells)
-    return paths
-
-
-def min_path_cost_oracle(cost):
-    s1, s2 = cost.shape
-    best = math.inf
-    for path in enumerate_monotone_paths(s1, s2):
-        best = min(best, sum(cost[i, j] for i, j in path))
-    return best
+from test_acceptance import min_monotone_path_oracle
 
 
 class TestGlobalDistance:
@@ -254,21 +228,20 @@ class TestBlockedGlobalKernel:
 
 
 class TestSquash:
+    """The stripe cost tanh(d/2), read off the one-to-one kernel on one-stripe
+    inputs [[0]] and [[d]]."""
+
     def test_zero(self):
-        assert squash(0.0) == 0.0
+        assert one_to_one_distance([[0.0]], [[0.0]]) == 0.0
 
     def test_ln3_gives_half(self):
-        assert squash(math.log(3)) == pytest.approx(0.5)
+        assert one_to_one_distance([[0.0]], [[math.log(3)]]) == pytest.approx(0.5)
 
     def test_monotone(self, rng):
         xs = np.sort(rng.uniform(0, 10, size=50))
-        ys = squash(xs)
+        ys = np.array([one_to_one_distance([[0.0]], [[x]]) for x in xs])
         assert (np.diff(ys) > 0).all()
         assert (ys >= 0).all() and (ys < 1).all()
-
-    def test_negative_rejected(self):
-        with pytest.raises(DataError):
-            squash(-0.1)
 
 
 class TestAlignedDistance:
@@ -290,7 +263,7 @@ class TestAlignedDistance:
             diff = a[:, None, :] - b[None, :, :]
             cost = np.tanh(np.linalg.norm(diff, axis=2) / 2)
             assert aligned_distance(a, b) == pytest.approx(
-                min_path_cost_oracle(cost), abs=1e-9
+                min_monotone_path_oracle(cost), abs=1e-9
             )
 
     def test_symmetric_in_arguments(self, rng):
@@ -393,7 +366,7 @@ class TestBatchedKernel:
                 a = ql[i].astype(np.float64)
                 b = gl[j].astype(np.float64)
                 cost = np.tanh(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2) / 2)
-                assert d[i, j] == pytest.approx(min_path_cost_oracle(cost), abs=1e-9)
+                assert d[i, j] == pytest.approx(min_monotone_path_oracle(cost), abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -100,10 +100,13 @@ class TestProperties:
 
 
 def test_featurize_images_alignment(rng):
-    imgs = [Image(rng.integers(0, 256, size=(8, 4, 3), dtype=np.uint8)) for _ in range(3)]
-    emb = featurize_images(imgs, FeaturizerConfig(stripes=2, bins=4))
-    assert emb.global_.shape == (3, 12)
-    assert emb.local.shape == (3, 2, 12)
-    g0, l0 = stripe_histogram(imgs[0], FeaturizerConfig(stripes=2, bins=4))
-    np.testing.assert_allclose(emb.global_[0], g0)
-    np.testing.assert_allclose(emb.local[0], l0)
+    cfg = FeaturizerConfig(stripes=2, bins=4)
+    for n in (3, 0):
+        imgs = [Image(rng.integers(0, 256, size=(8, 4, 3), dtype=np.uint8)) for _ in range(n)]
+        emb = featurize_images(imgs, cfg)
+        assert emb.global_.shape == (n, 12) and emb.global_.dtype == np.float32
+        assert emb.local.shape == (n, 2, 12) and emb.local.dtype == np.float32
+        for img, g, l in zip(imgs, emb.global_, emb.local):
+            g0, l0 = stripe_histogram(img, cfg)
+            np.testing.assert_array_equal(g, g0)
+            np.testing.assert_array_equal(l, l0)

@@ -17,32 +17,10 @@ from reidkit.gallery import (
     encode_embeddings,
     load_embeddings,
     load_index,
-    parse_record,
     save_embeddings,
     save_index,
 )
 from conftest import build_index
-
-
-class TestParseRecord:
-    def test_default_pattern(self):
-        rec = parse_record("0001_c3_017.png")
-        assert rec.person_id == 1
-        assert rec.camera_id == 3
-
-    def test_jpg(self):
-        rec = parse_record("0420_c8_000.jpg")
-        assert (rec.person_id, rec.camera_id) == (420, 8)
-
-    def test_mismatch_names_file(self):
-        with pytest.raises(DataError, match="readme.txt"):
-            parse_record("readme.txt")
-
-    def test_custom_pattern(self):
-        rec = parse_record(
-            "p7-cam2.ppm", r"^p(?P<person>\d+)-cam(?P<camera>\d+)\.\w+$"
-        )
-        assert (rec.person_id, rec.camera_id) == (7, 2)
 
 
 class TestIndexIO:

@@ -132,3 +132,26 @@ class TestFuse:
 def test_make_rgb_helper():
     img = make_rgb([[[1, 2, 3]]])
     assert (img.height, img.width, img.channels) == (1, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "make,values",
+    [
+        (Mask, [[256, 257]]),
+        (Mask, [[0.5, 1.0]]),
+        (Mask, [[np.nan, 1.0]]),
+        (Image, [[[300]]]),
+        (Image, [[[-1.7]]]),
+        (Image, [[[0.5]]]),
+        (Image, [[[np.inf]]]),
+    ],
+)
+def test_values_the_uint8_cast_would_change_are_rejected(make, values):
+    for given in (values, np.array(values)):
+        with pytest.raises(DataError):
+            make(given)
+
+
+def test_integral_values_in_uint8_range_are_stored_as_uint8():
+    assert Image(np.array([[[0.0, 255.0, 7.0]]])).pixels.tolist() == [[[0, 255, 7]]]
+    assert Mask(np.array([[True, False]])).values.dtype == np.uint8

@@ -17,17 +17,7 @@ from reidkit.metrics import (
     rank_gallery,
 )
 from conftest import build_index
-
-
-def ap_oracle(relevance):
-    """Brute-force AP: precision computed at every relevant cutoff by
-    recounting from scratch."""
-    total = sum(relevance)
-    acc = 0.0
-    for k in range(1, len(relevance) + 1):
-        if relevance[k - 1]:
-            acc += sum(relevance[:k]) / k
-    return acc / total
+from test_acceptance import ap_brute_force
 
 
 def evaluate_oracle(queries, gallery, dist, protocol):
@@ -192,7 +182,7 @@ class TestAveragePrecision:
                 if not any(bits):
                     continue
                 assert average_precision(list(bits)) == pytest.approx(
-                    ap_oracle(list(bits)), abs=1e-12
+                    ap_brute_force(list(bits)), abs=1e-12
                 )
 
 

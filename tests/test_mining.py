@@ -15,22 +15,7 @@ from reidkit.mining import (
     triplet_loss_grad,
 )
 from conftest import build_index
-
-
-def batch_hard_oracle(d, labels):
-    """Exhaustive farthest-positive / closest-negative search."""
-    out = []
-    n = len(labels)
-    for a in range(n):
-        best_p, best_pd = None, -1.0
-        best_n, best_nd = None, float("inf")
-        for j in range(n):
-            if j != a and labels[j] == labels[a] and d[a][j] > best_pd:
-                best_p, best_pd = j, d[a][j]
-            if labels[j] != labels[a] and d[a][j] < best_nd:
-                best_n, best_nd = j, d[a][j]
-        out.append((a, best_p, best_n))
-    return out
+from test_acceptance import batch_hard_oracle
 
 
 def pk_sample_reference(index, cfg):
