@@ -84,10 +84,10 @@ def _add_distance_flags(p):
 
 def _cmd_embed(args):
     cfg = featurize.FeaturizerConfig(stripes=args.stripes, bins=args.bins)
-    index = gallery.load_index(args.index)
-    images = [_read_image(os.path.join(args.images_root, rec.path)) for rec in index.records]
-    emb = featurize.featurize_images(images, cfg)
-    gallery.save_embeddings(emb, args.out)
+    paths = gallery.load_index(args.index).paths
+    # a generator: one decoded image is alive at a time
+    images = (_read_image(os.path.join(args.images_root, p)) for p in paths)
+    gallery.save_embeddings(featurize.featurize_images(images, cfg), args.out)
 
 
 def _cmd_mask(args):
@@ -133,7 +133,7 @@ def _cmd_mine(args):
     index, emb = _load_aligned(args.index, args.emb)
     batch = mining.pk_sample(index, cfg)
     feats = emb.global_[batch]
-    labels = index.person_ids()[batch]
+    labels = index.person_ids[batch]
     d = distance_mod.distance_matrix(feats, feats, distance_mod.Metric.EUCLIDEAN)
     triplets = mining.batch_hard(d.values, labels)
     loss, grad = mining.triplet_loss_grad(feats, triplets, cfg.margin)
@@ -160,12 +160,12 @@ def _cmd_ema(args):
 
 
 def _cmd_camera(args):
-    if (args.residual or args.normalize) and not args.out_emb:
-        raise ReidError("--out-emb is required with --normalize or --residual")
+    if bool(args.residual or args.normalize) != bool(args.out_emb):
+        raise ReidError("--out-emb is required with --normalize or --residual, and only with them")
     params = camera_mod.load_residual_params(args.residual) if args.residual else None
     index, feats = _load_aligned(args.index, args.emb)
-    feats, camids = feats.global_, index.camera_ids()
-    offsets = camera_mod.camera_offsets(feats, camids, index.person_ids())
+    feats, camids = feats.global_, index.camera_ids
+    offsets = camera_mod.camera_offsets(feats, camids, index.person_ids)
     if args.residual or args.normalize:
         # each step frees its input: float64 is gone before the writer's buffer
         if params is not None:
@@ -191,14 +191,12 @@ def _cmd_tsne(args):
         seed=args.seed,
     )
     index, emb = _load_aligned(args.index, args.emb)
-    keep = np.flatnonzero([args.role in ("all", r.role.value) for r in index.records])
+    keep = np.flatnonzero((index.roles == args.role) | (args.role == "all"))
     if keep.size == 0:
         raise ReidError(f"no records with role {args.role!r}")
     coords, trace = tsne.run_tsne(emb.global_[keep], params)
-    lines = ["x\ty\tperson_id\tcamera_id"]
-    for row, i in zip(coords, keep):
-        rec = index.records[i]
-        lines.append(f"{float(row[0])!r}\t{float(row[1])!r}\t{rec.person_id}\t{rec.camera_id}")
+    ids = zip(coords.tolist(), index.person_ids[keep].tolist(), index.camera_ids[keep].tolist())
+    lines = ["x\ty\tperson_id\tcamera_id"] + [f"{x!r}\t{y!r}\t{p}\t{c}" for (x, y), p, c in ids]
     _emit("\n".join(lines) + "\n", args.out)
     if args.trace:
         _emit("\n".join(repr(v) for v in trace) + "\n", args.trace)

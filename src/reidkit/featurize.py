@@ -7,6 +7,7 @@ described by concatenated per-channel histograms.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +58,11 @@ def stripe_histogram(img: Image, cfg: FeaturizerConfig = FeaturizerConfig()):
     return glob.astype(np.float32), local.astype(np.float32)
 
 
-def featurize_images(images: list[Image], cfg: FeaturizerConfig = FeaturizerConfig()) -> EmbeddingSet:
-    """Featurize a list of images into a row-aligned EmbeddingSet: (N, 3B)
-    global and (N, S, 3B) local float32 features, N = 0 included."""
-    globs = np.empty((len(images), 3 * cfg.bins), dtype=np.float32)
-    locs = np.empty((len(images), cfg.stripes, 3 * cfg.bins), dtype=np.float32)
-    for i, img in enumerate(images):
-        globs[i], locs[i] = stripe_histogram(img, cfg)
+def featurize_images(images: Iterable[Image],
+                     cfg: FeaturizerConfig = FeaturizerConfig()) -> EmbeddingSet:
+    """Featurize images, read one at a time, into a row-aligned EmbeddingSet:
+    (N, 3B) global and (N, S, 3B) local float32 features, N = 0 included."""
+    feats = [stripe_histogram(img, cfg) for img in images]
+    globs = np.array([g for g, _ in feats], np.float32).reshape(-1, 3 * cfg.bins)
+    locs = np.array([l for _, l in feats], np.float32).reshape(-1, cfg.stripes, 3 * cfg.bins)
     return EmbeddingSet(globs, locs)

@@ -33,41 +33,32 @@ class Role(str, Enum):
     GALLERY = "gallery"
     TRAIN = "train"
 
+    def __str__(self):  # numpy reads a str subclass through str()
+        return self.value
 
-@dataclass(frozen=True)
-class GalleryRecord:
-    person_id: int
-    camera_id: int
-    path: str
-    role: Role
+
+_ROLE_VALUES = frozenset(r.value for r in Role)
+
+
+@dataclass(frozen=True, eq=False)
+class GalleryIndex:
+    """Row-aligned columns of an index; row order is the canonical row order
+    of any aligned EmbeddingSet. load_index checks every row; an index built
+    in code has its columns coerced, not checked."""
+
+    person_ids: np.ndarray
+    camera_ids: np.ndarray
+    roles: np.ndarray
+    paths: tuple[str, ...]
 
     def __post_init__(self):
-        if self.person_id < 0 or self.camera_id < 0:
-            raise DataError("person_id and camera_id must be non-negative")
-        if max(self.person_id, self.camera_id) >= 2**63:
-            raise DataError("person_id and camera_id must be below 2^63 (int64)")
-        if not self.path:
-            raise DataError("path must be non-empty")
-
-
-@dataclass(frozen=True)
-class GalleryIndex:
-    """Ordered list of records; record order is the canonical row order of
-    any aligned EmbeddingSet."""
-
-    records: tuple[GalleryRecord, ...]
+        object.__setattr__(self, "person_ids", np.asarray(self.person_ids, dtype=np.int64))
+        object.__setattr__(self, "camera_ids", np.asarray(self.camera_ids, dtype=np.int64))
+        object.__setattr__(self, "roles", np.asarray(self.roles, dtype=str))
+        object.__setattr__(self, "paths", tuple(self.paths))
 
     def __len__(self):
-        return len(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def person_ids(self) -> np.ndarray:
-        return np.array([r.person_id for r in self.records], dtype=np.int64)
-
-    def camera_ids(self) -> np.ndarray:
-        return np.array([r.camera_id for r in self.records], dtype=np.int64)
+        return len(self.paths)
 
 
 @dataclass(frozen=True)
@@ -132,44 +123,64 @@ def load_index(metadata_file) -> GalleryIndex:
             f"{metadata_file}: bad header {rows[0]!r}, "
             f"expected {','.join(METADATA_HEADER)}"
         )
-    records = []
+    entries = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 5:
             raise FormatError(f"{metadata_file}:{lineno}: expected 5 fields, got {len(row)}")
-        idx_s, pid_s, cam_s, role_s, path = [c.strip() for c in row]
+        idx_s, pid_s, cam_s, role_s, path = map(str.strip, row)
         ids = idx_s + pid_s + cam_s
         try:
             # int() would also read "+3", "1_000" and non-ASCII digits
             if "+" in ids or "_" in ids or not ids.isascii():
                 raise ValueError
-            idx, pid, cam = int(idx_s, 10), int(pid_s, 10), int(cam_s, 10)
+            idx, pid, cam = int(idx_s), int(pid_s), int(cam_s)
         except ValueError:
             raise FormatError(
                 f"{metadata_file}:{lineno}: index, person_id and camera_id must be "
                 f"decimal integers, got {idx_s!r}, {pid_s!r}, {cam_s!r}"
             ) from None
-        if idx != len(records):
-            raise FormatError(
-                f"{metadata_file}:{lineno}: index {idx} out of order, "
-                f"expected {len(records)}"
-            )
-        try:
-            records.append(GalleryRecord(pid, cam, path, Role(role_s)))
-        except ValueError:
-            raise FormatError(f"{metadata_file}:{lineno}: unknown role {role_s!r}") from None
-        except DataError as e:
-            raise FormatError(f"{metadata_file}:{lineno}: {e}") from None
-    return GalleryIndex(tuple(records))
+        if idx != len(entries):
+            fault = f"index {idx} out of order, expected {len(entries)}"
+        elif role_s not in _ROLE_VALUES:
+            fault = f"unknown role {role_s!r}"
+        # range checks on the Python ints: np.asarray of 2^63 or more goes through float64
+        elif pid < 0 or cam < 0:
+            fault = "person_id and camera_id must be non-negative"
+        elif pid >= 2**63 or cam >= 2**63:
+            fault = "person_id and camera_id must be below 2^63 (int64)"
+        elif not path:
+            fault = "path must be non-empty"
+        else:
+            entries.append((pid, cam, role_s, path))
+            continue
+        raise FormatError(f"{metadata_file}:{lineno}: {fault}")
+    return GalleryIndex(*zip(*entries)) if entries else GalleryIndex((), (), (), ())
 
 
 def save_index(index: GalleryIndex, metadata_file) -> None:
     with open(metadata_file, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METADATA_HEADER)
-        for i, r in enumerate(index.records):
-            writer.writerow([i, r.person_id, r.camera_id, r.role.value, r.path])
+        ids = index.person_ids.tolist(), index.camera_ids.tolist()
+        writer.writerows(zip(range(len(index)), *ids, index.roles.tolist(), index.paths))
+
+
+def _payload_views(buf, n: int, d: int, s: int, dl: int):
+    """(main, local) float32 views of a container's payload; no local if S or Dl is 0."""
+    main = np.frombuffer(buf, "<f4", n * d, _HEADER.size).reshape(n, d)
+    local = np.frombuffer(buf, "<f4", n * s * dl, _HEADER.size + 4 * n * d).reshape(n, s, dl)
+    return main, local if s and dl else None
+
+
+def _check_finite(main: np.ndarray, local: Optional[np.ndarray]) -> None:
+    """Reject a non-finite payload value, naming its cell: two reductions per
+    array (NaN propagates through both), and a mask only on failure."""
+    for arr, what in ((main, "value"), (local, "local value")):
+        if arr is not None and arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+            cell = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+            raise DataError(f"non-finite {what} at {cell}")
 
 
 def _encode_container(magic: bytes, main: np.ndarray, local: Optional[np.ndarray]) -> bytearray:
@@ -180,22 +191,18 @@ def _encode_container(magic: bytes, main: np.ndarray, local: Optional[np.ndarray
     s, dl = (0, 0) if local is None else local.shape[1:]
     buf = bytearray(_HEADER.size + 4 * (n * d + n * s * dl))
     _HEADER.pack_into(buf, 0, magic, CONTAINER_VERSION, n, d, s, dl)
-    off = _HEADER.size
-    for arr, what in ((main, "value"), (local, "local value")):
-        if arr is None:
-            continue
-        view = np.frombuffer(buf, "<f4", arr.size, off).reshape(arr.shape)
-        view[...] = arr
-        # two reductions (NaN propagates through both); a mask only on failure
-        if view.size and not np.isfinite([view.min(), view.max()]).all():
-            cell = tuple(int(i) for i in np.argwhere(~np.isfinite(view))[0])
-            raise DataError(f"non-finite {what} at {cell}")
-        off += 4 * arr.size
+    views = _payload_views(buf, n, d, s, dl)
+    with np.errstate(over="ignore"):  # the check below names an overflow to inf
+        for view, arr in zip(views, (main, local)):
+            if view is not None:
+                view[...] = arr
+    _check_finite(*views)
     return buf
 
 
 def _decode_container(data: bytes, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(main, local) payload arrays of a container, as float32 views of data."""
+    """(main, local) payload arrays of a container, as float32 views of data,
+    checked finite as the writer checks them."""
     if len(data) < _HEADER.size:
         raise TruncationError(
             f"header truncated: expected at least {_HEADER.size} bytes, got {len(data)}"
@@ -210,13 +217,9 @@ def _decode_container(data: bytes, magic: bytes) -> tuple[np.ndarray, Optional[n
         raise TruncationError(
             f"payload length mismatch: expected {expected} bytes, got {len(data)}"
         )
-    off = _HEADER.size
-    main = np.frombuffer(data, dtype="<f4", count=n * d, offset=off).reshape(n, d)
-    local = None
-    if s and dl:
-        off += 4 * n * d
-        local = np.frombuffer(data, dtype="<f4", count=n * s * dl, offset=off).reshape(n, s, dl)
-    return main, local
+    views = _payload_views(data, n, d, s, dl)
+    _check_finite(*views)
+    return views
 
 
 def encode_embeddings(emb: EmbeddingSet) -> bytearray:

@@ -123,17 +123,15 @@ def evaluate(
     nq, ng = len(queries), len(gallery)
     if dist.shape != (nq, ng):
         raise DataError(f"distance shape {dist.shape} != ({nq}, {ng})")
-    g_cams = gallery.camera_ids()
-    rows_of = {p: rows for (p,), rows in _groups(gallery.person_ids())}
+    rows_of = {p: rows for (p,), rows in _groups(gallery.person_ids)}
     no_rows = np.empty(0, np.intp)
     per_query_ap = []
     first_hits = []
-    for qi, q in enumerate(queries.records):
-        row = dist.values[qi]
-        relevant = rows_of.get(q.person_id, no_rows)
+    for row, q_pid, q_cam in zip(dist.values, queries.person_ids, queries.camera_ids):
+        relevant = rows_of.get(q_pid, no_rows)
         n_valid = ng
         if protocol.cross_camera_filter:
-            is_junk = g_cams[relevant] == q.camera_id
+            is_junk = gallery.camera_ids[relevant] == q_cam
             junk, relevant = relevant[is_junk], relevant[~is_junk]
             if junk.size:
                 n_valid -= junk.size

@@ -42,9 +42,9 @@ def pk_sample(index: GalleryIndex, cfg: MiningConfig) -> np.ndarray:
     replacement, falling back to with-replacement when an identity has
     fewer than K images. Deterministic given the seed.
     """
-    train = np.flatnonzero([r.role == Role.TRAIN for r in index.records])
+    train = np.flatnonzero(index.roles == Role.TRAIN)
     # each identity's train rows, in ascending person id order
-    groups = [train[rows] for _, rows in _groups(index.person_ids()[train])]
+    groups = [train[rows] for _, rows in _groups(index.person_ids[train])]
     if len(groups) < cfg.p:
         raise DataError(f"need {cfg.p} distinct person ids, found {len(groups)}")
     rng = np.random.default_rng(cfg.seed)

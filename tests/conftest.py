@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reidkit.gallery import GalleryIndex, GalleryRecord, Role
+from reidkit.gallery import GalleryIndex, Role
 from reidkit.imaging import Image
 
 
@@ -18,12 +18,9 @@ def flat_color(h, w, rgb) -> Image:
 
 def build_index(entries) -> GalleryIndex:
     """entries: list of (pid, cam, role) tuples; paths are synthesized."""
-    records = []
-    for i, (pid, cam, role) in enumerate(entries):
-        records.append(
-            GalleryRecord(pid, cam, f"{pid:04d}_c{cam}_{i:03d}.ppm", Role(role))
-        )
-    return GalleryIndex(tuple(records))
+    pids, cams, roles = zip(*entries) if entries else ((), (), ())
+    paths = [f"{pid:04d}_c{cam}_{i:03d}.ppm" for i, (pid, cam, _) in enumerate(entries)]
+    return GalleryIndex(pids, cams, [Role(r) for r in roles], paths)
 
 
 @pytest.fixture

@@ -401,7 +401,7 @@ class TestCameraCommand:
         gallery.save_embeddings(gallery.EmbeddingSet(feats), tmp_path / "e.remb")
         write_index(tmp_path / "meta.csv", n)
         index = gallery.load_index(tmp_path / "meta.csv")
-        cams, pids = index.camera_ids(), index.person_ids()
+        cams, pids = index.camera_ids, index.person_ids
         params = camera.CameraResidualParams(
             {c: 0.1 * rng.standard_normal((dim, dim)) for c in (0, 1)},
             {c: rng.standard_normal(dim) for c in (0, 1)},
@@ -510,6 +510,8 @@ def test_eval_row_mismatch_exit_2_before_any_distance(tmp_path, monkeypatch, cap
     "argv,message",
     [
         (["mine", "--seed", "-1"], "seed must be >= 0"),
+        (["mine", "--p", "1"], "need P >= 2 and K >= 2 for valid triplets"),
+        (["mine", "--margin", "nan"], "margin must be finite and >= 0"),
         (["tsne", "--seed", "-3"], "seed must be >= 0"),
         (["tsne", "--perplexity", "nan"], "perplexity must be finite and exceed 1"),
         (["tsne", "--perplexity", "inf"], "perplexity must be finite and exceed 1"),
@@ -537,15 +539,73 @@ def test_camera_without_out_emb_exit_2_before_offsets(tmp_path, monkeypatch, cap
     assert_one_line_error(capsys)
 
 
+def test_camera_out_emb_without_transform_exit_2_before_offsets(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((4, 2), np.float32)), tmp_path / "e.remb")
+    write_index(tmp_path / "meta.csv", 4)
+    monkeypatch.setattr(camera, "camera_offsets", fail_if_called)
+    assert run_cli(["camera", "--index", "meta.csv", "--emb", "e.remb", "--out-emb", "o.remb"]) == 2
+    assert_one_line_error(capsys)
+    assert not (tmp_path / "o.remb").exists()
+
+
+def write_raw_remb(path, main, local=None):
+    """A .remb written past the encoder's finite check."""
+    n, d = main.shape
+    s, dl = (0, 0) if local is None else local.shape[1:]
+    parts = [struct.pack("<4s5I", b"REMB", 1, n, d, s, dl), main.astype("<f4").tobytes()]
+    if local is not None:
+        parts.append(local.astype("<f4").tobytes())
+    path.write_bytes(b"".join(parts))
+
+
+INDEX_COMMANDS = [
+    ["mine", "--p", "2", "--k", "2"],
+    ["tsne", "--perplexity", "2", "--iterations", "5"],
+    ["camera"],
+]
+
+
 @pytest.mark.parametrize(
-    "command",
-    [
-        ["mine", "--p", "2", "--k", "2"],
-        ["tsne", "--perplexity", "2", "--iterations", "5"],
-        ["camera"],
-    ],
-    ids=lambda c: c[0],
+    "bad,message",
+    [(np.nan, "non-finite value at (5, 2)"), (-np.inf, "non-finite value at (5, 2)"),
+     ("local", "non-finite local value at (1, 0, 2)")],
+    ids=["nan", "minus_inf", "local_nan"],
 )
+@pytest.mark.parametrize("command", [["dist"], *INDEX_COMMANDS], ids=lambda c: c[0])
+def test_non_finite_features_exit_2_names_cell(tmp_path, capsys, command, bad, message):
+    rng = np.random.default_rng(0)
+    main = rng.standard_normal((8, 3)).astype(np.float32)
+    local = rng.standard_normal((8, 2, 3)).astype(np.float32)
+    if bad == "local":
+        local[1, 0, 2] = np.nan
+    else:
+        main[5, 2] = bad
+    write_raw_remb(tmp_path / "e.remb", main, local)
+    write_index(tmp_path / "meta.csv", 8, role="train")
+    out = tmp_path / "out"
+    if command == ["dist"]:
+        argv = ["dist", "--emb-q", str(tmp_path / "e.remb"), "--emb-g", str(tmp_path / "e.remb")]
+    else:
+        argv = [*command, "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb")]
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_dist_float32_overflow_exit_2_with_one_line(tmp_path, capsys):
+    # finite features whose distance 6e38 is finite in float64 but not in
+    # the float32 .rdmx; the error alone names the cell, with no warning
+    emb = gallery.EmbeddingSet(np.array([[3e38], [-3e38]], np.float32))
+    gallery.save_embeddings(emb, tmp_path / "e.remb")
+    out = tmp_path / "d.rdmx"
+    argv = ["dist", "--emb-q", str(tmp_path / "e.remb"), "--emb-g", str(tmp_path / "e.remb"),
+            "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "error: non-finite value at (0, 1)\n"
+
+
+@pytest.mark.parametrize("command", INDEX_COMMANDS, ids=lambda c: c[0])
 @pytest.mark.parametrize("index_rows,emb_rows", [(40, 10), (10, 40)])
 def test_index_embedding_row_mismatch_exit_2(tmp_path, capsys, command, index_rows, emb_rows):
     rng = np.random.default_rng(0)
@@ -616,6 +676,65 @@ def test_invalid_index_row_exit_2_names_line(tmp_path, monkeypatch, capsys, text
     gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((2, 2), np.float32)), tmp_path / "e.remb")
     assert run_cli(["mine", "--index", "neg.csv", "--emb", "e.remb"]) == 2
     assert capsys.readouterr().err == f"error: neg.csv{message}\n"
+
+
+def test_embed_zero_stripes_exit_2_before_loading(monkeypatch, capsys):
+    monkeypatch.setattr(gallery, "load_index", fail_if_called)
+    assert run_cli(["embed", "--index", "meta.csv", "--stripes", "0", "--out", "e.remb"]) == 2
+    assert capsys.readouterr().err == "error: stripe count must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "image,message",
+    [
+        (imaging.encode_image(imaging.Image(np.zeros((16, 8, 1), np.uint8))),
+         "featurizer requires a 3-channel image"),
+        (b"P6\n0 16\n255\n", "image dimensions must be positive"),
+    ],
+    ids=["gray_pgm", "zero_width_ppm"],
+)
+def test_embed_bad_image_exit_2(tmp_path, capsys, image, message):
+    write_ppm(tmp_path / "x0.ppm", np.zeros((16, 8, 3)))
+    (tmp_path / "x1.ppm").write_bytes(image)
+    write_index(tmp_path / "meta.csv", 2)
+    out = tmp_path / "e.remb"
+    argv = ["embed", "--index", str(tmp_path / "meta.csv"), "--images-root", str(tmp_path),
+            "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_embed_holds_one_decoded_image_at_a_time(tmp_path):
+    # 200 images of 128 x 64, 4.7 MiB of decoded pixels: decoding the whole
+    # index before featurizing any image peaked above that total
+    n, h, w = 200, 128, 64
+    rng = np.random.default_rng(0)
+    with open(tmp_path / "meta.csv", "w") as fh:
+        fh.write("index,person_id,camera_id,role,path\n")
+        for i in range(n):
+            write_ppm(tmp_path / f"x{i}.ppm", rng.integers(0, 256, (h, w, 3)))
+            fh.write(f"{i},{i},0,gallery,x{i}.ppm\n")
+    argv = ["embed", "--index", str(tmp_path / "meta.csv"), "--images-root", str(tmp_path),
+            "--out", str(tmp_path / "e.remb")]
+    tracemalloc.start()
+    try:
+        rc = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < n * h * w * 3 / 3
+
+
+def test_mask_from_color_image_exit_2(tmp_path, capsys):
+    for sub_dir in ("images", "masks"):
+        (tmp_path / sub_dir).mkdir()
+        write_ppm(tmp_path / sub_dir / "a.ppm", np.zeros((16, 8, 3)))
+    (tmp_path / "masks" / "a.ppm").rename(tmp_path / "masks" / "a.pgm")
+    assert run_cli(["mask", "--images", str(tmp_path / "images"), "--masks", str(tmp_path / "masks"),
+                    "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: mask source must be a 1-channel image\n"
 
 
 def test_mask_without_ppm_images_exit_2(tmp_path, capsys):
@@ -736,6 +855,19 @@ class TestTsneCommand:
                 "--role", "query", "--out", str(out)]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == "error: no records with role 'query'\n"
+        assert not out.exists()
+
+    def test_role_with_fewer_than_4_rows_exit_2(self, tmp_path, capsys):
+        gallery.save_embeddings(gallery.EmbeddingSet(np.eye(6, dtype=np.float32)), tmp_path / "e.remb")
+        with open(tmp_path / "meta.csv", "w") as fh:
+            fh.write("index,person_id,camera_id,role,path\n")
+            for i in range(6):
+                fh.write(f"{i},{i},0,{'query' if i < 3 else 'gallery'},x{i}.ppm\n")
+        out = tmp_path / "coords.tsv"
+        argv = ["tsne", "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb"),
+                "--role", "query", "--out", str(out)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "error: need at least 4 points\n"
         assert not out.exists()
 
     def test_diverging_descent_exit_2_without_output(self, tmp_path, rng, capsys):

@@ -110,3 +110,14 @@ def test_featurize_images_alignment(rng):
             g0, l0 = stripe_histogram(img, cfg)
             np.testing.assert_array_equal(g, g0)
             np.testing.assert_array_equal(l, l0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_featurize_images_of_an_iterator_match_the_list(rng, n):
+    cfg = FeaturizerConfig(stripes=3, bins=4)
+    imgs = [Image(rng.integers(0, 256, size=(9, 4, 3), dtype=np.uint8)) for _ in range(n)]
+    from_list = featurize_images(imgs, cfg)
+    from_iter = featurize_images(iter(imgs), cfg)
+    assert from_iter.global_.tobytes() == from_list.global_.tobytes()
+    assert from_iter.local.tobytes() == from_list.local.tobytes()
+    assert from_iter.local.shape == (n, 3, 12)

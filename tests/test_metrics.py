@@ -23,15 +23,15 @@ from test_acceptance import ap_brute_force
 def evaluate_oracle(queries, gallery, dist, protocol):
     """Reference protocol: a full stable ranking of every query row, then
     average_precision and the first hit read off the ranked relevance."""
-    g_pids, g_cams = gallery.person_ids(), gallery.camera_ids()
+    g_pids, g_cams = gallery.person_ids, gallery.camera_ids
     aps, first_hits = [], []
-    for qi, q in enumerate(queries.records):
+    for qi, (q_pid, q_cam) in enumerate(zip(queries.person_ids, queries.camera_ids)):
         valid = np.ones(len(gallery), dtype=bool)
         if protocol.cross_camera_filter:
-            valid = ~((g_pids == q.person_id) & (g_cams == q.camera_id))
-        if not (valid & (g_pids == q.person_id)).any():
+            valid = ~((g_pids == q_pid) & (g_cams == q_cam))
+        if not (valid & (g_pids == q_pid)).any():
             continue
-        rel_ranked = g_pids[rank_gallery(dist.values[qi], valid)] == q.person_id
+        rel_ranked = g_pids[rank_gallery(dist.values[qi], valid)] == q_pid
         aps.append(average_precision(rel_ranked))
         first_hits.append(int(np.argmax(rel_ranked)) + 1)
     if not aps:
@@ -290,7 +290,7 @@ class TestProperties:
         queries, gallery, d = self._random_setup(rng)
         perm = rng.permutation(len(gallery))
         permuted = build_index(
-            [(gallery[i].person_id, gallery[i].camera_id, "gallery") for i in perm]
+            [(gallery.person_ids[i], gallery.camera_ids[i], "gallery") for i in perm]
         )
         r1 = evaluate(queries, gallery, DistanceMatrix(d))
         r2 = evaluate(queries, permuted, DistanceMatrix(d[:, perm]))

@@ -21,9 +21,9 @@ from test_acceptance import batch_hard_oracle
 def pk_sample_reference(index, cfg):
     """The per-row defaultdict grouping that pk_sample replaced."""
     by_pid = defaultdict(list)
-    for i, r in enumerate(index.records):
-        if r.role == Role.TRAIN:
-            by_pid[r.person_id].append(i)
+    for i, (pid, role) in enumerate(zip(index.person_ids.tolist(), index.roles)):
+        if role == Role.TRAIN:
+            by_pid[pid].append(i)
     pids = sorted(by_pid)
     if len(pids) < cfg.p:
         raise DataError(f"need {cfg.p} distinct person ids, found {len(pids)}")
@@ -83,7 +83,7 @@ class TestPkSample:
         cfg = MiningConfig(p=2, k=2, seed=7)
         batch = pk_sample(index, cfg)
         assert len(batch) == 4
-        pids = [index[i].person_id for i in batch]
+        pids = index.person_ids[batch].tolist()
         assert len(set(pids)) == 2
         for pid in set(pids):
             assert pids.count(pid) == 2
@@ -92,7 +92,7 @@ class TestPkSample:
         index = self._index({1: 1, 2: 3})
         # force both ids into the batch
         batch = pk_sample(index, MiningConfig(p=2, k=2, seed=0))
-        pids = [index[i].person_id for i in batch]
+        pids = index.person_ids[batch].tolist()
         assert pids.count(1) == 2  # sole image of id 1 repeated
 
     def test_deterministic_given_seed(self):
@@ -109,7 +109,7 @@ class TestPkSample:
         entries = [(1, 1, "train")] * 3 + [(2, 1, "train")] * 3 + [(3, 1, "gallery")] * 3
         index = build_index(entries)
         batch = pk_sample(index, MiningConfig(p=2, k=2, seed=1))
-        assert all(index[i].role.value == "train" for i in batch)
+        assert all(index.roles[i] == "train" for i in batch)
 
 
 class TestBatchHard:
