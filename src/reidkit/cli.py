@@ -14,9 +14,10 @@ import sys
 
 import numpy as np
 
-from . import camera as camera_mod
-from . import ensemble, featurize, gallery, imaging, metrics, mining, tsne
+# only what build_parser needs: each _cmd_* imports the modules it calls, so a
+# stage pays for its own imports alone
 from . import distance as distance_mod
+from . import gallery
 from .errors import DataError, ReidError
 
 
@@ -42,7 +43,9 @@ def _json_report(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _read_image(path) -> imaging.Image:
+def _read_image(path):
+    from . import imaging
+
     with open(path, "rb") as fh:
         return imaging.decode_image(fh.read())
 
@@ -83,6 +86,8 @@ def _add_distance_flags(p):
 
 
 def _cmd_embed(args):
+    from . import featurize
+
     cfg = featurize.FeaturizerConfig(stripes=args.stripes, bins=args.bins)
     paths = gallery.load_index(args.index).paths
     # a generator: one decoded image is alive at a time
@@ -91,6 +96,8 @@ def _cmd_embed(args):
 
 
 def _cmd_mask(args):
+    from . import imaging
+
     os.makedirs(args.out, exist_ok=True)
     names = sorted(n for n in os.listdir(args.images) if n.endswith(".ppm"))
     if not names:
@@ -113,6 +120,8 @@ def _cmd_dist(args):
 
 
 def _cmd_eval(args):
+    from . import metrics
+
     protocol = metrics.EvalProtocol(
         cross_camera_filter=not args.no_cross_camera_filter,
         max_rank=args.max_rank,
@@ -129,6 +138,8 @@ def _cmd_eval(args):
 
 
 def _cmd_mine(args):
+    from . import mining
+
     cfg = mining.MiningConfig(p=args.p, k=args.k, margin=args.margin, seed=args.seed)
     index, emb = _load_aligned(args.index, args.emb)
     batch = mining.pk_sample(index, cfg)
@@ -148,6 +159,8 @@ def _cmd_mine(args):
 
 
 def _cmd_ema(args):
+    from . import ensemble
+
     if not args.init and not args.state:
         raise ReidError("--state is required unless --init is given")
     student = ensemble.load_named_tensors(args.student)
@@ -160,18 +173,20 @@ def _cmd_ema(args):
 
 
 def _cmd_camera(args):
+    from . import camera
+
     if bool(args.residual or args.normalize) != bool(args.out_emb):
         raise ReidError("--out-emb is required with --normalize or --residual, and only with them")
-    params = camera_mod.load_residual_params(args.residual) if args.residual else None
+    params = camera.load_residual_params(args.residual) if args.residual else None
     index, feats = _load_aligned(args.index, args.emb)
     feats, camids = feats.global_, index.camera_ids
-    offsets = camera_mod.camera_offsets(feats, camids, index.person_ids)
+    offsets = camera.camera_offsets(feats, camids, index.person_ids)
     if args.residual or args.normalize:
         # each step frees its input: float64 is gone before the writer's buffer
         if params is not None:
-            feats = camera_mod.apply_camera_residual(feats, params, camids)
+            feats = camera.apply_camera_residual(feats, params, camids)
         else:
-            feats = camera_mod.camera_normalize(feats, offsets, camids)
+            feats = camera.camera_normalize(feats, offsets, camids)
         feats = gallery.EmbeddingSet(feats)
         gallery.save_embeddings(feats, args.out_emb)
     doc = offsets.to_dict()
@@ -184,6 +199,8 @@ def _cmd_camera(args):
 
 
 def _cmd_tsne(args):
+    from . import tsne
+
     params = tsne.TsneParams(
         perplexity=args.perplexity,
         iterations=args.iterations,

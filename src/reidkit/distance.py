@@ -230,13 +230,6 @@ def _min_path_costs(c: np.ndarray) -> np.ndarray:
     return d[-1]
 
 
-def min_path_cost(cost: np.ndarray) -> float:
-    """Minimum total cost over monotone (right/down) paths from the top-left
-    to the bottom-right cell of a cost grid, endpoints included."""
-    cost = np.asarray(cost, dtype=np.float64)
-    return float(_min_path_costs(cost[:, :, None])[0])
-
-
 def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
     """(nq, ng) local distances between the stripe stacks (nq, S1, Dl) and
     (ng, S2, Dl), in float64. DP-aligned tiles hold at most _TILE_CELLS grid

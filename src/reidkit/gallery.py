@@ -186,9 +186,13 @@ def _check_finite(main: np.ndarray, local: Optional[np.ndarray]) -> None:
 def _encode_container(magic: bytes, main: np.ndarray, local: Optional[np.ndarray]) -> bytearray:
     """Header and float32 payload in one buffer: each array is cast straight
     into its place, so the payload is copied once. Non-finite values are
-    rejected as float32, so a float64 value that overflows float32 is too."""
+    rejected as float32, so a float64 value that overflows float32 is too,
+    and a size the u32 header cannot hold is rejected before the buffer."""
     n, d = main.shape
     s, dl = (0, 0) if local is None else local.shape[1:]
+    for name, size in (("N", n), ("D", d), ("S", s), ("Dl", dl)):
+        if size >= 2**32:
+            raise DataError(f"{name} = {size} does not fit the container header's u32 field")
     buf = bytearray(_HEADER.size + 4 * (n * d + n * s * dl))
     _HEADER.pack_into(buf, 0, magic, CONTAINER_VERSION, n, d, s, dl)
     views = _payload_views(buf, n, d, s, dl)
@@ -240,11 +244,14 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Read an embedding set. The file is read into one buffer, sized by
-    fstat, and the arrays are views of it, so the payload is copied once."""
+    """Read an embedding set. The file is read into one uninitialised buffer,
+    sized by fstat, and the arrays are views of it, so the payload is copied
+    once and never zero-filled first."""
     with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
-        del buf[fh.readinto(buf) :]
-        buf += fh.read()  # whatever the file gained since fstat
+        buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+        buf = buf[: fh.readinto(buf)]
+        tail = fh.read()  # whatever the file gained since fstat (a FIFO reports 0)
+    if tail:
+        buf = np.concatenate((buf, np.frombuffer(tail, np.uint8)))
     main, local = _decode_container(buf, EMBEDDING_MAGIC)
     return EmbeddingSet(main, local)

@@ -54,28 +54,6 @@ class EvalReport:
         }
 
 
-def rank_gallery(row: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Indices of valid gallery items sorted by ascending distance,
-    ties broken by ascending gallery index (stable sort)."""
-    row = np.asarray(row, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
-    if not np.isfinite(row[valid]).all():
-        raise DataError("distances must be finite")
-    idx = np.flatnonzero(valid)
-    return idx[np.argsort(row[idx], kind="stable")]
-
-
-def average_precision(ranked_relevance) -> float:
-    """AP = (1/R) * sum over relevant ranks k of (relevant in top k)/k."""
-    rel = np.asarray(ranked_relevance, dtype=bool)
-    total = int(rel.sum())
-    if total == 0:
-        raise DataError("average_precision needs at least one relevant item")
-    hits = np.cumsum(rel)
-    ranks = np.arange(1, len(rel) + 1)
-    return float(np.sum(hits[rel] / ranks[rel]) / total)
-
-
 def cmc_curve(first_hit_ranks, max_rank: int) -> np.ndarray:
     """cmc[r] = fraction of queries whose first correct match is at
     rank <= r+1; non-decreasing by construction."""
@@ -89,9 +67,10 @@ def cmc_curve(first_hit_ranks, max_rank: int) -> np.ndarray:
 
 
 def _relevant_ranks(row: np.ndarray, relevant: np.ndarray, n_valid: int) -> np.ndarray:
-    """Ascending 1-based ranks of the relevant items in the ranking that
-    rank_gallery would give, without sorting indices. ``row`` holds +inf
-    at filtered-out items, so they sort after every valid one.
+    """Ascending 1-based ranks of the relevant items among the valid ones,
+    ranked by ascending distance with ties broken by ascending gallery
+    index, without sorting indices. ``row`` holds +inf at filtered-out
+    items, so they sort after every valid one.
 
     rank(j) = 1 + #{valid i: d_i < d_j} + #{valid i < j: d_i == d_j}
     """
@@ -116,9 +95,10 @@ def evaluate(
 ) -> EvalReport:
     """Full retrieval protocol over a query/gallery pair.
 
-    Only the ranks of each query's relevant items are computed; AP and the
-    first hit follow from them exactly as average_precision and
-    rank_gallery would give them.
+    Per query, the valid gallery items are ranked by ascending distance,
+    ties broken by ascending gallery index. Only the ranks r_1 < ... < r_R
+    of the R relevant items are computed: AP = (1/R) * sum over k of k/r_k
+    (precision at each relevant rank), and the first hit is r_1.
     """
     nq, ng = len(queries), len(gallery)
     if dist.shape != (nq, ng):

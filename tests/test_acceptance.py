@@ -15,7 +15,8 @@ from reidkit.cli import run_cli
 from reidkit.distance import DistanceMatrix, aligned_distance, distance_matrix
 from reidkit.ensemble import EmaState, consistency_loss_grad, ema_update
 from reidkit.camera import camera_normalize, camera_offsets
-from reidkit.metrics import EvalProtocol, average_precision, evaluate
+from reidkit.errors import DataError
+from reidkit.metrics import EvalProtocol, evaluate
 from reidkit.mining import Triplet, batch_hard, triplet_loss_grad
 from reidkit.tsne import TsneParams, kl_and_gradient, perplexity_affinities, run_tsne
 from conftest import build_index
@@ -54,6 +55,37 @@ def ap_brute_force(relevance):
     return acc / total
 
 
+def rank_gallery(row, valid):
+    """Indices of valid gallery items sorted by ascending distance,
+    ties broken by ascending gallery index (stable sort)."""
+    row = np.asarray(row, dtype=np.float64)
+    valid = np.asarray(valid, dtype=bool)
+    if not np.isfinite(row[valid]).all():
+        raise DataError("distances must be finite")
+    idx = np.flatnonzero(valid)
+    return idx[np.argsort(row[idx], kind="stable")]
+
+
+def average_precision(ranked_relevance):
+    """AP = (1/R) * sum over relevant ranks k of (relevant in top k)/k."""
+    rel = np.asarray(ranked_relevance, dtype=bool)
+    total = int(rel.sum())
+    if total == 0:
+        raise DataError("average_precision needs at least one relevant item")
+    hits = np.cumsum(rel)
+    ranks = np.arange(1, len(rel) + 1)
+    return float(np.sum(hits[rel] / ranks[rel]) / total)
+
+
+def evaluate_ap(relevance):
+    """The AP evaluate reports for one query whose gallery, in ascending
+    distance order, has the given relevance."""
+    queries = build_index([(0, 0, "query")])
+    gal = build_index([(0 if r else 1, 1, "gallery") for r in relevance])
+    d = DistanceMatrix(np.arange(len(relevance), dtype=np.float64)[None, :])
+    return evaluate(queries, gal, d).per_query_ap[0]
+
+
 @criterion(1, "ap-oracle-equivalence", budget_s=1.0)
 def test_ap_oracle_equivalence():
     for n in range(1, 8):
@@ -61,6 +93,7 @@ def test_ap_oracle_equivalence():
             if not any(bits):
                 continue
             assert abs(average_precision(list(bits)) - ap_brute_force(list(bits))) <= 1e-12
+            assert abs(evaluate_ap(bits) - ap_brute_force(list(bits))) <= 1e-12
 
 
 # ---------------------------------------------------------------- criterion 2

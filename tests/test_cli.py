@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -745,6 +748,15 @@ def test_mask_without_ppm_images_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: no .ppm images in {tmp_path / 'images'}\n"
 
 
+@pytest.mark.parametrize("stripes", ["4294967296", "8589934592"])
+def test_embed_stripes_beyond_u32_header_exit_2(tmp_path, capsys, stripes):
+    write_index(tmp_path / "empty.csv", 0)
+    out = tmp_path / "e.remb"
+    assert run_cli(["embed", "--index", str(tmp_path / "empty.csv"), "--stripes", stripes,
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: S = {stripes} does not fit the container header's u32 field\n"
+
+
 @pytest.mark.parametrize("local_mode", ["dp_aligned", "one_to_one"])
 def test_embed_header_only_index_then_dist(tmp_path, local_mode):
     write_index(tmp_path / "empty.csv", 0)
@@ -1004,3 +1016,32 @@ def test_camera_normalize_peak_is_under_four_feature_copies(tmp_path, cameras):
         tracemalloc.stop()
     assert rc == 0
     assert peak < 3.6 * 4 * n * dim
+
+
+_IMPORTED_MODULES = """
+import sys
+from reidkit.cli import run_cli
+assert run_cli(sys.argv[1:]) == 0
+print(" ".join(sorted(m for m in sys.modules if m.startswith("reidkit."))))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, called, absent",
+    [("dist", "distance", ["camera", "ensemble", "featurize", "imaging", "metrics", "mining", "tsne"]),
+     ("ema", "ensemble", ["camera", "featurize", "imaging", "metrics", "mining", "tsne"])],
+)
+def test_stage_imports_only_the_modules_it_calls(tmp_path, command, called, absent):
+    # a fresh process: this one has imported every module already
+    if command == "dist":
+        argv = write_retrieval_inputs(tmp_path)["dist"]
+    else:
+        save_ema_state(EmaState({"w": np.ones((2, 2))}, alpha=0.5), tmp_path / "s")
+        argv = ["ema", "--init", "--student", str(tmp_path / "s"), "--out", str(tmp_path / "o")]
+    src = os.path.dirname(os.path.dirname(gallery.__file__))
+    res = subprocess.run([sys.executable, "-c", _IMPORTED_MODULES, *argv], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert res.returncode == 0, res.stderr
+    imported = set(res.stdout.split())
+    assert f"reidkit.{called}" in imported
+    assert imported.isdisjoint(f"reidkit.{m}" for m in absent)

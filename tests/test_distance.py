@@ -20,7 +20,6 @@ from reidkit.distance import (
     distance_matrix,
     encode_distance_matrix,
     local_distance_matrix,
-    min_path_cost,
     one_to_one_distance,
 )
 from reidkit.gallery import EmbeddingSet
@@ -252,7 +251,8 @@ class TestAlignedDistance:
     def test_two_by_two_grid_hand_case(self):
         # down-then-right path wins: 0.1 + 0.2 + 0.3
         cost = np.array([[0.1, 0.9], [0.2, 0.3]])
-        assert min_path_cost(cost) == pytest.approx(0.6, abs=1e-12)
+        assert distance._min_path_costs(cost[:, :, None])[0] == pytest.approx(0.6, abs=1e-12)
+        assert min_monotone_path_oracle(cost) == pytest.approx(0.6, abs=1e-12)
 
     def test_matches_path_enumeration(self, rng):
         for _ in range(200):

@@ -1,8 +1,10 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from reidkit import gallery
 from reidkit.errors import (
     DataError,
     FormatError,
@@ -152,6 +154,41 @@ class TestEmbeddingContainer:
         with pytest.raises(TruncationError, match=message):
             load_embeddings(path)
 
+    @staticmethod
+    def _fstat_reporting(monkeypatch, size_of):
+        """Make os.fstat report st_size = size_of(real size), as a FIFO (0) or
+        a file read while it is still being written does."""
+        real_fstat = gallery.os.fstat
+
+        def fstat(fd):
+            st = real_fstat(fd)
+            return os.stat_result((*st[:6], size_of(st.st_size), *st[7:]))
+
+        monkeypatch.setattr(gallery.os, "fstat", fstat)
+
+    @pytest.mark.parametrize("size_of", [lambda n: 0, lambda n: n // 2], ids=["zero", "half"])
+    def test_load_reads_past_the_fstat_size(self, tmp_path, rng, monkeypatch, size_of):
+        emb = EmbeddingSet(
+            rng.standard_normal((5, 6)).astype(np.float32),
+            rng.standard_normal((5, 2, 3)).astype(np.float32),
+        )
+        path = tmp_path / "e.remb"
+        save_embeddings(emb, path)
+        plain = load_embeddings(path)
+        self._fstat_reporting(monkeypatch, size_of)
+        back = load_embeddings(path)
+        assert back.global_.tobytes() == plain.global_.tobytes()
+        assert back.local.tobytes() == plain.local.tobytes()
+
+    def test_load_of_file_grown_after_fstat(self, tmp_path, monkeypatch):
+        data = encode_embeddings(EmbeddingSet(np.zeros((2, 3), dtype=np.float32)))
+        path = tmp_path / "e.remb"
+        path.write_bytes(bytes(data) + b"\0" * 4)
+        # fstat saw the file before its last 4 bytes were written
+        self._fstat_reporting(monkeypatch, lambda n: n - 4)
+        with pytest.raises(TruncationError, match=r"^payload length mismatch: expected 48 bytes, got 52$"):
+            load_embeddings(path)
+
 
 def reference_container(magic, main, local=None):
     """The container layout spelled out: header, then each array as
@@ -189,6 +226,18 @@ class TestContainerLayout:
         g[1, 0] = np.inf
         with pytest.raises(DataError, match=r"^non-finite value at \(1, 0\)$"):
             decode_embeddings(reference_container(b"REMB", g, local))
+
+    @pytest.mark.parametrize(
+        "main_shape, local_shape, field",
+        [((2**32, 0), None, "N"), ((0, 2**32), None, "D"),
+         ((0, 1), (0, 2**32, 1), "S"), ((0, 1), (0, 1, 2**33), "Dl")],
+    )
+    def test_size_beyond_u32_header_rejected(self, main_shape, local_shape, field):
+        # zero-size arrays: no test allocates the sizes it names
+        local = None if local_shape is None else np.zeros(local_shape, np.float32)
+        size = max(main_shape + (local_shape or ()))
+        with pytest.raises(DataError, match=rf"^{field} = {size} does not fit the container header's u32 field$"):
+            encode_embeddings(EmbeddingSet(np.zeros(main_shape, np.float32), local))
 
     def test_global_error_reported_before_local(self):
         g = np.zeros((2, 2), dtype=np.float32)

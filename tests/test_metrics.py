@@ -8,16 +8,9 @@ from hypothesis import strategies as st
 
 from reidkit.errors import DataError
 from reidkit.distance import DistanceMatrix
-from reidkit.metrics import (
-    EvalProtocol,
-    EvalReport,
-    average_precision,
-    cmc_curve,
-    evaluate,
-    rank_gallery,
-)
+from reidkit.metrics import EvalProtocol, EvalReport, cmc_curve, evaluate
 from conftest import build_index
-from test_acceptance import ap_brute_force
+from test_acceptance import ap_brute_force, average_precision, rank_gallery
 
 
 def evaluate_oracle(queries, gallery, dist, protocol):
