@@ -133,22 +133,30 @@ def apply_camera_residual(emb: np.ndarray, params: CameraResidualParams, camids)
     return out
 
 
-def save_residual_params(params: CameraResidualParams, path) -> None:
-    doc = {
-        str(c): {"matrix": params.matrices[c].tolist(), "bias": params.biases[c].tolist()}
-        for c in sorted(params.matrices)
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+def _object_once(pairs) -> dict:
+    """A JSON object as a dict; json.load would keep the last of a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} written twice")
+        doc[key] = value
+    return doc
 
 
 def load_residual_params(path) -> CameraResidualParams:
+    """Read {camera id: {"matrix": D x D, "bias": D}}, keyed by decimal camera id."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-            matrices = {int(c): np.array(v["matrix"], dtype=np.float64) for c, v in doc.items()}
-            biases = {int(c): np.array(v["bias"], dtype=np.float64) for c, v in doc.items()}
+            doc = json.load(fh, object_pairs_hook=_object_once)
+            keys = {}  # camera id -> its key
+            for key in doc:
+                # gallery.load_index's id rule: int() would also read "+2", " 3_0" and non-ASCII digits
+                if not (key.isascii() and key.isdigit()):
+                    raise ValueError(f"camera id {key!r} is not a decimal integer")
+                if keys.setdefault(int(key), key) != key:
+                    raise ValueError(f"keys {keys[int(key)]!r} and {key!r} name one camera")
+            matrices = {c: np.array(doc[k]["matrix"], dtype=np.float64) for c, k in keys.items()}
+            biases = {c: np.array(doc[k]["bias"], dtype=np.float64) for c, k in keys.items()}
         except (KeyError, TypeError, AttributeError, ValueError) as e:
             msg = f"{path}: malformed residual parameters ({type(e).__name__}: {e})"
             raise FormatError(msg) from e

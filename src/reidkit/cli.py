@@ -114,9 +114,9 @@ def _cmd_mask(args):
 
 
 def _cmd_dist(args):
-    d = _distances(args)[2]
+    data = distance_mod.encode_distance_matrix(_distances(args)[2])  # before open: a rejected matrix leaves no file
     with open(args.out, "wb") as fh:
-        fh.write(distance_mod.encode_distance_matrix(d))
+        fh.write(data)
 
 
 def _cmd_eval(args):
@@ -163,7 +163,7 @@ def _cmd_ema(args):
 
     if not args.init and not args.state:
         raise ReidError("--state is required unless --init is given")
-    student = ensemble.load_named_tensors(args.student)
+    student = ensemble.load_ema_state(args.student).tensors
     if args.init:
         state = ensemble.EmaState(student, alpha=args.alpha, step=0, warmup=args.warmup)
     else:

@@ -118,8 +118,3 @@ def load_ema_state(directory) -> EmaState:
         )
     except (KeyError, TypeError, AttributeError, ValueError, DataError) as e:
         raise FormatError(f"{path}: malformed EMA manifest ({type(e).__name__}: {e})") from e
-
-
-def load_named_tensors(directory) -> dict:
-    """Read a student tensor collection saved in the same layout."""
-    return dict(load_ema_state(directory).tensors)

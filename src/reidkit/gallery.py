@@ -159,14 +159,6 @@ def load_index(metadata_file) -> GalleryIndex:
     return GalleryIndex(*zip(*entries)) if entries else GalleryIndex((), (), (), ())
 
 
-def save_index(index: GalleryIndex, metadata_file) -> None:
-    with open(metadata_file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METADATA_HEADER)
-        ids = index.person_ids.tolist(), index.camera_ids.tolist()
-        writer.writerows(zip(range(len(index)), *ids, index.roles.tolist(), index.paths))
-
-
 def _payload_views(buf, n: int, d: int, s: int, dl: int):
     """(main, local) float32 views of a container's payload; no local if S or Dl is 0."""
     main = np.frombuffer(buf, "<f4", n * d, _HEADER.size).reshape(n, d)
@@ -233,14 +225,14 @@ def encode_embeddings(emb: EmbeddingSet) -> bytearray:
 
 def decode_embeddings(data: bytes) -> EmbeddingSet:
     """Inverse of encode_embeddings; bit-exact round trip. The arrays are
-    copies that own their memory."""
-    main, local = _decode_container(data, EMBEDDING_MAGIC)
-    return EmbeddingSet(main.copy(), None if local is None else local.copy())
+    views of data, read-only where data is (bytes)."""
+    return EmbeddingSet(*_decode_container(data, EMBEDDING_MAGIC))
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
+    data = encode_embeddings(emb)  # before open: a rejected set leaves no file
     with open(path, "wb") as fh:
-        fh.write(encode_embeddings(emb))
+        fh.write(data)
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -253,5 +245,4 @@ def load_embeddings(path) -> EmbeddingSet:
         tail = fh.read()  # whatever the file gained since fstat (a FIFO reports 0)
     if tail:
         buf = np.concatenate((buf, np.frombuffer(tail, np.uint8)))
-    main, local = _decode_container(buf, EMBEDDING_MAGIC)
-    return EmbeddingSet(main, local)
+    return decode_embeddings(buf)

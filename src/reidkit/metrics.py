@@ -28,10 +28,10 @@ class EvalProtocol:
 
 @dataclass(frozen=True)
 class EvalReport:
-    map: float
+    """CMC curve and the valid queries' APs, from which mAP and their count derive."""
+
     cmc: np.ndarray
     per_query_ap: list
-    num_valid_queries: int
     protocol: EvalProtocol
 
     def __post_init__(self):
@@ -44,12 +44,20 @@ class EvalReport:
             raise DataError("mAP must lie in [0, 1]")
         object.__setattr__(self, "cmc", cmc)
 
+    @property
+    def map(self) -> float:
+        return float(np.mean(self.per_query_ap))
+
+    @property
+    def num_valid_queries(self) -> int:
+        return len(self.per_query_ap)
+
     def to_dict(self) -> dict:
         return {
-            "mAP": float(self.map),
+            "mAP": self.map,
             "cmc": [float(v) for v in self.cmc],
             "per_query_ap": [float(v) for v in self.per_query_ap],
-            "num_valid_queries": int(self.num_valid_queries),
+            "num_valid_queries": self.num_valid_queries,
             "protocol": asdict(self.protocol),
         }
 
@@ -125,10 +133,4 @@ def evaluate(
         first_hits.append(int(ranks[0]))
     if not per_query_ap:
         raise DataError("empty evaluation: every query has zero valid positives")
-    return EvalReport(
-        map=float(np.mean(per_query_ap)),
-        cmc=cmc_curve(first_hits, protocol.max_rank),
-        per_query_ap=per_query_ap,
-        num_valid_queries=len(per_query_ap),
-        protocol=protocol,
-    )
+    return EvalReport(cmc_curve(first_hits, protocol.max_rank), per_query_ap, protocol)

@@ -503,4 +503,4 @@ def test_cmc_monotonicity_guard():
     from reidkit.metrics import EvalReport
 
     with pytest.raises(DataError):
-        EvalReport(0.5, np.array([0.9, 0.5]), [0.5], 1, EvalProtocol(max_rank=2))
+        EvalReport(np.array([0.9, 0.5]), [0.5], EvalProtocol(max_rank=2))

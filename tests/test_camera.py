@@ -1,10 +1,11 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from reidkit.errors import DataError
+from reidkit.errors import DataError, FormatError
 from reidkit.camera import (
     CONSISTENCY_EPS,
     CameraOffsets,
@@ -13,7 +14,6 @@ from reidkit.camera import (
     camera_normalize,
     camera_offsets,
     load_residual_params,
-    save_residual_params,
 )
 
 
@@ -278,11 +278,33 @@ class TestCameraResidual:
             {0: rng.standard_normal(2), 1: rng.standard_normal(2)},
         )
         path = tmp_path / "params.json"
-        save_residual_params(params, path)
+        doc = {str(c): {"matrix": params.matrices[c].tolist(), "bias": params.biases[c].tolist()} for c in (0, 1)}
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
         back = load_residual_params(path)
         for c in (0, 1):
             np.testing.assert_allclose(back.matrices[c], params.matrices[c])
             np.testing.assert_allclose(back.biases[c], params.biases[c])
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (['"1"', '"01"'], "keys '1' and '01' name one camera"),
+            (['"1"', '"1"'], "key '1' written twice"),
+            (['"+2"'], "camera id '+2' is not a decimal integer"),
+            (['" 3_0"'], "camera id ' 3_0' is not a decimal integer"),
+            (['"-1"'], "camera id '-1' is not a decimal integer"),
+            (['"\\u0663"'], "camera id '\u0663' is not a decimal integer"),
+        ],
+    )
+    def test_params_file_rejects_camera_keys(self, tmp_path, keys, message):
+        # int() reads every one of these keys; with the first two a camera was lost
+        path = tmp_path / "params.json"
+        entry = '{"matrix": [[0.0]], "bias": [0.0]}'
+        path.write_text("{" + ", ".join(f"{k}: {entry}" for k in keys) + "}")
+        prefix = f"{path}: malformed residual parameters (ValueError: "
+        with pytest.raises(FormatError, match=re.escape(prefix + message + ")")):
+            load_residual_params(path)
 
 
 def traced_peak(fn, *args):

@@ -378,7 +378,16 @@ class TestCameraCommand:
         norm = gallery.load_embeddings(tmp_path / "norm.remb")
         assert norm.global_.shape[0] == 6
 
-    @pytest.mark.parametrize("params", ["[1, 2", '{"0": {"bias": [0.0]}}', "[1, 2]"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            "[1, 2",
+            '{"0": {"bias": [0.0]}}',
+            "[1, 2]",
+            '{"1": {"matrix": [[0.0]], "bias": [0.0]}, "01": {"matrix": [[0.0]], "bias": [0.0]}}',
+            '{"+2": {"matrix": [[0.0]], "bias": [0.0]}}',
+        ],
+    )
     def test_malformed_residual_params_exit_2(self, tmp_path, monkeypatch, capsys, params):
         monkeypatch.setattr(camera, "camera_offsets", fail_if_called)
         emb = gallery.EmbeddingSet(np.zeros((4, 1), np.float32))
@@ -409,7 +418,9 @@ class TestCameraCommand:
             {c: 0.1 * rng.standard_normal((dim, dim)) for c in (0, 1)},
             {c: rng.standard_normal(dim) for c in (0, 1)},
         )
-        camera.save_residual_params(params, tmp_path / "res.json")
+        doc = {str(c): {"matrix": params.matrices[c].tolist(), "bias": params.biases[c].tolist()} for c in (0, 1)}
+        with open(tmp_path / "res.json", "w") as fh:
+            json.dump(doc, fh)
         rc = run_cli(
             [
                 "camera",
@@ -755,6 +766,29 @@ def test_embed_stripes_beyond_u32_header_exit_2(tmp_path, capsys, stripes):
     assert run_cli(["embed", "--index", str(tmp_path / "empty.csv"), "--stripes", stripes,
                     "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: S = {stripes} does not fit the container header's u32 field\n"
+
+
+@pytest.mark.parametrize("existing", [None, b"earlier output"], ids=["new", "existing"])
+@pytest.mark.parametrize("command", ["embed", "dist"])
+def test_rejected_container_leaves_no_file(tmp_path, capsys, command, existing):
+    # embed: S past the u32 header field; dist: a distance of 6e38 is finite
+    # in float64 but not in the float32 .rdmx
+    write_index(tmp_path / "empty.csv", 0)
+    emb = gallery.EmbeddingSet(np.array([[3e38], [-3e38]], np.float32))
+    gallery.save_embeddings(emb, tmp_path / "e.remb")
+    argv = {
+        "embed": ["embed", "--index", str(tmp_path / "empty.csv"), "--stripes", "8589934592"],
+        "dist": ["dist", "--emb-q", str(tmp_path / "e.remb"), "--emb-g", str(tmp_path / "e.remb")],
+    }[command]
+    out = tmp_path / "out.bin"
+    if existing is not None:
+        out.write_bytes(existing)
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert_one_line_error(capsys)
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
 
 
 @pytest.mark.parametrize("local_mode", ["dp_aligned", "one_to_one"])

@@ -20,7 +20,6 @@ from reidkit.gallery import (
     load_embeddings,
     load_index,
     save_embeddings,
-    save_index,
 )
 from conftest import build_index
 
@@ -29,7 +28,12 @@ class TestIndexIO:
     def test_round_trip(self, tmp_path):
         index = build_index([(1, 1, "query"), (1, 2, "gallery"), (2, 1, "train")])
         path = tmp_path / "meta.csv"
-        save_index(index, path)
+        path.write_text(
+            "index,person_id,camera_id,role,path\n"
+            "0,1,1,query,0001_c1_000.ppm\n"
+            "1,1,2,gallery,0001_c2_001.ppm\n"
+            "2,2,1,train,0002_c1_002.ppm\n"
+        )
         loaded = load_index(path)
         for column in ("person_ids", "camera_ids", "roles", "paths"):
             np.testing.assert_array_equal(getattr(loaded, column), getattr(index, column))
@@ -133,14 +137,22 @@ class TestEmbeddingContainer:
         assert back.global_.base is not None and back.global_.flags.writeable
         assert back.local.flags.writeable
 
-    def test_decode_of_bytes_owns_its_arrays(self, rng):
+    def test_decode_returns_views_of_its_input(self, rng):
         emb = EmbeddingSet(
             rng.standard_normal((3, 4)).astype(np.float32),
             rng.standard_normal((3, 2, 2)).astype(np.float32),
         )
-        back = decode_embeddings(bytes(encode_embeddings(emb)))
+        data = bytes(encode_embeddings(emb))
+        back = decode_embeddings(data)
         for arr in (back.global_, back.local):
-            assert arr.flags.owndata and arr.flags.writeable
+            assert not arr.flags.owndata and not arr.flags.writeable
+        assert back.global_.tobytes() == emb.global_.tobytes()
+        assert back.local.tobytes() == emb.local.tobytes()
+        # a writable buffer gives writable views of that same memory
+        buf = encode_embeddings(emb)
+        back = decode_embeddings(buf)
+        back.global_[0, 0] = 7.0
+        assert decode_embeddings(buf).global_[0, 0] == 7.0
 
     @pytest.mark.parametrize(
         "cut, message",

@@ -29,9 +29,7 @@ def evaluate_oracle(queries, gallery, dist, protocol):
         first_hits.append(int(np.argmax(rel_ranked)) + 1)
     if not aps:
         raise DataError("empty evaluation: every query has zero valid positives")
-    return EvalReport(
-        float(np.mean(aps)), cmc_curve(first_hits, protocol.max_rank), aps, len(aps), protocol
-    ).to_dict()
+    return EvalReport(cmc_curve(first_hits, protocol.max_rank), aps, protocol).to_dict()
 
 
 def outcome(fn, *args):
@@ -292,9 +290,20 @@ class TestProperties:
 
     def test_report_rejects_decreasing_cmc(self):
         with pytest.raises(DataError, match="non-decreasing"):
-            EvalReport(0.5, np.array([0.9, 0.5]), [0.5], 1, EvalProtocol(max_rank=2))
+            EvalReport(np.array([0.9, 0.5]), [0.5], EvalProtocol(max_rank=2))
 
     def test_report_serialization_keys(self):
-        report = EvalReport(0.5, np.array([0.5, 1.0]), [0.5], 1, EvalProtocol(max_rank=2))
+        report = EvalReport(np.array([0.5, 1.0]), [0.5], EvalProtocol(max_rank=2))
         doc = report.to_dict()
         assert set(doc) == {"mAP", "cmc", "per_query_ap", "num_valid_queries", "protocol"}
+
+    @pytest.mark.parametrize("aps", [[1.5], [0.5, -0.7]])
+    def test_report_rejects_per_query_aps_whose_mean_is_out_of_range(self, aps):
+        with pytest.raises(DataError, match=r"^mAP must lie in \[0, 1\]$"):
+            EvalReport(np.array([0.5, 1.0]), aps, EvalProtocol(max_rank=2))
+
+    def test_report_derives_map_and_count_from_per_query_ap(self):
+        report = EvalReport(np.array([0.5, 1.0]), [0.25, 1.0], EvalProtocol(max_rank=2))
+        assert (report.map, report.num_valid_queries) == (0.625, 2)
+        doc = report.to_dict()
+        assert (doc["mAP"], doc["num_valid_queries"]) == (0.625, 2)
