@@ -57,6 +57,10 @@ class CameraResidualParams:
                 raise DataError(f"camera {c}: matrix must be square")
             if b.shape != (a.shape[0],):
                 raise DataError(f"camera {c}: bias dimension mismatch")
+            if not np.isfinite(a).all():
+                raise DataError(f"camera {c}: matrix must be finite")
+            if not np.isfinite(b).all():
+                raise DataError(f"camera {c}: bias must be finite")
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "biases", biases)
 

@@ -57,15 +57,27 @@ class DistanceMatrix:
         return self.values.shape
 
 
-# Cells (S1 * S2 * query rows * gallery rows) in one tile of stripe-cost
-# grids, and in one chunk of direct differences (pairs * D) of the global
-# distance; bounds their memory at any N (one Market-1501 query row alone has
-# 64 x 15,913 stripe-cost cells at S=8).
+# Cells in one block of every blocked pass (_blocks): stripe-cost grids (S1 *
+# S2 * pairs), direct differences (pairs * D), rows of a result or of a norm
+# square (rows * width); bounds their memory at any N (one Market-1501 query
+# row alone has 64 x 15,913 stripe-cost cells at S=8).
 _TILE_CELLS = 1 << 16
 
-# Result rows finished per step of the global distance: the matmul writes the
-# whole (nq, ng) result, and each step's temporaries are this many rows of it.
-_BLOCK_ROWS = 64
+
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices cutting n rows of width cells into blocks of at most
+    _TILE_CELLS cells, one row at least."""
+    step = max(1, _TILE_CELLS // max(1, width))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """np.sum(x * x, axis=1) a block of rows at a time: the same bits."""
+    out = np.empty(len(x))
+    for rows in _blocks(len(x), x.shape[1]):
+        blk = x[rows]
+        np.sum(blk * blk, axis=1, out=out[rows])
+    return out
 
 
 def _twice_gamma(n: int) -> float:
@@ -86,9 +98,8 @@ def _exact_near_zero(a, b, blk, an_tau, bn_tau, an=None, bn=None) -> None:
     if blk.min() > bound:
         return
     cells = np.flatnonzero(blk <= bound)
-    step = max(1, _TILE_CELLS // max(1, a.shape[1]))
-    for k in range(0, len(cells), step):
-        r, c = np.divmod(cells[k : k + step], blk.shape[1])
+    for chunk in _blocks(len(cells), a.shape[1]):
+        r, c = np.divmod(cells[chunk], blk.shape[1])
         keep = blk[r, c] <= an_tau[r] + bn_tau[c]
         r, c = r[keep], c[keep]
         diff, other = a[r], b[c]
@@ -103,7 +114,7 @@ def _exact_near_zero(a, b, blk, an_tau, bn_tau, an=None, bn=None) -> None:
 def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared euclidean distances between the rows of a and b.
 
-    One (na, nb) buffer holds a @ b.T; each block of _BLOCK_ROWS rows is then
+    One (na, nb) buffer holds a @ b.T; each block of its rows is then
     doubled, subtracted from |a|^2 + |b|^2 and clamped at 0 in place: the same
     float operations, in the same order, as (an + bn) - 2.0 * (a @ b.T).
 
@@ -117,20 +128,18 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     direct differences do. A block whose minimum clears the bound of its
     largest norms skips the comparison. When a is b, the diagonal is set to
     0 directly, so self-distance matrices (t-SNE) keep that fast path."""
-    an = np.sum(a * a, axis=1)
-    bn = np.sum(b * b, axis=1)
+    an, bn = _sq_norms(a), _sq_norms(b)
     sq = a @ b.T
     tau = _twice_gamma(a.shape[1] + 2)
     an_tau, bn_tau = tau * an, tau * bn
-    for i in range(0, len(sq), _BLOCK_ROWS):
-        rows = slice(i, i + _BLOCK_ROWS)
+    for rows in _blocks(*sq.shape):
         blk = sq[rows]
         blk *= 2.0
         np.subtract(an[rows, None] + bn, blk, out=blk)
         if a is b:
             # a row's distance to itself is exactly 0: +inf keeps it out of
             # the near-zero test, which would recompute it to 0
-            diag = np.arange(len(blk)), np.arange(i, i + len(blk))
+            diag = np.arange(len(blk)), np.arange(rows.start, rows.stop)
             blk[diag] = np.inf
         _exact_near_zero(a[rows], b, blk, an_tau[rows], bn_tau)
         if a is b:
@@ -139,26 +148,13 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _cosine_block(blk: np.ndarray, qn: np.ndarray, gn: np.ndarray) -> None:
-    """Turn blk, a block of q @ g.T, into cosine distances in place, given
-    the row norms of its q and g rows. A function of its own, so that one
-    block's temporaries are freed before the next block's are made."""
-    denom = qn[:, None] * gn
-    pos = denom > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(blk, denom, out=blk, where=pos)
-    # zero-norm rows get cos 0, hence distance 1
-    blk[~pos] = 0.0
-    np.subtract(1.0, blk, out=blk)
-    np.clip(blk, 0.0, 2.0, out=blk)
-
-
 def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLIDEAN) -> DistanceMatrix:
     """Pairwise Q x G distances between global feature matrices, finished in
-    place in one (Q, G) buffer a block of rows at a time. Float32 q and g are
-    cast to float64 whole: a matmul into column slices of the result changes
-    bits on some shapes. The dist and eval commands pass float64, so the cast
-    copies nothing there.
+    place in one (Q, G) buffer a block of rows at a time. q and g are cast to
+    C-ordered float64 whole: a matmul into column slices of the result changes
+    bits on some shapes, and numpy sums a row of an F-ordered matrix in
+    another order than a lone row. The dist and eval commands pass C-ordered
+    float64, so the cast copies nothing there.
 
     Euclidean entries near zero are exact as _sq_euclidean states. A cosine
     entry 1 - q.g / (|q| |g|) differs from its true value by at most
@@ -168,8 +164,8 @@ def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLID
     exact near 0. Every entry at or below tau_c is recomputed as half the
     squared direct difference of the unit rows, so d(x, x) = d(x, 2x) = 0
     exactly and near-parallel rows rank by their angle."""
-    q = np.asarray(q, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    g = np.ascontiguousarray(g, dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2:
         raise DataError("inputs must be 2-D matrices")
     if q.shape[1] != g.shape[1]:
@@ -179,16 +175,22 @@ def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLID
         d = _sq_euclidean(q, g)
         np.sqrt(d, out=d)
     else:
-        qn = np.linalg.norm(q, axis=1)
-        gn = np.linalg.norm(g, axis=1)
+        qn, gn = np.sqrt(_sq_norms(q)), np.sqrt(_sq_norms(g))
         d = q @ g.T
         # tau_c / 2 per row of either side: tau_c per entry
         half_tau = _twice_gamma(q.shape[1] + 4) / 2
         q_tau, g_tau = np.full(len(q), half_tau), np.full(len(g), half_tau)
-        for i in range(0, len(d), _BLOCK_ROWS):
-            rows = slice(i, i + _BLOCK_ROWS)
-            _cosine_block(d[rows], qn[rows], gn)
-            _exact_near_zero(q[rows], g, d[rows], q_tau[rows], g_tau, qn[rows], gn)
+        for rows in _blocks(*d.shape):
+            blk = d[rows]
+            denom = qn[rows, None] * gn
+            pos = denom > 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(blk, denom, out=blk, where=pos)
+            # zero-norm rows get cos 0, hence distance 1
+            blk[~pos] = 0.0
+            np.subtract(1.0, blk, out=blk)
+            np.clip(blk, 0.0, 2.0, out=blk)
+            _exact_near_zero(q[rows], g, blk, q_tau[rows], g_tau, qn[rows], gn)
     return DistanceMatrix(d)
 
 
@@ -252,16 +254,13 @@ def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
                 "use the DP-aligned distance for unequal stripe counts"
             )
         stacks, cells = [(qa[:, s : s + 1], ga[:, s : s + 1]) for s in range(s1)], 1
-    pairs = max(1, _TILE_CELLS // cells)
-    tg = max(1, min(ng, pairs))
-    tq = max(1, pairs // tg)
+    # a tile of pairs: gallery blocks of grids, query blocks of those
+    cols = _blocks(ng, cells)
     out = np.zeros((nq, ng))
-    for i in range(0, nq, tq):
-        for j in range(0, ng, tg):
+    for i in _blocks(nq, cells * (cols[0].stop if cols else 1)):
+        for j in cols:
             for a, b in stacks:
-                out[i : i + tq, j : j + tg] += _min_path_costs(
-                    _stripe_costs(a[..., i : i + tq], b[..., j : j + tg])
-                )
+                out[i, j] += _min_path_costs(_stripe_costs(a[..., i], b[..., j]))
     return out
 
 

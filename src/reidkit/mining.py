@@ -40,13 +40,16 @@ def pk_sample(index: GalleryIndex, cfg: MiningConfig) -> np.ndarray:
 
     Identities are drawn without replacement; images per identity without
     replacement, falling back to with-replacement when an identity has
-    fewer than K images. Deterministic given the seed.
+    fewer than K images. P*K may not exceed the train rows. Deterministic
+    given the seed.
     """
     train = np.flatnonzero(index.roles == Role.TRAIN)
     # each identity's train rows, in ascending person id order
     groups = [train[rows] for _, rows in _groups(index.person_ids[train])]
     if len(groups) < cfg.p:
         raise DataError(f"need {cfg.p} distinct person ids, found {len(groups)}")
+    if cfg.p * cfg.k > len(train):
+        raise DataError(f"P x K = {cfg.p * cfg.k} exceeds the {len(train)} train rows")
     rng = np.random.default_rng(cfg.seed)
     batch = []
     for pi in rng.choice(len(groups), size=cfg.p, replace=False):

@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from reidkit import distance
 from reidkit.gallery import GalleryIndex, Role
 from reidkit.imaging import Image
 
@@ -26,3 +29,18 @@ def build_index(entries) -> GalleryIndex:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def small_tiles():
+    """`with small_tiles(cells):` runs its body with distance._TILE_CELLS set
+    to cells, so that block edges fall inside small matrices. A factory, so
+    that a hypothesis test draws the budget per example."""
+
+    @contextmanager
+    def tiles(cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "_TILE_CELLS", cells)
+            yield
+
+    return tiles

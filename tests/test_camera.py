@@ -263,9 +263,11 @@ class TestCameraResidual:
         "matrices,biases,message",
         [
             # each case also breaks every check after the one it names
-            ({0: [[1.0, 2.0]], 1: [[1.0]]}, {0: [0.0]}, "matrix and bias camera ids differ"),
-            ({0: [[1.0, 2.0]]}, {0: [0.0, 0.0, 0.0]}, "camera 0: matrix must be square"),
-            ({0: [[1.0]], 1: [[1.0, 2.0]]}, {0: [0.0, 0.0], 1: [0.0]}, "camera 0: bias dimension mismatch"),
+            ({0: [[1.0, np.nan]], 1: [[1.0]]}, {0: [np.inf]}, "matrix and bias camera ids differ"),
+            ({0: [[1.0, np.nan]]}, {0: [0.0, 0.0, np.inf]}, "camera 0: matrix must be square"),
+            ({0: [[np.nan]], 1: [[1.0, 2.0]]}, {0: [0.0, np.inf], 1: [0.0]}, "camera 0: bias dimension mismatch"),
+            ({0: [[1.0]], 1: [[np.nan]]}, {0: [0.0], 1: [np.inf]}, "camera 1: matrix must be finite"),
+            ({0: [[1.0]], 1: [[0.0]]}, {0: [-np.inf], 1: [np.nan]}, "camera 0: bias must be finite"),
         ],
     )
     def test_param_errors_in_order(self, matrices, biases, message):

@@ -270,6 +270,15 @@ class TestMineCommand:
         assert len(doc["triplets"]) == 4
         assert doc["loss"] >= 0
 
+    def test_batch_beyond_train_rows_exit_2(self, tmp_path, capsys):
+        # P*K past the train rows fails before sampling, not with a MemoryError
+        gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((6, 2), np.float32)), tmp_path / "e.remb")
+        write_index(tmp_path / "meta.csv", 6, role="train")
+        argv = ["mine", "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb"),
+                "--p", "2", "--k", "1000000000000"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "error: P x K = 2000000000000 exceeds the 6 train rows\n"
+
 
 class TestEmaCommand:
     def test_init_and_update(self, tmp_path):
@@ -386,9 +395,14 @@ class TestCameraCommand:
             "[1, 2]",
             '{"1": {"matrix": [[0.0]], "bias": [0.0]}, "01": {"matrix": [[0.0]], "bias": [0.0]}}',
             '{"+2": {"matrix": [[0.0]], "bias": [0.0]}}',
+            # Python's json reads NaN and +-Infinity
+            '{"0": {"matrix": [[NaN]], "bias": [0]}, "1": {"matrix": [[0]], "bias": [0]}}',
+            '{"0": {"matrix": [[0]], "bias": [0]}, "1": {"matrix": [[0]], "bias": [Infinity]}}',
+            '{"0": {"matrix": [[0]], "bias": [-Infinity]}, "1": {"matrix": [[0]], "bias": [0]}}',
         ],
     )
     def test_malformed_residual_params_exit_2(self, tmp_path, monkeypatch, capsys, params):
+        # rejected before camera_offsets runs: fail_if_called raises past run_cli
         monkeypatch.setattr(camera, "camera_offsets", fail_if_called)
         emb = gallery.EmbeddingSet(np.zeros((4, 1), np.float32))
         gallery.save_embeddings(emb, tmp_path / "e.remb")
@@ -943,8 +957,9 @@ def test_global_stage_peak_is_float64_features_and_one_result(tmp_path, command)
     # Market-1501 in proportion (3,368 x 15,913 x 2,048, scaled down, with
     # nq/D = 1.6): without a local term the stage holds float64 q and g and
     # one result; neither the float32 file buffers (a fifth more here) nor
-    # full-size boolean masks may come on top. Each 64-row block of the
-    # global distance adds 64 result rows, so nq stays well above 64.
+    # full-size boolean masks may come on top. Each block of the global
+    # distance adds at most 2^16 cells (14 result rows here), so nq stays
+    # well above a block.
     nq, ng, dim = 984, 4_500, 600
     rng = np.random.default_rng(0)
     for side, n in (("q", nq), ("g", ng)):

@@ -82,7 +82,7 @@ def _reference_distance(q, g, metric):
 
 
 class TestBlockedGlobalKernel:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         nq=st.sampled_from([1, 63, 64, 65, 130]),
         ng=st.integers(1, 40),
@@ -92,18 +92,36 @@ class TestBlockedGlobalKernel:
         offset=st.sampled_from([0.0, 0.4, 3.0]),
         zero_q=st.lists(st.integers(0, 129), max_size=4),
         zero_g=st.lists(st.integers(0, 39), max_size=3),
+        layout=st.sampled_from(["C", "F", "strided", "same"]),
+        # block edges inside the result, the norm squares and the chunks of
+        # direct differences, or the default budget
+        cells=st.integers(1, 400) | st.just(1 << 16),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_byte_identical_to_whole_matrix_expressions(
-        self, nq, ng, dim, dtype, metric, offset, zero_q, zero_g, seed
+        self, small_tiles, nq, ng, dim, dtype, metric, offset, zero_q, zero_g, layout, cells, seed
     ):
         rng = np.random.default_rng(seed)
         q = (offset + rng.standard_normal((nq, dim))).astype(dtype)
         g = (offset + rng.standard_normal((ng, dim))).astype(dtype)
         q[[i for i in zero_q if i < nq]] = 0.0
         g[[j for j in zero_g if j < ng]] = 0.0
-        got = distance_matrix(q, g, metric).values
-        assert got.tobytes() == _reference_distance(q, g, metric).tobytes()
+        if layout == "F":
+            q, g = np.asfortranarray(q), np.asfortranarray(g)
+        elif layout == "strided":
+            q, g = (x.repeat(2, axis=0).repeat(2, axis=1)[::2, ::2] for x in (q, g))
+        elif layout == "same":
+            # one array on both sides (t-SNE): float64 keeps it one array
+            g = q
+        with small_tiles(cells):
+            got = distance_matrix(q, g, metric).values
+        # any layout gives the bytes of its C-ordered copy
+        want = _reference_distance(np.ascontiguousarray(q), np.ascontiguousarray(g), metric)
+        if g is q:
+            # a row's distance to itself is exactly 0 (a zero row's cosine
+            # distance stays 1), every other entry the expression's
+            want[np.diag_indices(nq)] = np.where(q.any(axis=1), 0.0, np.diag(want))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "metric, duplicates, bound",
@@ -118,7 +136,7 @@ class TestBlockedGlobalKernel:
     )
     def test_peak_memory_is_one_result(self, rng, metric, duplicates, bound):
         # one (nq, ng) buffer finished in place; each block's temporaries are
-        # 64 rows, here about a fifth of the result
+        # at most _TILE_CELLS cells, here 10 rows of the result
         q = rng.standard_normal((300, 64))
         g = rng.standard_normal((6_000, 64))
         if duplicates:
@@ -133,6 +151,21 @@ class TestBlockedGlobalKernel:
         assert peak < bound * d.values.nbytes
         if duplicates:
             np.testing.assert_array_equal(d.values, 0.0)
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
+    def test_few_queries_peak_is_not_a_gallery_square(self, rng, metric):
+        # the row norms are squared a block of rows at a time: no temporary
+        # the size of g, which dwarfs the result when queries are few
+        q = rng.standard_normal((8, 512))
+        g = rng.standard_normal((4_000, 512))
+        tracemalloc.start()
+        try:
+            d = distance_matrix(q, g, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.shape == (8, 4_000)
+        assert peak < 0.1 * g.nbytes + 2 * d.values.nbytes
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -216,12 +249,11 @@ class TestBlockedGlobalKernel:
         assert (got[exact] == 0.0).all()
         assert got[~exact].tobytes() == expansion[~exact].tobytes()
 
-    def test_flagged_pairs_run_in_chunks(self, rng):
+    def test_flagged_pairs_run_in_chunks(self, rng, small_tiles):
         # every pair a duplicate, a few pairs per chunk of direct differences
         row = 50.0 + rng.standard_normal((1, 16))
         x = np.repeat(row, 70, axis=0)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(distance, "_TILE_CELLS", 16 * 7)
+        with small_tiles(16 * 7):
             d = distance_matrix(x, x[:50]).values
         np.testing.assert_array_equal(d, 0.0)
 

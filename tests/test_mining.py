@@ -19,7 +19,8 @@ from test_acceptance import batch_hard_oracle
 
 
 def pk_sample_reference(index, cfg):
-    """The per-row defaultdict grouping that pk_sample replaced."""
+    """The per-row defaultdict grouping that pk_sample replaced, with its
+    bound on P*K."""
     by_pid = defaultdict(list)
     for i, (pid, role) in enumerate(zip(index.person_ids.tolist(), index.roles)):
         if role == Role.TRAIN:
@@ -27,6 +28,9 @@ def pk_sample_reference(index, cfg):
     pids = sorted(by_pid)
     if len(pids) < cfg.p:
         raise DataError(f"need {cfg.p} distinct person ids, found {len(pids)}")
+    n_train = sum(map(len, by_pid.values()))
+    if cfg.p * cfg.k > n_train:
+        raise DataError(f"P x K = {cfg.p * cfg.k} exceeds the {n_train} train rows")
     rng = np.random.default_rng(cfg.seed)
     chosen_pids = rng.choice(len(pids), size=cfg.p, replace=False)
     batch = []
