@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,11 @@ import numpy as np
 from .errors import DataError, FormatError, TruncationError
 
 MASK_THRESHOLD = 128  # 8-bit masks binarize at >= 128
+
+# magic, then three fields, each after whitespace and '#' comments that run to
+# the end of a line; a field runs to the next whitespace byte. The lookaheads
+# keep a comment or field from matching only a prefix of itself.
+_HEADER = re.compile(rb"P[56]" + rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 3)
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class Mask:
         if v.ndim != 2:
             raise DataError("mask must be a 2-D array")
         # checked before the uint8 cast, which would wrap 256 to 0
-        if not np.isin(v, (0, 1)).all():
+        if not ((v == 0) | (v == 1)).all():
             raise DataError("mask values must be binary {0, 1}")
         object.__setattr__(self, "values", v.astype(np.uint8, copy=False))
 
@@ -70,26 +76,6 @@ class Mask:
         return self.values.shape[1]
 
 
-def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comment lines
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise TruncationError("unexpected end of header")
-    return data[start:pos], pos
-
-
 def decode_image(data: bytes) -> Image:
     """Decode binary PPM (P6, RGB) or PGM (P5, gray), maxval 255."""
     magic = data[:2]
@@ -99,19 +85,22 @@ def decode_image(data: bytes) -> Image:
         channels = 1
     else:
         raise FormatError(f"unsupported image magic {magic!r} (binary P5/P6 only)")
-    pos = 2
-    w_tok, pos = _read_token(data, pos)
-    h_tok, pos = _read_token(data, pos)
-    max_tok, pos = _read_token(data, pos)
+    header = _HEADER.match(data)
+    if header is None:
+        raise TruncationError("unexpected end of header")
+    fields = header.groups()
+    # ASCII digits only: int() alone would also read "+2", "-1" and "1_0"
+    if not all(f.isdigit() for f in fields):
+        raise FormatError("non-numeric image header field")
     try:
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except ValueError:
+        width, height, maxval = map(int, fields)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise FormatError("non-numeric image header field") from None
     if width < 1 or height < 1:
         raise FormatError("image dimensions must be positive")
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, only 255")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end() + 1  # single whitespace byte after maxval
     expected = width * height * channels
     payload = data[pos : pos + expected]
     if len(payload) != expected:
@@ -142,7 +131,7 @@ def _resize_nearest(a: np.ndarray, width: int, height: int) -> np.ndarray:
         raise DataError("target dimensions must be positive")
     rows = (np.arange(height) * a.shape[0]) // height
     cols = (np.arange(width) * a.shape[1]) // width
-    return a[np.ix_(rows, cols)]
+    return a[rows][:, cols]
 
 
 def resize_nearest(img: Image, width: int, height: int) -> Image:

@@ -49,9 +49,10 @@ def _row_entropy_bits(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def _conditional_row(d2_row: np.ndarray, beta: float) -> np.ndarray:
-    # beta = 1/(2 sigma^2); row excludes the diagonal entry
-    p = np.exp(-beta * (d2_row - d2_row.min()))
+def _conditional_row(shifted_row: np.ndarray, beta: float) -> np.ndarray:
+    # beta = 1/(2 sigma^2); the row excludes the diagonal entry and has had
+    # its minimum subtracted, so its largest exp term is exactly 1
+    p = np.exp(-beta * shifted_row)
     return p / p.sum()
 
 
@@ -72,6 +73,7 @@ def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     for i in range(n):
         mask = others != i
         row = d2[i, mask]
+        row = row - row.min()
         beta, lo, hi = 1.0, 0.0, np.inf
         for _ in range(MAX_BISECTIONS):
             p = _conditional_row(row, beta)
@@ -106,14 +108,19 @@ def _kl_and_gradient(p_off: np.ndarray, mask: np.ndarray, p_grad: np.ndarray, y:
 
 def kl_and_gradient(p: np.ndarray, y: np.ndarray):
     """KL(P || Q) under the Student-t low-dimensional kernel, with its
-    gradient w.r.t. the 2-D coordinates."""
+    gradient w.r.t. the 2-D coordinates. Raises DataError unless every
+    off-diagonal entry of P is positive and finite and Y is finite."""
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = p.shape[0]
-    if p.shape != (n, n) or y.shape[0] != n:
+    if y.ndim != 2 or p.shape != (len(y), len(y)):
         raise DataError("shape mismatch between P and Y")
-    mask = ~np.eye(n, dtype=bool)
-    return _kl_and_gradient(p[mask], mask, p, y)
+    mask = ~np.eye(len(y), dtype=bool)
+    p_off = p[mask]
+    if not (np.isfinite(p_off).all() and (p_off > 0).all()):
+        raise DataError("P must be positive and finite off the diagonal")
+    if not np.isfinite(y).all():
+        raise DataError("Y must be finite")
+    return _kl_and_gradient(p_off, mask, p, y)
 
 
 def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):

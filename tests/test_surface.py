@@ -63,3 +63,12 @@ def test_public_name_is_used_or_documented(module, name, node):
     assert used or name in README_NAMES, (
         f"reidkit.{module}.{name} is read by no library code and not named in README.md"
     )
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # ast.parse(feature_version=...) rejects syntax newer than the floor;
+    # regex syntax such as possessive quantifiers is not checked here
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor, "pyproject.toml declares no requires-python floor"
+    for path in sorted((ROOT / "src" / "reidkit").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor[1])))

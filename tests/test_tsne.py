@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from reidkit.distance import _sq_euclidean
 from reidkit.errors import DataError
 from reidkit.tsne import (
+    MAX_BISECTIONS,
     P_FLOOR,
+    PERPLEXITY_TOL,
     TsneParams,
     kl_and_gradient,
     perplexity_affinities,
@@ -107,7 +112,93 @@ class TestAffinities:
             perplexity_affinities(rng.standard_normal((5, 3)), 5.0)
 
 
+def reference_affinities(x, perplexity):
+    """perplexity_affinities with each row's minimum subtracted again at
+    every bisection step, as it was before the row was shifted once."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    d2 = _sq_euclidean(x, x)
+
+    def conditional(d2_row, beta):
+        p = np.exp(-beta * (d2_row - d2_row.min()))
+        return p / p.sum()
+
+    cond = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        mask = np.arange(n) != i
+        row = d2[i, mask]
+        beta, lo, hi = 1.0, 0.0, np.inf
+        for _ in range(MAX_BISECTIONS):
+            p = conditional(row, beta)
+            nz = p[p > 0]
+            perp = 2.0 ** float(-np.sum(nz * np.log2(nz)))
+            if abs(perp - perplexity) < PERPLEXITY_TOL:
+                break
+            if perp > perplexity:
+                lo = beta
+                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
+            else:
+                hi = beta
+                beta = (lo + beta) / 2.0
+        cond[i, mask] = conditional(row, beta)
+    p_sym = np.maximum((cond + cond.T) / (2.0 * n), P_FLOOR)
+    np.fill_diagonal(p_sym, 0.0)
+    return p_sym / p_sym.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(4, 12), st.integers(1, 4)),
+        elements=st.floats(-100, 100, allow_subnormal=False),
+    ),
+    fraction=st.floats(0.01, 0.99),
+)
+def test_affinities_byte_identical_to_per_step_shift(x, fraction):
+    perplexity = 1.0 + fraction * (x.shape[0] - 1.0)  # in (1, N)
+    if _sq_euclidean(x, x).max() == 0.0:  # identical points, or distances that underflow
+        with pytest.raises(DataError, match="identical"):
+            perplexity_affinities(x, perplexity)
+        return
+    got = perplexity_affinities(x, perplexity)
+    assert got.tobytes() == reference_affinities(x, perplexity).tobytes()
+
+
 class TestKlGradient:
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            (0.0, "P must be positive and finite off the diagonal"),
+            (-0.1, "P must be positive and finite off the diagonal"),
+            (np.nan, "P must be positive and finite off the diagonal"),
+            (np.inf, "P must be positive and finite off the diagonal"),
+        ],
+    )
+    def test_rejects_p_off_the_diagonal(self, rng, entry, message):
+        # a zero would make log(P / Q) divide by zero and the KL NaN
+        p = np.full((4, 4), 1.0 / 12)
+        np.fill_diagonal(p, 0.0)
+        p[0, 1] = p[1, 0] = entry
+        with pytest.raises(DataError, match=f"^{message}$"):
+            kl_and_gradient(p, rng.standard_normal((4, 2)))
+
+    @pytest.mark.parametrize(
+        "p_shape,y_shape", [((), (1, 2)), ((4, 4), (4,)), ((4, 4), (3, 2)), ((4, 3), (4, 2)), ((4,), (4, 2))]
+    )
+    def test_rejects_mismatched_shapes(self, p_shape, y_shape):
+        with pytest.raises(DataError, match="^shape mismatch between P and Y$"):
+            kl_and_gradient(np.full(p_shape, 0.1), np.zeros(y_shape))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_y(self, rng, entry):
+        p = np.full((4, 4), 1.0 / 12)
+        np.fill_diagonal(p, 0.0)
+        y = rng.standard_normal((4, 2))
+        y[2, 1] = entry
+        with pytest.raises(DataError, match="^Y must be finite$"):
+            kl_and_gradient(p, y)
+
     def test_matching_distributions_zero(self):
         # build Y whose Q matches a P constructed from the same kernel
         y = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
