@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FormatError
-from .gallery import _groups
+from .gallery import _groups, _object_once
 
 CONSISTENCY_EPS = 1e-8
 
@@ -135,16 +135,6 @@ def apply_camera_residual(emb: np.ndarray, params: CameraResidualParams, camids)
         x = e[rows]
         out[rows] = x + x @ a.T + b
     return out
-
-
-def _object_once(pairs) -> dict:
-    """A JSON object as a dict; json.load would keep the last of a repeated key."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"key {key!r} written twice")
-        doc[key] = value
-    return doc
 
 
 def load_residual_params(path) -> CameraResidualParams:

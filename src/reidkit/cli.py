@@ -161,11 +161,17 @@ def _cmd_mine(args):
 def _cmd_ema(args):
     from . import ensemble
 
+    if args.init and args.state:
+        raise ReidError("--state cannot be combined with --init")
     if not args.init and not args.state:
         raise ReidError("--state is required unless --init is given")
+    # an update keeps the alpha and warm-up of its state
+    if not args.init and (args.alpha is not None or args.warmup):
+        raise ReidError("--alpha and --warmup apply only with --init")
     student = ensemble.load_ema_state(args.student).tensors
     if args.init:
-        state = ensemble.EmaState(student, alpha=args.alpha, step=0, warmup=args.warmup)
+        alpha = ensemble.EmaState.alpha if args.alpha is None else args.alpha
+        state = ensemble.EmaState(student, alpha=alpha, step=0, warmup=args.warmup)
     else:
         state = ensemble.load_ema_state(args.state)
         state = ensemble.ema_update(state, student)
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--student", required=True, help="student tensor directory")
     p.add_argument("--out", required=True)
     p.add_argument("--init", action="store_true")
-    p.add_argument("--alpha", type=float, default=0.999)
+    p.add_argument("--alpha", type=float, help="EMA decay, with --init only")
     p.add_argument("--warmup", action="store_true")
     p.set_defaults(func=_cmd_ema)
 

@@ -126,8 +126,7 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     at or below that bound is recomputed as a sum of squared direct
     differences, so d(x, x) is exactly 0 and near-duplicates rank as their
     direct differences do. A block whose minimum clears the bound of its
-    largest norms skips the comparison. When a is b, the diagonal is set to
-    0 directly, so self-distance matrices (t-SNE) keep that fast path."""
+    largest norms skips the comparison."""
     an, bn = _sq_norms(a), _sq_norms(b)
     sq = a @ b.T
     tau = _twice_gamma(a.shape[1] + 2)
@@ -136,14 +135,7 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         blk = sq[rows]
         blk *= 2.0
         np.subtract(an[rows, None] + bn, blk, out=blk)
-        if a is b:
-            # a row's distance to itself is exactly 0: +inf keeps it out of
-            # the near-zero test, which would recompute it to 0
-            diag = np.arange(len(blk)), np.arange(rows.start, rows.stop)
-            blk[diag] = np.inf
         _exact_near_zero(a[rows], b, blk, an_tau[rows], bn_tau)
-        if a is b:
-            blk[diag] = 0.0
         np.maximum(blk, 0.0, out=blk)
     return sq
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FormatError
-from .gallery import EmbeddingSet, load_embeddings, save_embeddings
+from .gallery import EmbeddingSet, _object_once, load_embeddings, save_embeddings
 
 
 def _check_tensor_name(name) -> None:
@@ -102,7 +102,7 @@ def load_ema_state(directory) -> EmaState:
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as fh:
-            manifest = json.load(fh)
+            manifest = json.load(fh, object_pairs_hook=_object_once)
         tensors = {}
         for name, info in manifest["tensors"].items():
             _check_tensor_name(name)

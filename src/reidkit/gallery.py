@@ -103,6 +103,16 @@ def _groups(*keys):
         yield tuple(k[order[start]] for k in keys), order[start:stop]
 
 
+def _object_once(pairs) -> dict:
+    """A JSON object as a dict; json.load would keep the last of a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} written twice")
+        doc[key] = value
+    return doc
+
+
 def load_index(metadata_file) -> GalleryIndex:
     """Read a GalleryIndex from the comma-separated metadata format.
 

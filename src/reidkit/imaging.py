@@ -26,8 +26,10 @@ class Image:
     def __post_init__(self):
         p = np.asarray(self.pixels)
         if p.dtype != np.uint8:
-            with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
-                cast = p.astype(np.uint8)
+            # NaN, inf and a non-zero imaginary part fail the test below; the
+            # real part keeps the cast of a complex array from warning
+            with np.errstate(invalid="ignore"):
+                cast = p.real.astype(np.uint8)
             if not (cast == p).all():
                 raise DataError("pixel values must be integers in [0, 255]")
             p = cast
@@ -62,10 +64,11 @@ class Mask:
         v = np.asarray(self.values)
         if v.ndim != 2:
             raise DataError("mask must be a 2-D array")
-        # checked before the uint8 cast, which would wrap 256 to 0
+        # checked before the uint8 cast, which would wrap 256 to 0; the cast
+        # takes the real part, so a complex array converts without a warning
         if not ((v == 0) | (v == 1)).all():
             raise DataError("mask values must be binary {0, 1}")
-        object.__setattr__(self, "values", v.astype(np.uint8, copy=False))
+        object.__setattr__(self, "values", v.real.astype(np.uint8, copy=False))
 
     @property
     def height(self) -> int:

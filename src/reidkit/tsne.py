@@ -96,8 +96,10 @@ def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
 def _kl_and_gradient(p_off: np.ndarray, mask: np.ndarray, p_grad: np.ndarray, y: np.ndarray):
     """KL(P || Q) under the Student-t kernel Q of y, and the gradient of
     KL(P_grad || Q) w.r.t. y (P_grad is the exaggerated P early in descent).
-    p_off is P[mask], the off-diagonal entries of P under the boolean mask."""
-    num = 1.0 / (1.0 + _sq_euclidean(y, y))
+    p_off is P[mask], the off-diagonal entries of P under the boolean mask.
+    d^2 is _sq_euclidean's expansion: 1/(1 + d^2) needs no exact recompute."""
+    num = np.sum(y * y, axis=1)  # the squared norms, freed once the kernel replaces them
+    num = 1.0 / (1.0 + np.maximum(num[:, None] + num - 2.0 * (y @ y.T), 0.0))
     np.fill_diagonal(num, 0.0)
     q = np.maximum(num / num.sum(), P_FLOOR)
     kl = float(np.sum(p_off * np.log(p_off / q[mask])))

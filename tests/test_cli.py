@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -9,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reidkit import camera, distance, gallery, imaging, metrics, tsne
+from reidkit import camera, cli, distance, ensemble, gallery, imaging, metrics, tsne
 from reidkit.cli import run_cli
 from reidkit.ensemble import EmaState, load_ema_state, save_ema_state
 
@@ -328,6 +331,53 @@ class TestEmaCommand:
     def test_update_without_state_fails(self, tmp_path):
         rc = run_cli(["ema", "--student", str(tmp_path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--state", "S", "--alpha", "0.5"],
+            ["--state", "S", "--warmup"],
+            ["--state", "S", "--alpha", "0.9", "--warmup"],
+            ["--init", "--state", "does-not-exist"],
+            ["--init", "--state", "S", "--alpha", "0.5"],
+        ],
+    )
+    def test_flags_an_update_would_ignore_exit_2_before_reading(self, tmp_path, capsys, monkeypatch, flags):
+        # an update keeps its state's alpha and warm-up, and --init reads no state
+        def unreachable(directory):
+            raise AssertionError(f"read {directory} before checking the flags")
+
+        monkeypatch.setattr(ensemble, "load_ema_state", unreachable)
+        argv = ["ema", *flags, "--student", str(tmp_path / "T"), "--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_init_alpha_defaults_to_ema_state(self, tmp_path):
+        save_ema_state(EmaState({"w": np.ones((1, 2))}, alpha=0.5), tmp_path / "s")
+        assert run_cli(["ema", "--init", "--student", str(tmp_path / "s"), "--out", str(tmp_path / "o")]) == 0
+        state = load_ema_state(tmp_path / "o")
+        assert (state.alpha, state.warmup) == (EmaState.alpha, EmaState.warmup)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            '{"alpha": 0.5, "alpha": 0.9, "step": 0, "tensors": {W}}',
+            '{"alpha": 0.5, "step": 0, "step": 1, "tensors": {W}}',
+            '{"alpha": 0.5, "step": 0, "tensors": {W, W}}',
+        ],
+        ids=["alpha", "step", "tensor"],
+    )
+    def test_key_written_twice_exit_2(self, tmp_path, capsys, manifest):
+        # json.load alone would keep the last of the two
+        save_ema_state(EmaState({"w": np.ones((1, 2))}, alpha=0.5), tmp_path / "s")
+        entry = '"w": {"file": "w.remb", "shape": [1, 2]}'
+        (tmp_path / "s" / "manifest.json").write_text(manifest.replace("W", entry))
+        rc = run_cli(["ema", "--init", "--student", str(tmp_path / "s"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "written twice" in err
 
     @pytest.mark.parametrize(
         "role,fields",
@@ -1094,3 +1144,30 @@ def test_stage_imports_only_the_modules_it_calls(tmp_path, command, called, abse
     imported = set(res.stdout.split())
     assert f"reidkit.{called}" in imported
     assert imported.isdisjoint(f"reidkit.{m}" for m in absent)
+
+
+def readme_cli_lines():
+    """Every `reidkit ...` line of README.md's sh blocks, `\\` continuations joined."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
+    return [line for line in re.sub(r" *\\\n\s*", " ", blocks).splitlines() if line.startswith("reidkit ")]
+
+
+def test_readme_shows_cli_examples():
+    assert len(readme_cli_lines()) >= 8  # one per subcommand at least
+
+
+class _ExactParser(cli._Parser):
+    """The CLI's parser without argparse's prefix matching, so that a README
+    flag must name an option in full: `--lam` would still parse as `--lambda`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **{**kwargs, "allow_abbrev": False})
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example_parses(monkeypatch, line):
+    # a flag renamed or removed in the parser but still shown in the docs fails here
+    monkeypatch.setattr(cli, "_Parser", _ExactParser)
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    assert callable(args.func)

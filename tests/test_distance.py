@@ -111,7 +111,9 @@ class TestBlockedGlobalKernel:
         elif layout == "strided":
             q, g = (x.repeat(2, axis=0).repeat(2, axis=1)[::2, ::2] for x in (q, g))
         elif layout == "same":
-            # one array on both sides (t-SNE): float64 keeps it one array
+            # one array on both sides, as perplexity_affinities passes it:
+            # float64 keeps it one array, and its diagonal is recomputed like
+            # any duplicate pair
             g = q
         with small_tiles(cells):
             got = distance_matrix(q, g, metric).values
@@ -177,7 +179,7 @@ class TestBlockedGlobalKernel:
     def test_self_distance_exactly_zero_with_offset(self, offset, n, dtype, seed):
         x = (offset + np.random.default_rng(seed).standard_normal((n, 2048))).astype(dtype)
         np.testing.assert_array_equal(np.diag(distance_matrix(x, x).values), 0.0)
-        # a copy is not the same array: its diagonal is recomputed
+        # a copy takes the same path
         np.testing.assert_array_equal(np.diag(distance_matrix(x, x.copy()).values), 0.0)
 
     @settings(max_examples=30, deadline=None)
@@ -236,9 +238,8 @@ class TestBlockedGlobalKernel:
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
     def test_self_distances_of_one_array(self, rng, n):
-        # the same array on both sides: the diagonal is set to 0 directly, a
-        # duplicate pair off it is recomputed, every other entry is the
-        # expansion's
+        # the same array on both sides: the diagonal and a duplicate pair off
+        # it are recomputed to 0, every other entry is the expansion's
         x = 50.0 + rng.standard_normal((n, 32))
         x[n - 1] = x[0]
         got = distance._sq_euclidean(x, x)
@@ -248,6 +249,40 @@ class TestBlockedGlobalKernel:
         exact[0, n - 1] = exact[n - 1, 0] = True
         assert (got[exact] == 0.0).all()
         assert got[~exact].tobytes() == expansion[~exact].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        dim=st.integers(1, 40),
+        offset=st.sampled_from([0.0, 0.4, 50.0]),
+        duplicates=st.lists(st.tuples(st.integers(0, 69), st.integers(0, 69)), max_size=6),
+        zeros=st.lists(st.integers(0, 69), max_size=3),
+        cells=st.integers(1, 400) | st.just(1 << 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_array_takes_the_path_of_a_copy(
+        self, small_tiles, n, dim, offset, duplicates, zeros, cells, seed
+    ):
+        x = offset + np.random.default_rng(seed).standard_normal((n, dim))
+        for i, j in duplicates:
+            x[j % n] = x[i % n]
+        x[[i % n for i in zeros]] = 0.0
+        same = x @ x.T
+        with small_tiles(cells):
+            got = [distance._sq_euclidean(x, x), distance._sq_euclidean(x, x.copy())]
+        # numpy runs a matrix times its own transpose through BLAS syrk and a
+        # copy through gemm, whose products differ in the last bits; each
+        # result is the same function of its own product
+        norms = np.sum(x * x, axis=1)
+        tau = distance._twice_gamma(dim + 2)
+        equal_rows = (x[:, None, :] == x[None, :, :]).all(axis=2)
+        for d, prod in zip(got, [same, x @ x.copy().T]):
+            want = norms[:, None] + norms - 2.0 * prod
+            r, c = np.nonzero(want <= tau * norms[:, None] + tau * norms)
+            diff = x[r] - x[c]
+            want[r, c] = np.einsum("ij,ij->i", diff, diff)
+            assert d.tobytes() == np.maximum(want, 0.0).tobytes()
+            assert (d[equal_rows] == 0.0).all()
 
     def test_flagged_pairs_run_in_chunks(self, rng, small_tiles):
         # every pair a duplicate, a few pairs per chunk of direct differences

@@ -159,6 +159,10 @@ def test_make_rgb_helper():
         (Image, [[[-1.7]]]),
         (Image, [[[0.5]]]),
         (Image, [[[np.inf]]]),
+        (Mask, [[1 + 1j]]),
+        (Image, [[[1j]]]),
+        (Image, [[[7 + 1e-300j]]]),
+        (Image, [[[256 + 0j]]]),
     ],
 )
 def test_values_the_uint8_cast_would_change_are_rejected(make, values):
@@ -170,6 +174,9 @@ def test_values_the_uint8_cast_would_change_are_rejected(make, values):
 def test_integral_values_in_uint8_range_are_stored_as_uint8():
     assert Image(np.array([[[0.0, 255.0, 7.0]]])).pixels.tolist() == [[[0, 255, 7]]]
     assert Mask(np.array([[True, False]])).values.dtype == np.uint8
+    # a complex array whose imaginary parts are all 0 converts without a ComplexWarning
+    assert Image(np.array([[[1 + 0j, 255 + 0j, -0j]]])).pixels.tolist() == [[[1, 255, 0]]]
+    assert Mask(np.array([[1 + 0j, 0j]])).values.tolist() == [[1, 0]]
 
 
 def oracle_read_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -334,8 +341,6 @@ def test_header_pattern_matches_the_byte_scanner(data):
     ],
     ids=lambda v: f"{v.dtype}:{v.ravel().tolist()}",
 )
-# the uint8 cast of an accepted complex mask warns that it drops a zero imaginary part
-@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
 def test_mask_accepts_exactly_the_values_isin_accepts(values):
     try:
         m = Mask(values)

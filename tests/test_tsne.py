@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reidkit.distance import _sq_euclidean
+from reidkit import tsne
+from reidkit.distance import _sq_euclidean, _twice_gamma
 from reidkit.errors import DataError
 from reidkit.tsne import (
     MAX_BISECTIONS,
@@ -236,6 +237,81 @@ class TestKlGradient:
                 ym[i, j] -= h
                 fd[i, j] = (kl_and_gradient(p, yp)[0] - kl_and_gradient(p, ym)[0]) / (2 * h)
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) <= 1e-4
+
+
+def kl_and_gradient_on_sq_euclidean(p_off, mask, p_grad, y):
+    """_kl_and_gradient with its squared distances taken from _sq_euclidean.
+    y itself goes in, not a copy: numpy runs y @ y.T through BLAS syrk and a
+    product with a copy through gemm, whose last bits differ."""
+    num = 1.0 / (1.0 + _sq_euclidean(y, y))
+    np.fill_diagonal(num, 0.0)
+    q = np.maximum(num / num.sum(), P_FLOOR)
+    kl = float(np.sum(p_off * np.log(p_off / q[mask])))
+    w = (p_grad - q) * num
+    np.fill_diagonal(w, 0.0)
+    return kl, 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
+
+
+# the near-zero bound of _sq_euclidean for 2-D rows: tau * (|y_i|^2 + |y_j|^2)
+TAU_2D = _twice_gamma(2 + 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(4, 80),
+    log_scale=st.floats(-4, 2),
+    duplicates=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79)), max_size=6),
+    early=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_descent_kernel_byte_identical_to_sq_euclidean(n, log_scale, duplicates, early, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, 2)) * 10.0**log_scale
+    for k, (i, j) in enumerate(duplicates, 1):
+        i, j = i % n, j % n
+        if i != j:
+            # the k-th duplicate moved 8k sqrt(tau) |y_i| away: a squared
+            # distance of at least 64 tau |y_i|^2 from y_i and from another
+            # duplicate of it, far above the bound of about 2 tau |y_i|^2
+            step = rng.standard_normal(2)
+            y[j] = y[i] + 8.0 * k * np.sqrt(TAU_2D) * np.linalg.norm(y[i]) * step / np.linalg.norm(step)
+    norms = np.sum(y * y, axis=1)
+    off = ~np.eye(n, dtype=bool)
+    expansion = norms[:, None] + norms - 2.0 * (y @ y.T)
+    # a chain of duplicates can still bring two of them close: no pair inside the bound
+    assume((expansion > TAU_2D * norms[:, None] + TAU_2D * norms)[off].all())
+    p = rng.uniform(0.1, 1.0, (n, n))
+    p = p + p.T
+    np.fill_diagonal(p, 0.0)
+    p /= p.sum()
+    args = (p[off], off, p * 12.0 if early else p, y)
+    kl, grad = tsne._kl_and_gradient(*args)
+    kl_ref, grad_ref = kl_and_gradient_on_sq_euclidean(*args)
+    assert np.float64(kl).tobytes() == np.float64(kl_ref).tobytes()
+    assert grad.tobytes() == grad_ref.tobytes()
+
+
+def test_descent_kernel_inside_the_bound(monkeypatch):
+    # y_0 and y_1 are 3e-9 apart: the expansion cancels to 4.5e-13, where
+    # _sq_euclidean would recompute 9e-18. The descent keeps the expansion,
+    # whose 1/(1 + d^2) is off by no more than the bound.
+    y = np.array([[30.1, 12.7], [30.1, 12.7 + 3e-9], [5.0, 5.0], [-3.0, 4.0]])
+    p = np.full((4, 4), 1.0 / 12)
+    np.fill_diagonal(p, 0.0)
+    kernels = []
+    fill_diagonal = np.fill_diagonal
+
+    def spy(a, val, wrap=False):
+        # the first array whose diagonal the descent zeroes is 1/(1 + d^2)
+        kernels.append(a.copy())
+        fill_diagonal(a, val, wrap)
+
+    monkeypatch.setattr(np, "fill_diagonal", spy)
+    kl_and_gradient(p, y)
+    exact = 1.0 / (1.0 + np.sum((y[0] - y[1]) ** 2))
+    bound = TAU_2D * np.sum(y[:2] ** 2)
+    assert 0.0 < abs(kernels[0][0, 1] - exact) <= bound
+    assert kernels[0][0, 1] == kernels[0][1, 0]
 
 
 class TestRunTsne:
