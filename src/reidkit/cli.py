@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -35,12 +34,7 @@ def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-
-
-def _json_report(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        gallery._write_file(out_path, text.encode("ascii"))
 
 
 def _read_image(path):
@@ -109,14 +103,11 @@ def _cmd_mask(args):
         if (m.height, m.width) != (img.height, img.width):
             m = imaging.resize_mask_nearest(m, img.width, img.height)
         masked = imaging.apply_mask(img, m)
-        with open(os.path.join(args.out, name), "wb") as fh:
-            fh.write(imaging.encode_image(masked))
+        gallery._write_file(os.path.join(args.out, name), imaging.encode_image(masked))
 
 
 def _cmd_dist(args):
-    data = distance_mod.encode_distance_matrix(_distances(args)[2])  # before open: a rejected matrix leaves no file
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    gallery._write_file(args.out, distance_mod.encode_distance_matrix(_distances(args)[2]))
 
 
 def _cmd_eval(args):
@@ -134,7 +125,7 @@ def _cmd_eval(args):
         "local_mode": args.local_mode,
         "lambda": args.lam,
     }
-    _emit(_json_report(doc), args.out)
+    _emit(gallery._json_report(doc), args.out)
 
 
 def _cmd_mine(args):
@@ -155,7 +146,7 @@ def _cmd_mine(args):
         "loss": float(loss),
         "grad_norm": float(np.linalg.norm(grad)),
     }
-    _emit(_json_report(doc), args.out)
+    _emit(gallery._json_report(doc), args.out)
 
 
 def _cmd_ema(args):
@@ -201,7 +192,7 @@ def _cmd_camera(args):
         "||cell displacement - camera offset|| / (||camera offset|| + 1e-8); "
         "0 means perfectly identity-agnostic camera offsets"
     )
-    _emit(_json_report(doc), args.out)
+    _emit(gallery._json_report(doc), args.out)
 
 
 def _cmd_tsne(args):

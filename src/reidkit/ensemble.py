@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gallery
 from .errors import DataError, FormatError
 from .gallery import EmbeddingSet, _object_once, load_embeddings, save_embeddings
 
@@ -86,16 +87,18 @@ def consistency_loss_grad(teacher_emb: np.ndarray, student_emb: np.ndarray):
 
 
 def save_ema_state(state: EmaState, directory) -> None:
-    """Persist as one binary tensor file per name plus a JSON manifest."""
+    """One binary tensor file per name plus a JSON manifest, removed first and
+    written last: a save that fails part-way leaves a state that fails to load."""
+    path = os.path.join(directory, "manifest.json")
     os.makedirs(directory, exist_ok=True)
+    if os.path.lexists(path):
+        os.remove(path)
     manifest = {"alpha": state.alpha, "step": state.step, "warmup": state.warmup, "tensors": {}}
     for name, tensor in sorted(state.tensors.items()):
         fname = f"{name}.remb"
         save_embeddings(EmbeddingSet(tensor.reshape(1, -1)), os.path.join(directory, fname))
         manifest["tensors"][name] = {"file": fname, "shape": list(tensor.shape)}
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    gallery._write_file(path, gallery._json_report(manifest).encode("ascii"))
 
 
 def load_ema_state(directory) -> EmaState:

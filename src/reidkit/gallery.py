@@ -11,6 +11,7 @@ S = Dl = 0 means no local stripe features.
 from __future__ import annotations
 
 import csv
+import json
 import os
 import struct
 from dataclasses import dataclass, field
@@ -239,10 +240,19 @@ def decode_embeddings(data: bytes) -> EmbeddingSet:
     return EmbeddingSet(*_decode_container(data, EMBEDDING_MAGIC))
 
 
-def save_embeddings(emb: EmbeddingSet, path) -> None:
-    data = encode_embeddings(emb)  # before open: a rejected set leaves no file
+def _json_report(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"  # the one JSON output form
+
+
+def _write_file(path, data) -> None:
+    """The one writer of every file reidkit writes, called as gallery._write_file:
+    data is the whole encoded output, so a rejected output creates no file."""
     with open(path, "wb") as fh:
         fh.write(data)
+
+
+def save_embeddings(emb: EmbeddingSet, path) -> None:
+    _write_file(path, encode_embeddings(emb))
 
 
 def load_embeddings(path) -> EmbeddingSet:

@@ -92,21 +92,16 @@ def triplet_loss_grad(emb: np.ndarray, triplets: Sequence[Triplet], margin: floa
     if len(triplets) == 0:
         raise DataError("empty triplet set")
     e = np.asarray(emb, dtype=np.float64)
-    grad = np.zeros_like(e)
-    total = 0.0
+    rows = np.array([(t.anchor, t.positive, t.negative) for t in triplets])
+    ap, an = e[rows[:, 0]] - e[rows[:, 1]], e[rows[:, 0]] - e[rows[:, 2]]
+    # one dot per row, as np.linalg.norm takes it; einsum and norm(axis=1) sum in another order
+    d_ap, d_an = (np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) for x in (ap, an))
+    hinge = d_ap - d_an + margin
+    on = ~(hinge <= 0)  # a NaN hinge counts as active
+    u_ap, u_an = (np.divide(x[on], d[on, None], out=np.zeros_like(x[on]), where=d[on, None] > 0)
+                  for x, d in ((ap, d_ap), (an, d_an)))
     scale = 1.0 / len(triplets)
-    for t in triplets:
-        ap = e[t.anchor] - e[t.positive]
-        an = e[t.anchor] - e[t.negative]
-        d_ap = np.linalg.norm(ap)
-        d_an = np.linalg.norm(an)
-        hinge = d_ap - d_an + margin
-        if hinge <= 0:
-            continue
-        total += hinge
-        u_ap = ap / d_ap if d_ap > 0 else np.zeros_like(ap)
-        u_an = an / d_an if d_an > 0 else np.zeros_like(an)
-        grad[t.anchor] += scale * (u_ap - u_an)
-        grad[t.positive] -= scale * u_ap
-        grad[t.negative] += scale * u_an
-    return total * scale, grad
+    steps = np.stack([scale * (u_ap - u_an), -(scale * u_ap), scale * u_an], axis=1)
+    grad = np.zeros_like(e)
+    np.add.at(grad, rows[on].ravel(), steps.reshape(-1, e.shape[1]))  # (a, p, n) rows, in triplet order
+    return np.cumsum(np.r_[0.0, hinge[on]])[-1] * scale, grad  # in turn: np.sum adds pairwise

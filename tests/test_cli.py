@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pathlib
@@ -15,6 +16,7 @@ import pytest
 from reidkit import camera, cli, distance, ensemble, gallery, imaging, metrics, tsne
 from reidkit.cli import run_cli
 from reidkit.ensemble import EmaState, load_ema_state, save_ema_state
+from reidkit.errors import ReidError
 
 
 def write_ppm(path, pixels):
@@ -378,6 +380,37 @@ class TestEmaCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "written twice" in err
+
+    @pytest.mark.parametrize("kept", [None, 0.0, 0.5], ids=["untouched", "no_bytes", "half_the_bytes"])
+    @pytest.mark.parametrize("k", range(5), ids=["a", "b", "c", "manifest", "none"])
+    def test_update_in_place_cut_at_any_write_never_loads(self, tmp_path, capsys, monkeypatch, k, kept):
+        # ENOSPC at the k-th of the four writes (three tensors, then the
+        # manifest): the file is left as it was, or keeps that share of its bytes
+        names = ("a", "b", "c")
+        save_ema_state(EmaState({n: np.zeros(2) for n in names}, alpha=0.5), tmp_path / "S")
+        save_ema_state(EmaState({n: np.ones(2) for n in names}), tmp_path / "T")
+        writes, write_file = [], gallery._write_file
+
+        def full_disk(path, data):
+            writes.append(os.path.basename(path))
+            if len(writes) == k + 1:
+                if kept is not None:
+                    write_file(path, data[: int(len(data) * kept)])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            write_file(path, data)
+
+        monkeypatch.setattr(gallery, "_write_file", full_disk)
+        state, student = str(tmp_path / "S"), str(tmp_path / "T")
+        code = run_cli(["ema", "--state", state, "--student", student, "--out", state])
+        if k == 4:
+            assert code == 0 and writes == ["a.remb", "b.remb", "c.remb", "manifest.json"]
+            assert load_ema_state(state).step == 1
+            return
+        assert code == 2
+        assert_one_line_error(capsys)
+        with pytest.raises((ReidError, OSError)):
+            load_ema_state(state)
+        assert run_cli(["ema", "--state", state, "--student", student, "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize(
         "role,fields",

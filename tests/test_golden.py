@@ -53,7 +53,8 @@ def output_digests(root) -> dict:
             assert run_cli(argv) == 0, f"{w}: stage {name} failed"
         for path in out.rglob("*"):
             if path.is_file():
-                digests[f"{w}/{path.relative_to(out).as_posix()}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                key = f"{w}/{path.relative_to(out).as_posix()}"
+                digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     return dict(sorted(digests.items()))
 
 

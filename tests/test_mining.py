@@ -42,6 +42,29 @@ def pk_sample_reference(index, cfg):
     return np.array(batch, dtype=np.int64)
 
 
+def triplet_loss_grad_reference(emb, triplets, margin):
+    """The per-triplet loop that triplet_loss_grad replaced."""
+    e = np.asarray(emb, dtype=np.float64)
+    grad = np.zeros_like(e)
+    total = 0.0
+    scale = 1.0 / len(triplets)
+    for t in triplets:
+        ap = e[t.anchor] - e[t.positive]
+        an = e[t.anchor] - e[t.negative]
+        d_ap = np.linalg.norm(ap)
+        d_an = np.linalg.norm(an)
+        hinge = d_ap - d_an + margin
+        if hinge <= 0:
+            continue
+        total += hinge
+        u_ap = ap / d_ap if d_ap > 0 else np.zeros_like(ap)
+        u_an = an / d_an if d_an > 0 else np.zeros_like(an)
+        grad[t.anchor] += scale * (u_ap - u_an)
+        grad[t.positive] -= scale * u_ap
+        grad[t.negative] += scale * u_an
+    return total * scale, grad
+
+
 class TestPkSample:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -240,3 +263,23 @@ class TestTripletLoss:
         lb, gb = triplet_loss_grad(e, both, 0.3)
         assert lb == pytest.approx((l1 + l2) / 2)
         np.testing.assert_allclose(gb, (g1 + g2) / 2, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 70),
+        dim=st.sampled_from([1, 2, 3, 7, 64, 129, 2048]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        distinct=st.sampled_from([1, 2, 5, None]),
+        margin=st.sampled_from([0.0, 0.3, 5.0]),
+    )
+    def test_bytes_equal_the_per_triplet_loop(self, seed, n, dim, dtype, distinct, margin):
+        rng = np.random.default_rng(seed)
+        # a few distinct rows repeated gives zero-length differences and tied hinges
+        pool = rng.standard_normal((distinct or n, dim)).astype(dtype)
+        e = pool[rng.integers(0, len(pool), n)]
+        ts = tuple(map(Triplet, *rng.integers(0, n, (3, int(rng.integers(1, 2 * n)))).tolist()))
+        loss, grad = triplet_loss_grad(e, ts, margin)
+        ref_loss, ref_grad = triplet_loss_grad_reference(e, ts, margin)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()

@@ -1,7 +1,7 @@
 """The public surface of reidkit is pinned: every public top-level name of a
 `reidkit` module is used by library code outside its own definition, or is
 named in backticks in README.md as library surface. A function only tests
-call cannot come back unseen."""
+call cannot come back unseen. Only `gallery._write_file` writes files."""
 
 import ast
 import pathlib
@@ -72,3 +72,34 @@ def test_every_module_parses_at_the_declared_python_floor():
     assert floor, "pyproject.toml declares no requires-python floor"
     for path in sorted((ROOT / "src" / "reidkit").glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor[1])))
+
+
+def write_sites(tree, skip=None):
+    """(line, call) of each open() whose mode may write and each call named
+    dump (json.dump) in the tree, outside the node skip. A mode that is not a
+    string literal counts as writing."""
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        mode = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+        writes = bool(mode) and not (
+            isinstance(mode[0], ast.Constant) and isinstance(mode[0].value, str)
+            and not set(mode[0].value) & set("wax+")
+        )
+        if (name == "open" and writes) or name == "dump":
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_every_file_is_written_by_gallery_write_file():
+    # one writer: a policy for outputs (atomic replace, say) changes in one place
+    writer = next(n for n in MODULES["gallery"].body if getattr(n, "name", None) == "_write_file")
+    assert write_sites(writer), "the scan finds no write in gallery._write_file itself"
+    sites = {m: write_sites(tree, writer) for m, tree in MODULES.items()}
+    assert not any(sites.values()), {m: s for m, s in sites.items() if s}
