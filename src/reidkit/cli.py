@@ -118,6 +118,9 @@ def _cmd_eval(args):
         max_rank=args.max_rank,
     )
     queries, gal, d = _distances(args, args.queries, args.gallery)
+    # no rank lies past the gallery's last item; torchreid's eval_market1501
+    # clamps the same way, and a 2^63 or 10^15 CMC cannot be allocated
+    protocol = dataclasses.replace(protocol, max_rank=min(protocol.max_rank, len(gal)))
     report = metrics.evaluate(queries, gal, d, protocol)
     doc = report.to_dict()
     doc["config"] = {

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import _sq_euclidean
+from .distance import _blocks, _sq_euclidean
 from .errors import DataError
 
 P_FLOOR = 1e-12
@@ -49,16 +49,67 @@ def _row_entropy_bits(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def _conditional_row(shifted_row: np.ndarray, beta: float) -> np.ndarray:
-    # beta = 1/(2 sigma^2); the row excludes the diagonal entry and has had
+def _off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of the square matrix m as an (n - 1, n) view,
+    in the row-major order of m[~np.eye(n, dtype=bool)]."""
+    n = len(m)
+    return m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of each row of p. A row with an exact 0 takes
+    _row_entropy_bits: its sum over the compacted row runs in another order
+    than the sum over the whole row."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log2(0) is NaN
+        h = -np.sum(p * np.log2(p), axis=1)
+    for k in np.flatnonzero(np.isnan(h)):
+        h[k] = _row_entropy_bits(p[k])
+    return h
+
+
+def _conditionals(shifted: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    # beta = 1/(2 sigma^2); each row excludes the diagonal entry and has had
     # its minimum subtracted, so its largest exp term is exactly 1
-    p = np.exp(-beta * shifted_row)
-    return p / p.sum()
+    p = np.exp(-beta[:, None] * shifted)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def _bisect_block(shifted: np.ndarray, perplexity: float, out: np.ndarray) -> None:
+    """Write into out the conditional rows of one block of shifted rows, each
+    bandwidth found by its own bisection. A row leaves the search once it is
+    within PERPLEXITY_TOL of the target, and keeps its last beta after
+    MAX_BISECTIONS steps."""
+    rows = np.arange(len(shifted))
+    beta, lo, hi = np.ones(len(rows)), np.zeros(len(rows)), np.full(len(rows), np.inf)
+    for _ in range(MAX_BISECTIONS):
+        p = _conditionals(shifted, beta)
+        # Python's scalar power: numpy's array power differs in the last bit
+        perp = np.array([2.0 ** h for h in _entropy_bits(p).tolist()])
+        done = np.abs(perp - perplexity) < PERPLEXITY_TOL
+        out[rows[done]] = p[done]
+        flat = perp > perplexity  # too flat, sharpen
+        step = np.where(flat, np.where(hi == np.inf, beta * 2.0, (beta + hi) / 2.0), (lo + beta) / 2.0)
+        lo, hi, beta = np.where(flat, beta, lo), np.where(flat, hi, beta), step
+        if done.any():
+            keep = ~done
+            shifted, rows, beta, lo, hi = shifted[keep], rows[keep], beta[keep], lo[keep], hi[keep]
+            if not len(rows):
+                return
+    out[rows] = _conditionals(shifted, beta)
 
 
 def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized affinity matrix P with per-row bandwidths found by
-    binary search so each conditional row has the target perplexity."""
+    binary search so each conditional row has the target perplexity.
+
+    The search runs on blocks of rows (distance._blocks, so no temporary
+    exceeds distance._TILE_CELLS cells) and gives the bits of one bisection
+    per row: a row's perplexity is Python's scalar 2.0 ** H, and a row with
+    an exact 0 among its probabilities takes H from the sum over its nonzero
+    entries alone. A row within PERPLEXITY_TOL of the target stops there; a
+    row that cannot reach it keeps its last beta after MAX_BISECTIONS steps.
+    A point with k exact duplicates, say, cannot go below perplexity k."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 4:
         raise DataError("need at least 4 points")
@@ -68,42 +119,53 @@ def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     d2 = _sq_euclidean(x, x)  # diagonal exactly 0
     if d2.max() == 0.0:
         raise DataError("degenerate input: all points identical")
+    # row i of shifted is d2[i] without its diagonal entry, minus its minimum
+    shifted = np.ascontiguousarray(_off_diagonal(d2)).reshape(n, n - 1)
+    del d2
+    shifted -= shifted.min(axis=1, keepdims=True)
+    off = np.empty_like(shifted)
+    for rows in _blocks(n, n - 1):
+        _bisect_block(shifted[rows], perplexity, off[rows])
+    del shifted
     cond = np.zeros((n, n), dtype=np.float64)
-    others = np.arange(n)
-    for i in range(n):
-        mask = others != i
-        row = d2[i, mask]
-        row = row - row.min()
-        beta, lo, hi = 1.0, 0.0, np.inf
-        for _ in range(MAX_BISECTIONS):
-            p = _conditional_row(row, beta)
-            perp = 2.0 ** _row_entropy_bits(p)
-            if abs(perp - perplexity) < PERPLEXITY_TOL:
-                break
-            if perp > perplexity:  # too flat, sharpen
-                lo = beta
-                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
-            else:
-                hi = beta
-                beta = (lo + beta) / 2.0
-        cond[i, mask] = _conditional_row(row, beta)
+    _off_diagonal(cond)[...] = off.reshape(n - 1, n)
+    del off
     p_sym = (cond + cond.T) / (2.0 * n)
     p_sym = np.maximum(p_sym, P_FLOOR)  # off-diagonal floor for stable log ratios
     np.fill_diagonal(p_sym, 0.0)
     return p_sym / p_sym.sum()  # restore unit mass after flooring
 
 
-def _kl_and_gradient(p_off: np.ndarray, mask: np.ndarray, p_grad: np.ndarray, y: np.ndarray):
+def _workspace(n: int):
+    """The buffers _kl_and_gradient fills at n points: the Student-t kernel,
+    Q (then the gradient weights) and the KL terms."""
+    return np.empty((n, n)), np.empty((n, n)), np.empty((n - 1, n))
+
+
+def _kl_and_gradient(p_off: np.ndarray, p_grad: np.ndarray, y: np.ndarray, work):
     """KL(P || Q) under the Student-t kernel Q of y, and the gradient of
     KL(P_grad || Q) w.r.t. y (P_grad is the exaggerated P early in descent).
-    p_off is P[mask], the off-diagonal entries of P under the boolean mask.
-    d^2 is _sq_euclidean's expansion: 1/(1 + d^2) needs no exact recompute."""
-    num = np.sum(y * y, axis=1)  # the squared norms, freed once the kernel replaces them
-    num = 1.0 / (1.0 + np.maximum(num[:, None] + num - 2.0 * (y @ y.T), 0.0))
+    p_off is _off_diagonal(P); work is _workspace(n), overwritten.
+    d^2 is _sq_euclidean's expansion: 1/(1 + d^2) needs no exact recompute.
+    Every step is the float operation of the whole-array expression
+    1/(1 + max(|y_i|^2 + |y_j|^2 - 2 y.y^T, 0)), in the same order."""
+    num, q, terms = work
+    sq = np.sum(y * y, axis=1)
+    np.matmul(y, y.T, out=num)  # y against its own transpose: BLAS syrk
+    np.multiply(num, 2.0, out=num)
+    np.subtract(np.add(sq[:, None], sq, out=q), num, out=num)
+    np.maximum(num, 0.0, out=num)
+    np.add(num, 1.0, out=num)
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    q = np.maximum(num / num.sum(), P_FLOOR)
-    kl = float(np.sum(p_off * np.log(p_off / q[mask])))
-    w = (p_grad - q) * num
+    np.divide(num, num.sum(), out=q)
+    np.maximum(q, P_FLOOR, out=q)
+    np.divide(p_off, _off_diagonal(q), out=terms)
+    np.log(terms, out=terms)
+    np.multiply(p_off, terms, out=terms)
+    kl = float(np.sum(terms))
+    w = np.subtract(p_grad, q, out=q)
+    np.multiply(w, num, out=w)
     np.fill_diagonal(w, 0.0)
     return kl, 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
 
@@ -116,13 +178,12 @@ def kl_and_gradient(p: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or p.shape != (len(y), len(y)):
         raise DataError("shape mismatch between P and Y")
-    mask = ~np.eye(len(y), dtype=bool)
-    p_off = p[mask]
+    p_off = _off_diagonal(p)
     if not (np.isfinite(p_off).all() and (p_off > 0).all()):
         raise DataError("P must be positive and finite off the diagonal")
     if not np.isfinite(y).all():
         raise DataError("Y must be finite")
-    return _kl_and_gradient(p_off, mask, p, y)
+    return _kl_and_gradient(p_off, p, y, _workspace(len(y)))
 
 
 def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):
@@ -135,9 +196,9 @@ def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):
     """
     p = perplexity_affinities(x, params.perplexity)
     n = p.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    p_off = p[mask]
+    p_off = np.ascontiguousarray(_off_diagonal(p))  # read at every iteration
     p_early = p * EXAGGERATION
+    work = _workspace(n)
     rng = np.random.default_rng(params.seed)
     y = rng.normal(scale=1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
@@ -147,7 +208,7 @@ def run_tsne(x: np.ndarray, params: TsneParams = TsneParams()):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(params.iterations):
             early = it < EARLY_ITERATIONS
-            kl, grad = _kl_and_gradient(p_off, mask, p_early if early else p, y)
+            kl, grad = _kl_and_gradient(p_off, p_early if early else p, y, work)
             trace.append(kl)
             momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
             same_sign = np.sign(grad) == np.sign(velocity)

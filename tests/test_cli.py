@@ -605,6 +605,21 @@ def test_eval_bad_max_rank_exit_2_before_any_distance(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == "error: max_rank must be >= 1\n"
 
 
+@pytest.mark.parametrize("max_rank", [str(10**15), str(2**63), "5"])
+def test_eval_max_rank_clamped_to_the_gallery_size(tmp_path, max_rank):
+    # 10^15 used to end in MemoryError and 2^63 in OverflowError, from the
+    # CMC's bincount after the whole distance pass
+    argv = write_retrieval_inputs(tmp_path)["eval"]
+    assert run_cli([*argv, "--max-rank", max_rank, "--out", str(tmp_path / "big.json")]) == 0
+    assert run_cli([*argv, "--max-rank", "4", "--out", str(tmp_path / "four.json")]) == 0
+    doc = json.loads((tmp_path / "big.json").read_text())
+    assert doc["protocol"]["max_rank"] == 4 and len(doc["cmc"]) == 4
+    assert (tmp_path / "big.json").read_bytes() == (tmp_path / "four.json").read_bytes()
+    assert run_cli([*argv, "--max-rank", "3", "--out", str(tmp_path / "three.json")]) == 0
+    doc = json.loads((tmp_path / "three.json").read_text())
+    assert doc["protocol"]["max_rank"] == 3 and len(doc["cmc"]) == 3
+
+
 @pytest.mark.parametrize("rows", [(5, 4), (4, 5)], ids=["query_index_longer", "gallery_index_longer"])
 def test_eval_row_mismatch_exit_2_before_any_distance(tmp_path, monkeypatch, capsys, rows):
     argv = write_retrieval_inputs(tmp_path)["eval"]
@@ -1089,7 +1104,8 @@ def test_dist_and_eval_write_the_library_composition(tmp_path, metric, local_mod
     assert run_cli(["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv"),
                     *flags, "--out", str(tmp_path / "r.json")]) == 0
     queries, gal = gallery.load_index(tmp_path / "q.csv"), gallery.load_index(tmp_path / "g.csv")
-    doc = metrics.evaluate(queries, gal, expected).to_dict()
+    # the default --max-rank 20 is clamped to the 9-item gallery
+    doc = metrics.evaluate(queries, gal, expected, metrics.EvalProtocol(max_rank=len(gal))).to_dict()
     doc["config"] = {"metric": metric, "local_mode": local_mode, "lambda": 0.37}
     assert (tmp_path / "r.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -166,6 +166,67 @@ def test_affinities_byte_identical_to_per_step_shift(x, fraction):
     assert got.tobytes() == reference_affinities(x, perplexity).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    base=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(4, 40), st.integers(1, 4)),
+        elements=st.floats(-10, 10, allow_subnormal=False),
+    ),
+    copies=st.lists(st.integers(0, 39), max_size=12),
+    offset=st.floats(-1e3, 1e3),
+    fraction=st.floats(0.01, 0.99),
+    block_rows=st.integers(1, 16),
+)
+def test_blocked_search_byte_identical_to_row_loop(small_tiles, base, copies, offset, fraction, block_rows):
+    # exact duplicates put exact zeros in rows far from them, and a point with
+    # k duplicates cannot go below perplexity k: its row ends at MAX_BISECTIONS
+    x = np.vstack([base, base[[c % len(base) for c in copies]]]) + offset
+    n = len(x)
+    perplexity = 1.0 + fraction * (n - 1.0)
+    with small_tiles(block_rows * (n - 1)):  # blocks of block_rows rows
+        if _sq_euclidean(x, x).max() == 0.0:
+            with pytest.raises(DataError, match="identical"):
+                perplexity_affinities(x, perplexity)
+            return
+        got = perplexity_affinities(x, perplexity)
+        assert got.tobytes() == reference_affinities(x, perplexity).tobytes()
+
+
+def edge_target(perp, side):
+    """The target farthest on one side of perp (side +1 above, -1 below)
+    that perp still meets within PERPLEXITY_TOL: one ulp farther off, it misses."""
+    t = perp + side * PERPLEXITY_TOL
+    while abs(perp - t) >= PERPLEXITY_TOL:
+        t = np.nextafter(t, perp)
+    while abs(perp - np.nextafter(t, side * np.inf)) < PERPLEXITY_TOL:
+        t = np.nextafter(t, side * np.inf)
+    return float(t)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("rule", ["scalar_power", "compacted_entropy"])
+def test_tolerance_edge_keeps_the_row_loop_bits(rule, side):
+    # six far clusters: at beta = 1 each row holds exact zeros. A row whose
+    # first perplexity differs in the last bit under the other rule is put at
+    # the edge of the tolerance, where that bit decides whether it stops.
+    rng = np.random.default_rng(1)
+    x = np.repeat(rng.standard_normal((6, 3)) * 40, 8, axis=0) + rng.standard_normal((48, 3))
+    d2 = _sq_euclidean(x, x)
+    p = np.array([np.exp(-(r - r.min())) for r in (np.delete(d2[i], i) for i in range(len(x)))])
+    p /= p.sum(axis=1, keepdims=True)
+    h = np.array([tsne._row_entropy_bits(row) for row in p])
+    perp = np.array([2.0**v for v in h.tolist()])
+    if rule == "scalar_power":
+        other = np.power(2.0, h)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            other = np.array([2.0**v for v in (-np.nansum(p * np.log2(p), axis=1)).tolist()])
+    i = np.flatnonzero(other != perp)[0]
+    target = edge_target(perp[i], side)
+    assert perplexity_affinities(x, target).tobytes() == reference_affinities(x, target).tobytes()
+
+
 class TestKlGradient:
     @pytest.mark.parametrize(
         "entry,message",
@@ -284,9 +345,9 @@ def test_descent_kernel_byte_identical_to_sq_euclidean(n, log_scale, duplicates,
     p = p + p.T
     np.fill_diagonal(p, 0.0)
     p /= p.sum()
-    args = (p[off], off, p * 12.0 if early else p, y)
-    kl, grad = tsne._kl_and_gradient(*args)
-    kl_ref, grad_ref = kl_and_gradient_on_sq_euclidean(*args)
+    p_grad = p * 12.0 if early else p
+    kl, grad = tsne._kl_and_gradient(tsne._off_diagonal(p), p_grad, y, tsne._workspace(n))
+    kl_ref, grad_ref = kl_and_gradient_on_sq_euclidean(p[off], off, p_grad, y)
     assert np.float64(kl).tobytes() == np.float64(kl_ref).tobytes()
     assert grad.tobytes() == grad_ref.tobytes()
 
@@ -395,3 +456,15 @@ def test_run_tsne_matches_reference_descent_bitwise(seed, per_cluster, iteration
     assert y.tobytes() == y_ref.tobytes()
     assert np.array(trace).tobytes() == np.array(trace_ref).tobytes()
 
+
+def test_analysis_shape_matches_the_row_loop_and_reference_descent():
+    # the benchmark's t-SNE shape: 50 identities x 10 images, D = 2048, the
+    # CLI's perplexity 30 and learning rate 200, float32 features
+    x, _ = make_clusters(np.random.default_rng(2048), n_clusters=50, per_cluster=10, dim=2048, sep=0.5)
+    x = x.astype(np.float32)
+    p = perplexity_affinities(x, 30.0)
+    assert p.tobytes() == reference_affinities(x, 30.0).tobytes()
+    y, trace = run_tsne(x, TsneParams(perplexity=30.0, iterations=20, seed=7))
+    y_ref, trace_ref = reference_descent(p, 20, 200.0, 7)
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.array(trace).tobytes() == np.array(trace_ref).tobytes()
