@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distance import _blocks
 from .errors import DataError, FormatError
 from .gallery import _groups, _object_once
 
@@ -106,23 +107,44 @@ def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:
     return CameraOffsets(offsets, counts, float(np.mean(cell_scores)))
 
 
-def camera_normalize(emb: np.ndarray, offsets: CameraOffsets, camids) -> np.ndarray:
+def camera_normalize(emb: np.ndarray, offsets: CameraOffsets, camids, out=None) -> np.ndarray:
     """Subtract each row's camera offset; afterwards every per-camera mean
-    equals the global mean."""
-    out = np.array(emb, dtype=np.float64)
-    camids, cams = _row_cameras(camids, out.shape[0])
+    equals the global mean.
+
+    The difference is taken in float64 (float32 rows upcast exactly) and
+    stored in out, an array of the rows' shape that may be emb itself, or
+    in a new float64 array when out is None. A float32 out receives the
+    float64 difference rounded to nearest, the bits of casting the float64
+    result afterwards, without holding that result."""
+    e = np.asarray(emb)
+    camids, cams = _row_cameras(camids, e.shape[0])
     for c in cams:
         if c not in offsets.offsets:
             raise DataError(f"unknown camera id {c}")
-        np.subtract(out, offsets.offsets[c], out=out, where=(camids == c)[:, None])
+        shape = np.shape(offsets.offsets[c])
+        if shape != e.shape[1:]:
+            dim = shape[0] if len(shape) == 1 else shape
+            raise DataError(f"camera {c}: offset dimension {dim} != embedding dim {e.shape[1]}")
+    # one float64 offset row per camera, gathered a block of rows at a time
+    keys, which = np.unique(camids, return_inverse=True)
+    table = np.array([offsets.offsets[int(c)] for c in keys], dtype=np.float64)
+    table = table.reshape(len(keys), e.shape[1])  # (0, D) when there are no rows
+    out = _destination(e, out)
+    for rows in _blocks(e.shape[0], e.shape[1]):
+        np.subtract(e[rows], table[which[rows]], out=out[rows], casting="unsafe")
     return out
 
 
-def apply_camera_residual(emb: np.ndarray, params: CameraResidualParams, camids) -> np.ndarray:
-    """row -> row + A_c @ row + b_c per row's camera, in float64 (float32 rows upcast exactly)."""
+def apply_camera_residual(
+    emb: np.ndarray, params: CameraResidualParams, camids, out=None
+) -> np.ndarray:
+    """row -> row + A_c @ row + b_c per row's camera, in float64 (float32 rows
+    upcast exactly), stored in out, an array of the rows' shape that may be
+    emb itself, or in a new float64 array when out is None. A float32 out
+    receives each camera's float64 rows rounded to nearest."""
     e = np.asarray(emb)
     camids, cams = _row_cameras(camids, e.shape[0])
-    out = np.empty(e.shape, dtype=np.float64)
+    out = _destination(e, out)
     for c in cams:
         if c not in params.matrices:
             raise DataError(f"no residual parameters for camera {c}")
@@ -134,6 +156,15 @@ def apply_camera_residual(emb: np.ndarray, params: CameraResidualParams, camids)
         rows = camids == c
         x = e[rows]
         out[rows] = x + x @ a.T + b
+    return out
+
+
+def _destination(e: np.ndarray, out):
+    """out, checked to have the rows' shape, or a new float64 array."""
+    if out is None:
+        return np.empty(e.shape, dtype=np.float64)
+    if out.shape != e.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {e.shape}")
     return out
 
 

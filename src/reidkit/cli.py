@@ -182,13 +182,15 @@ def _cmd_camera(args):
     feats, camids = feats.global_, index.camera_ids
     offsets = camera.camera_offsets(feats, camids, index.person_ids)
     if args.residual or args.normalize:
-        # each step frees its input: float64 is gone before the writer's buffer
-        if params is not None:
-            feats = camera.apply_camera_residual(feats, params, camids)
-        else:
-            feats = camera.camera_normalize(feats, offsets, camids)
-        feats = gallery.EmbeddingSet(feats)
-        gallery.save_embeddings(feats, args.out_emb)
+        # the float32 result overwrites the features, a writable view of the
+        # file buffer that nothing reads again, and the writer writes it as
+        # it is; the writer's check names an overflow to inf
+        with np.errstate(over="ignore"):
+            if params is not None:
+                camera.apply_camera_residual(feats, params, camids, out=feats)
+            else:
+                camera.camera_normalize(feats, offsets, camids, out=feats)
+        gallery.save_embeddings(gallery.EmbeddingSet(feats), args.out_emb)
     doc = offsets.to_dict()
     doc["score_definition"] = (
         "mean over (camera, person) cells of "

@@ -286,7 +286,7 @@ def combine_distances(dg: DistanceMatrix, dl: DistanceMatrix, lam: float) -> Dis
 
 def encode_distance_matrix(d: DistanceMatrix) -> bytearray:
     """Serialize with the shared binary container (magic RDMX, S=0)."""
-    return _encode_container(DISTANCE_MAGIC, d.values, None)
+    return _encode_container(DISTANCE_MAGIC, d.values)
 
 
 def decode_distance_matrix(data: bytes) -> DistanceMatrix:

@@ -186,24 +186,29 @@ def _check_finite(main: np.ndarray, local: Optional[np.ndarray]) -> None:
             raise DataError(f"non-finite {what} at {cell}")
 
 
-def _encode_container(magic: bytes, main: np.ndarray, local: Optional[np.ndarray]) -> bytearray:
-    """Header and float32 payload in one buffer: each array is cast straight
-    into its place, so the payload is copied once. Non-finite values are
-    rejected as float32, so a float64 value that overflows float32 is too,
-    and a size the u32 header cannot hold is rejected before the buffer."""
+def _container_sizes(main: np.ndarray, local: Optional[np.ndarray]) -> tuple[int, int, int, int]:
+    """N, D, S, Dl of a container's header, each checked to fit its u32 field."""
     n, d = main.shape
     s, dl = (0, 0) if local is None else local.shape[1:]
     for name, size in (("N", n), ("D", d), ("S", s), ("Dl", dl)):
         if size >= 2**32:
             raise DataError(f"{name} = {size} does not fit the container header's u32 field")
-    buf = bytearray(_HEADER.size + 4 * (n * d + n * s * dl))
-    _HEADER.pack_into(buf, 0, magic, CONTAINER_VERSION, n, d, s, dl)
-    views = _payload_views(buf, n, d, s, dl)
+    return n, d, s, dl
+
+
+def _encode_container(magic: bytes, main: np.ndarray) -> bytearray:
+    """Header and float32 payload of a container without local features, in
+    one buffer: main is cast straight into its place, so the payload is
+    copied once. Non-finite values are rejected as float32, so a float64
+    value that overflows float32 is too, and a size the u32 header cannot
+    hold is rejected before the buffer."""
+    n, d, _, _ = _container_sizes(main, None)
+    buf = bytearray(_HEADER.size + 4 * n * d)
+    _HEADER.pack_into(buf, 0, magic, CONTAINER_VERSION, n, d, 0, 0)
+    view, _ = _payload_views(buf, n, d, 0, 0)
     with np.errstate(over="ignore"):  # the check below names an overflow to inf
-        for view, arr in zip(views, (main, local)):
-            if view is not None:
-                view[...] = arr
-    _check_finite(*views)
+        view[...] = main
+    _check_finite(view, None)
     return buf
 
 
@@ -229,9 +234,22 @@ def _decode_container(data: bytes, magic: bytes) -> tuple[np.ndarray, Optional[n
     return views
 
 
+def _embedding_parts(emb: EmbeddingSet) -> list:
+    """An embedding container as its header and its payload arrays, checked
+    finite. The arrays are emb's own when they are little-endian float32
+    and C-contiguous, as EmbeddingSet's are on a little-endian host, so
+    nothing is copied."""
+    main = np.ascontiguousarray(emb.global_, dtype="<f4")
+    local = None if emb.local is None else np.ascontiguousarray(emb.local, dtype="<f4")
+    header = _HEADER.pack(EMBEDDING_MAGIC, CONTAINER_VERSION, *_container_sizes(main, local))
+    _check_finite(main, local)
+    return [header, main] + ([] if local is None else [local])
+
+
 def encode_embeddings(emb: EmbeddingSet) -> bytearray:
-    """Serialize an EmbeddingSet; deterministic byte layout."""
-    return _encode_container(EMBEDDING_MAGIC, emb.global_, emb.local)
+    """Serialize an EmbeddingSet; deterministic byte layout, the bytes
+    save_embeddings writes."""
+    return bytearray().join(_embedding_parts(emb))
 
 
 def decode_embeddings(data: bytes) -> EmbeddingSet:
@@ -246,13 +264,16 @@ def _json_report(doc: dict) -> str:
 
 def _write_file(path, data) -> None:
     """The one writer of every file reidkit writes, called as gallery._write_file:
-    data is the whole encoded output, so a rejected output creates no file."""
+    data is the whole encoded output, one bytes-like object or a list of them
+    written in order, so a rejected output creates no file."""
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.writelines(data if isinstance(data, list) else [data])
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:
-    _write_file(path, encode_embeddings(emb))
+    """Write an embedding set's container: the header, then the float32
+    arrays as they are, with no copy of the payload."""
+    _write_file(path, _embedding_parts(emb))
 
 
 def load_embeddings(path) -> EmbeddingSet:

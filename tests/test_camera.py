@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidkit.errors import DataError, FormatError
+from reidkit.gallery import EmbeddingSet
 from reidkit.camera import (
     CONSISTENCY_EPS,
     CameraOffsets,
@@ -191,6 +194,14 @@ class TestCameraNormalize:
         with pytest.raises(DataError, match="unknown camera id 9$"):
             camera_normalize(e, off, [0, 9, 1, 4, 9])
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_offset_dimension_mismatch(self, width):
+        # a 1-wide offset used to broadcast over the row and a 2-wide one to
+        # escape as numpy's ValueError; the first camera in row order is named
+        off = CameraOffsets({0: np.zeros(3), 1: np.zeros(width)}, {0: 2, 1: 2}, 0.0)
+        with pytest.raises(DataError, match=rf"^camera 1: offset dimension {width} != embedding dim 3$"):
+            camera_normalize(np.ones((4, 3)), off, [1, 0, 1, 0])
+
 
 class TestCameraResidual:
     def test_zero_params_identity(self, rng):
@@ -307,6 +318,85 @@ class TestCameraResidual:
         prefix = f"{path}: malformed residual parameters (ValueError: "
         with pytest.raises(FormatError, match=re.escape(prefix + message + ")")):
             load_residual_params(path)
+
+
+def reference_normalize(emb, offsets, camids):
+    """camera_normalize as a float64 copy of the rows and a masked subtract
+    per camera, in order of first appearance."""
+    out = np.array(emb, dtype=np.float64)
+    camids = np.asarray(camids, dtype=np.int64)
+    for c in dict.fromkeys(camids.tolist()):
+        if c not in offsets.offsets:
+            raise DataError(f"unknown camera id {c}")
+        np.subtract(out, offsets.offsets[c], out=out, where=(camids == c)[:, None])
+    return out
+
+
+def reference_residual(emb, params, camids):
+    """apply_camera_residual as a new float64 result, one camera's masked
+    rows at a time, in order of first appearance."""
+    e = np.asarray(emb)
+    camids = np.asarray(camids, dtype=np.int64)
+    out = np.empty(e.shape, dtype=np.float64)
+    for c in dict.fromkeys(camids.tolist()):
+        if c not in params.matrices:
+            raise DataError(f"no residual parameters for camera {c}")
+        x = e[camids == c]
+        out[camids == c] = x + x @ params.matrices[c].T + params.biases[c]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 60),
+    dim=st.integers(1, 40),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    cams=st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True),
+    unknown=st.lists(st.integers(0, 59), max_size=2, unique=True),
+    # block edges inside the rows and blocks of one row, or the default budget
+    cells=st.integers(1, 200) | st.just(1 << 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_out_is_the_cast_float64_result(small_tiles, n, dim, dtype, cams, unknown, cells, seed):
+    rng = np.random.default_rng(seed)
+    e = (rng.standard_normal((n, dim)) * 3 + 40).astype(dtype)
+    camids = rng.choice(cams, n)
+    # every camera has an offset, also with no rows
+    offsets = camera_offsets(np.vstack([e, rng.standard_normal((len(cams), dim))]), [*camids, *cams])
+    params = CameraResidualParams(
+        {c: 0.1 * rng.standard_normal((dim, dim)) for c in cams},
+        {c: rng.standard_normal(dim) for c in cams},
+    )
+    rows = sorted(i for i in unknown if i < n)
+    camids[rows] = [90 + k for k in range(len(rows))]  # unknown cameras 90, 91
+    for fn, ref, args in [(camera_normalize, reference_normalize, offsets),
+                          (apply_camera_residual, reference_residual, params)]:
+        out = np.empty((n, dim), dtype=np.float32)
+        with small_tiles(cells):
+            if rows:
+                # the first offending row's camera is named, as before
+                with pytest.raises(DataError, match=r" 90$"):
+                    ref(e, args, camids)
+                with pytest.raises(DataError, match=r" 90$"):
+                    fn(e, args, camids, out=out)
+                continue
+            got64 = fn(e, args, camids)
+            got32 = fn(e, args, camids, out=out)
+            # in place, as the CLI runs it on a .remb's float32 rows
+            in_place = e.copy()
+            fn(in_place, args, camids, out=in_place)
+        want = ref(e, args, camids)
+        assert got64.dtype == np.float64 and got64.tobytes() == want.tobytes()
+        assert got32 is out and out.tobytes() == EmbeddingSet(want).global_.tobytes()
+        assert in_place.tobytes() == (out if dtype == np.float32 else got64).tobytes()
+
+
+@pytest.mark.parametrize("fn", [camera_normalize, apply_camera_residual])
+def test_out_of_another_shape_rejected(fn):
+    args = {camera_normalize: CameraOffsets({0: np.zeros(2)}, {0: 3}, 0.0),
+            apply_camera_residual: CameraResidualParams({0: np.zeros((2, 2))}, {0: np.zeros(2)})}[fn]
+    with pytest.raises(ValueError, match=r"^out has shape \(2, 3\), expected \(3, 2\)$"):
+        fn(np.ones((3, 2), np.float32), args, [0, 0, 0], out=np.empty((2, 3), np.float32))
 
 
 def traced_peak(fn, *args):

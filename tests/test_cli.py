@@ -393,6 +393,8 @@ class TestEmaCommand:
 
         def full_disk(path, data):
             writes.append(os.path.basename(path))
+            if isinstance(data, list):  # a container's header and payload arrays
+                data = b"".join(data)
             if len(writes) == k + 1:
                 if kept is not None:
                     write_file(path, data[: int(len(data) * kept)])
@@ -1137,15 +1139,7 @@ def test_ids_beyond_int64_exit_2_names_line(tmp_path, monkeypatch, capsys, comma
     )
 
 
-@pytest.mark.parametrize("cameras", [6, 2])
-def test_camera_normalize_peak_is_under_four_feature_copies(tmp_path, cameras):
-    # in float32 feature sizes: the file buffer (1) and the float64 result
-    # (2), then that result and its float32 cast, are alive together, each
-    # input freed before the next step; camera_offsets gathers float32 rows,
-    # so one camera's gather stays under 1 even with 2 cameras. Holding all
-    # four copies with the writer's buffer was 5.1, and a float64 copy of the
-    # features in camera_offsets 4.1 with 2 cameras
-    n, dim = 6_000, 512
+def write_camera_inputs(tmp_path, n, dim, cameras):
     rng = np.random.default_rng(0)
     gallery.save_embeddings(
         gallery.EmbeddingSet(rng.standard_normal((n, dim)).astype(np.float32)), tmp_path / "e.remb"
@@ -1154,8 +1148,11 @@ def test_camera_normalize_peak_is_under_four_feature_copies(tmp_path, cameras):
         fh.write("index,person_id,camera_id,role,path\n")
         for i in range(n):
             fh.write(f"{i},{i // 8},{i % cameras},train,x{i}.ppm\n")
-    argv = ["camera", "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb"),
-            "--normalize", "--out-emb", str(tmp_path / "n.remb"), "--out", str(tmp_path / "c.json")]
+    return ["camera", "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb"),
+            "--out-emb", str(tmp_path / "n.remb"), "--out", str(tmp_path / "c.json")]
+
+
+def traced_cli_peak(argv):
     tracemalloc.start()
     try:
         rc = run_cli(argv)
@@ -1163,7 +1160,55 @@ def test_camera_normalize_peak_is_under_four_feature_copies(tmp_path, cameras):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak < 3.6 * 4 * n * dim
+    return peak
+
+
+@pytest.mark.parametrize("cameras", [6, 2])
+def test_camera_normalize_peak_is_under_four_feature_copies(tmp_path, cameras):
+    # in float32 feature sizes: the file buffer (1), which the transform
+    # overwrites a block of rows at a time and the writer writes as it is,
+    # and camera_offsets' gather of one camera's float32 rows (0.5 with 2
+    # cameras), 1.4 and 1.6 in all. A float64 result cast into a float32
+    # copy, which the writer copied again, was 3.1
+    n, dim = 6_000, 512
+    argv = write_camera_inputs(tmp_path, n, dim, cameras)
+    assert traced_cli_peak([*argv, "--normalize"]) < 1.8 * 4 * n * dim
+
+
+@pytest.mark.parametrize("cameras, bound", [(6, 2.4), (2, 4.0)])
+def test_camera_residual_peak_is_two_copies_below_the_float64_result(tmp_path, monkeypatch, cameras, bound):
+    # the file buffer (1), which the transform overwrites, and one camera's
+    # gather with its float64 temporaries: 1.9 with 6 cameras, 3.6 with 2.
+    # A float64 result cast into a float32 copy was 3.9 and 5.6. The
+    # parameters are built before tracing: parsing their JSON makes more
+    # Python floats than there are feature values
+    n, dim = 6_000, 512
+    argv = write_camera_inputs(tmp_path, n, dim, cameras)
+    rng = np.random.default_rng(1)
+    params = camera.CameraResidualParams(
+        {c: 0.1 * rng.standard_normal((dim, dim)) for c in range(cameras)},
+        {c: rng.standard_normal(dim) for c in range(cameras)},
+    )
+    monkeypatch.setattr(camera, "load_residual_params", lambda path: params)
+    assert traced_cli_peak([*argv, "--residual", "params.json"]) < bound * 4 * n * dim
+
+
+def test_camera_residual_float32_overflow_exit_2_with_one_line(tmp_path, capsys):
+    # 2 * 3e38 is finite in float64 but not in the float32 .remb: the
+    # writer's check names the cell, with no numpy warning, and writes nothing
+    emb = gallery.EmbeddingSet(np.array([[1.0, 3e38], [2.0, 1.0]], np.float32))
+    gallery.save_embeddings(emb, tmp_path / "e.remb")
+    write_index(tmp_path / "meta.csv", 2, role="train")
+    (tmp_path / "p.json").write_text(json.dumps({
+        "0": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "bias": [0.0, 0.0]},
+        "1": {"matrix": [[0.0, 0.0], [0.0, 0.0]], "bias": [0.0, 0.0]},
+    }))
+    out = tmp_path / "n.remb"
+    argv = ["camera", "--index", str(tmp_path / "meta.csv"), "--emb", str(tmp_path / "e.remb"),
+            "--residual", str(tmp_path / "p.json"), "--out-emb", str(out), "--out", str(tmp_path / "c.json")]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "error: non-finite value at (0, 1)\n"
+    assert not out.exists()
 
 
 _IMPORTED_MODULES = """
