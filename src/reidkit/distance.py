@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .gallery import EmbeddingSet, _decode_container, _encode_container
+from .gallery import EmbeddingSet, _check_finite, _container_views, _encode_container
 
 DISTANCE_MAGIC = b"RDMX"
 
@@ -290,5 +290,6 @@ def encode_distance_matrix(d: DistanceMatrix) -> bytearray:
 
 
 def decode_distance_matrix(data: bytes) -> DistanceMatrix:
-    main, _ = _decode_container(data, DISTANCE_MAGIC)
+    main, _ = _container_views(data, DISTANCE_MAGIC)
+    _check_finite(main, None)
     return DistanceMatrix(main)

@@ -16,6 +16,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import DataError, FormatError, MagicError, TruncationError, Version
 EMBEDDING_MAGIC = b"REMB"
 CONTAINER_VERSION = 1
 _HEADER = struct.Struct("<4s5I")
+_READ_CHUNK = 1 << 20  # bytes per read of a container: each chunk is checked while in cache
 
 METADATA_HEADER = ["index", "person_id", "camera_id", "role", "path"]
 
@@ -134,29 +136,87 @@ def load_index(metadata_file) -> GalleryIndex:
             f"{metadata_file}: bad header {rows[0]!r}, "
             f"expected {','.join(METADATA_HEADER)}"
         )
-    entries = []
+    index = _index_columns(rows[1:])
+    if index is None:
+        raise FormatError(_first_row_fault(metadata_file, rows))
+    return index
+
+
+def _index_columns(body: list) -> Optional[GalleryIndex]:
+    """The index of the rows body, checked and converted a column at a time
+    by the rules of _first_row_fault; None when a rule fails anywhere, so
+    that _first_row_fault names the first faulty row."""
+    if not set(map(len, body)) <= {0, 5}:  # a blank line is a row of no fields
+        return None
+    fields = list(chain.from_iterable(body))
+    if not fields:
+        return GalleryIndex((), (), (), ())
+    idx_s, paths = (list(map(str.strip, fields[k::5])) for k in (0, 4))
+    try:
+        if not _is_decimal("".join(idx_s)) or list(map(int, idx_s)) != list(range(len(idx_s))):
+            return None
+        # ids and roles repeat: each distinct field is checked and converted once
+        pid, cam, roles = (
+            _by_distinct(fields[k::5], read) for k, read in ((1, _id), (2, _id), (3, _role))
+        )
+    except ValueError:
+        return None
+    return GalleryIndex(pid, cam, roles, paths) if all(paths) else None
+
+
+def _by_distinct(col: list, read) -> np.ndarray:
+    """read(field) for each field of col, called once per distinct field."""
+    position = {field: i for i, field in enumerate(dict.fromkeys(col))}
+    codes = np.fromiter(map(position.__getitem__, col), np.intp, len(col))
+    return np.array(list(map(read, position)))[codes]
+
+
+def _id(field: str) -> int:
+    """A person or camera id field as its int; ValueError if
+    _first_row_fault would name it. The range is checked on the Python int:
+    np.array of 2^63 or more is not int64."""
+    if _is_decimal(field := field.strip()) and 0 <= (value := int(field)) < 2**63:
+        return value
+    raise ValueError
+
+
+def _role(field: str) -> str:
+    """A role field, stripped; ValueError if it is unknown."""
+    if (field := field.strip()) not in _ROLE_VALUES:
+        raise ValueError
+    return field
+
+
+def _is_decimal(ids: str) -> bool:
+    """Whether ids holds nothing that int() reads beyond ASCII digits and
+    "-": int() would also read "+3", "1_000" and non-ASCII digits."""
+    return "+" not in ids and "_" not in ids and ids.isascii()
+
+
+def _first_row_fault(metadata_file, rows: list) -> str:
+    """The message naming the first faulty row of a parsed metadata CSV and
+    its fault, by the rules that _index_columns applies a column at a time;
+    load_index asks for it only when a column check has failed."""
+    expected = 0
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 5:
-            raise FormatError(f"{metadata_file}:{lineno}: expected 5 fields, got {len(row)}")
+            return f"{metadata_file}:{lineno}: expected 5 fields, got {len(row)}"
         idx_s, pid_s, cam_s, role_s, path = map(str.strip, row)
-        ids = idx_s + pid_s + cam_s
         try:
-            # int() would also read "+3", "1_000" and non-ASCII digits
-            if "+" in ids or "_" in ids or not ids.isascii():
+            if not _is_decimal(idx_s + pid_s + cam_s):
                 raise ValueError
             idx, pid, cam = int(idx_s), int(pid_s), int(cam_s)
         except ValueError:
-            raise FormatError(
+            return (
                 f"{metadata_file}:{lineno}: index, person_id and camera_id must be "
                 f"decimal integers, got {idx_s!r}, {pid_s!r}, {cam_s!r}"
-            ) from None
-        if idx != len(entries):
-            fault = f"index {idx} out of order, expected {len(entries)}"
+            )
+        if idx != expected:
+            fault = f"index {idx} out of order, expected {expected}"
         elif role_s not in _ROLE_VALUES:
             fault = f"unknown role {role_s!r}"
-        # range checks on the Python ints: np.asarray of 2^63 or more goes through float64
         elif pid < 0 or cam < 0:
             fault = "person_id and camera_id must be non-negative"
         elif pid >= 2**63 or cam >= 2**63:
@@ -164,10 +224,9 @@ def load_index(metadata_file) -> GalleryIndex:
         elif not path:
             fault = "path must be non-empty"
         else:
-            entries.append((pid, cam, role_s, path))
+            expected += 1
             continue
-        raise FormatError(f"{metadata_file}:{lineno}: {fault}")
-    return GalleryIndex(*zip(*entries)) if entries else GalleryIndex((), (), (), ())
+        return f"{metadata_file}:{lineno}: {fault}"
 
 
 def _payload_views(buf, n: int, d: int, s: int, dl: int):
@@ -177,11 +236,17 @@ def _payload_views(buf, n: int, d: int, s: int, dl: int):
     return main, local if s and dl else None
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every value of arr is finite, by one min and one max: NaN
+    propagates through both."""
+    return not arr.size or bool(np.isfinite([arr.min(), arr.max()]).all())
+
+
 def _check_finite(main: np.ndarray, local: Optional[np.ndarray]) -> None:
     """Reject a non-finite payload value, naming its cell: two reductions per
-    array (NaN propagates through both), and a mask only on failure."""
+    array, and a mask only on failure."""
     for arr, what in ((main, "value"), (local, "local value")):
-        if arr is not None and arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+        if arr is not None and not _finite(arr):
             cell = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
             raise DataError(f"non-finite {what} at {cell}")
 
@@ -212,9 +277,10 @@ def _encode_container(magic: bytes, main: np.ndarray) -> bytearray:
     return buf
 
 
-def _decode_container(data: bytes, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _container_views(data, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(main, local) payload arrays of a container, as float32 views of data,
-    checked finite as the writer checks them."""
+    after the header and length checks. The values are not checked:
+    _check_finite checks them as the writer does."""
     if len(data) < _HEADER.size:
         raise TruncationError(
             f"header truncated: expected at least {_HEADER.size} bytes, got {len(data)}"
@@ -229,9 +295,7 @@ def _decode_container(data: bytes, magic: bytes) -> tuple[np.ndarray, Optional[n
         raise TruncationError(
             f"payload length mismatch: expected {expected} bytes, got {len(data)}"
         )
-    views = _payload_views(data, n, d, s, dl)
-    _check_finite(*views)
-    return views
+    return _payload_views(data, n, d, s, dl)
 
 
 def _embedding_parts(emb: EmbeddingSet) -> list:
@@ -255,7 +319,9 @@ def encode_embeddings(emb: EmbeddingSet) -> bytearray:
 def decode_embeddings(data: bytes) -> EmbeddingSet:
     """Inverse of encode_embeddings; bit-exact round trip. The arrays are
     views of data, read-only where data is (bytes)."""
-    return EmbeddingSet(*_decode_container(data, EMBEDDING_MAGIC))
+    views = _container_views(data, EMBEDDING_MAGIC)
+    _check_finite(*views)
+    return EmbeddingSet(*views)
 
 
 def _json_report(doc: dict) -> str:
@@ -279,11 +345,31 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
 def load_embeddings(path) -> EmbeddingSet:
     """Read an embedding set. The file is read into one uninitialised buffer,
     sized by fstat, and the arrays are views of it, so the payload is copied
-    once and never zero-filled first."""
+    once and never zero-filled first. The whole float32 values of each
+    chunk read are checked finite while they are in cache; only when one
+    is not does _check_finite, after the length check, name its cell."""
     with open(path, "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
-        buf = buf[: fh.readinto(buf)]
+        size, checked, finite = 0, _HEADER.size, True
+        while size < buf.size and (got := fh.readinto(buf[size : size + _READ_CHUNK])):
+            size += got
+            if finite:
+                checked, finite = _check_chunk(buf, checked, size)
         tail = fh.read()  # whatever the file gained since fstat (a FIFO reports 0)
+    buf = buf[:size]
     if tail:
         buf = np.concatenate((buf, np.frombuffer(tail, np.uint8)))
-    return decode_embeddings(buf)
+        if finite:
+            checked, finite = _check_chunk(buf, checked, buf.size)
+    views = _container_views(buf, EMBEDDING_MAGIC)
+    if not finite:
+        _check_finite(*views)
+    return EmbeddingSet(*views)
+
+
+def _check_chunk(buf: np.ndarray, start: int, stop: int) -> tuple[int, bool]:
+    """(end, finite) for the payload values read so far from byte start on:
+    end is where the last whole float32 value before stop ends, and finite
+    whether the values in buf[start:end] all are."""
+    end = start + max(stop - start, 0) // 4 * 4
+    return end, _finite(buf[start:end].view("<f4"))

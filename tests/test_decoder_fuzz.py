@@ -1,5 +1,6 @@
 """Mutated `.remb`, `.rdmx` and PPM/PGM bytes either decode or raise a
-ReidError; no other exception (or warning) escapes a decoder."""
+ReidError; no other exception (or warning) escapes a decoder. Mutated
+metadata CSV files either load or raise FormatError or DataError."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reidkit import distance, gallery, imaging
-from reidkit.errors import ReidError
+from reidkit.errors import DataError, FormatError, ReidError
 
 
 def valid_encodings():
@@ -65,4 +66,28 @@ def test_mutated_bytes_decode_or_raise_reid_error(fmt, ops):
     try:
         decode(mutate(data, ops))
     except ReidError:
+        pass
+
+
+INDEX_CSV = (
+    "index,person_id,camera_id,role,path\n"
+    "0,1,1,query,0001_c1_000.ppm\n"
+    '1,12,2,gallery,"dir,x/0012_c2_001.ppm"\n'
+    "\n"
+    " 2 , 3 ,6,train,0003_c6_002.ppm\n"
+).encode()
+
+
+@pytest.fixture(scope="module")
+def index_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "meta.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=mutations)
+def test_mutated_index_loads_or_raises_format_or_data_error(index_path, ops):
+    index_path.write_bytes(mutate(INDEX_CSV, ops))
+    try:
+        gallery.load_index(index_path)
+    except (FormatError, DataError):
         pass

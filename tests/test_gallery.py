@@ -1,8 +1,14 @@
+import csv
+import io
 import os
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reidkit import gallery
 from reidkit.errors import (
@@ -13,7 +19,9 @@ from reidkit.errors import (
     VersionError,
 )
 from reidkit.gallery import (
+    METADATA_HEADER,
     EmbeddingSet,
+    GalleryIndex,
     Role,
     decode_embeddings,
     encode_embeddings,
@@ -72,6 +80,159 @@ class TestIndexIO:
         )
         with pytest.raises(FormatError, match="out of order"):
             load_index(path)
+
+
+def reference_load_index(metadata_file) -> GalleryIndex:
+    """load_index as one loop over the rows, checking and converting each
+    in turn: the reader the column-wise load_index must agree with."""
+    try:
+        with open(metadata_file, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(
+            f"{metadata_file}: malformed metadata CSV ({type(e).__name__}: {e})"
+        ) from None
+    if not rows:
+        raise FormatError(f"{metadata_file}: empty file, header line required")
+    if [h.strip() for h in rows[0]] != METADATA_HEADER:
+        raise FormatError(
+            f"{metadata_file}: bad header {rows[0]!r}, "
+            f"expected {','.join(METADATA_HEADER)}"
+        )
+    entries = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise FormatError(f"{metadata_file}:{lineno}: expected 5 fields, got {len(row)}")
+        idx_s, pid_s, cam_s, role_s, path = map(str.strip, row)
+        ids = idx_s + pid_s + cam_s
+        try:
+            # int() would also read "+3", "1_000" and non-ASCII digits
+            if "+" in ids or "_" in ids or not ids.isascii():
+                raise ValueError
+            idx, pid, cam = int(idx_s), int(pid_s), int(cam_s)
+        except ValueError:
+            raise FormatError(
+                f"{metadata_file}:{lineno}: index, person_id and camera_id must be "
+                f"decimal integers, got {idx_s!r}, {pid_s!r}, {cam_s!r}"
+            ) from None
+        if idx != len(entries):
+            fault = f"index {idx} out of order, expected {len(entries)}"
+        elif role_s not in {"query", "gallery", "train"}:
+            fault = f"unknown role {role_s!r}"
+        elif pid < 0 or cam < 0:
+            fault = "person_id and camera_id must be non-negative"
+        elif pid >= 2**63 or cam >= 2**63:
+            fault = "person_id and camera_id must be below 2^63 (int64)"
+        elif not path:
+            fault = "path must be non-empty"
+        else:
+            entries.append((pid, cam, role_s, path))
+            continue
+        raise FormatError(f"{metadata_file}:{lineno}: {fault}")
+    return GalleryIndex(*zip(*entries)) if entries else GalleryIndex((), (), (), ())
+
+
+# Accepted spellings of each field, and spellings that break a rule.
+INDEX_OK = ["{k}", " {k} ", "0{k}", "{m}"]  # m: -0 on the first row
+ID_OK = ["{v}", " {v} ", "\t{v}", "00{v}", "-0", "0" * 40 + "{v}", str(2**63 - 1)]
+ROLE_OK = ["query", "gallery", "train", " gallery ", "\ttrain"]
+PATH_OK = ["a.ppm", "dir,with,commas.ppm", ' b "x".ppm ', "é.ppm", "\u3000c.ppm"]
+ID_BAD = ["-3", "+{v}", "1_000", "{v}٣", "٣", "", "-", "1 2", str(2**63), "9" * 4301, "0" * 4300 + "7"]
+BAD = [["{k1}", "+{k}", "{k}_0", "", "٣"], ID_BAD, ID_BAD, ["Query", "probe", ""], ["", "  ", "\u3000"]]
+
+
+@st.composite
+def metadata_rows(draw):
+    """Rows of a metadata CSV, each a list of fields: accepted spellings of
+    every field, blank rows, and up to three faults on rows drawn at random
+    (a field spelt to break a rule, or a row of 4 or 6 fields)."""
+    rows = []
+    for k in range(draw(st.integers(0, 10))):
+        v = draw(st.integers(0, 3))
+        spell = lambda spellings: draw(st.sampled_from(spellings)).format(k=k, m=k or "-0", v=v)  # noqa: E731
+        rows.append([spell(INDEX_OK), spell(ID_OK), spell(ID_OK), spell(ROLE_OK), spell(PATH_OK)])
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        k, field = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 5))
+        if field == 5:
+            rows[k][4:] = ["a.ppm", "extra"][: draw(st.sampled_from([0, 2]))]
+        elif field < len(rows[k]):
+            rows[k][field] = draw(st.sampled_from(BAD[field])).format(k=k, k1=k + 1, v=1)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    return rows
+
+
+def _outcome(load, path):
+    """load(path)'s columns with their dtypes, or its exception's class and
+    message."""
+    try:
+        index = load(path)
+    except Exception as e:  # compared with the reference's, whatever they are
+        return type(e), str(e)
+    return [(a.dtype, a.tolist()) for a in (index.person_ids, index.camera_ids, index.roles)] + [index.paths]
+
+
+class TestIndexColumns:
+    """load_index checks and converts whole columns; the per-row loop only
+    names the first faulty row. Both must agree with reference_load_index."""
+
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("index") / "meta.csv"
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=metadata_rows())
+    @example(rows=[["0", str(2**63 - 1), "0", "query", "a"], ["1", "1", str(2**63), "query", "a"]])
+    @example(rows=[["0", "-0", "007", " train ", '"q"'], [], ["1", "1", "2", "gallery", "a,b"]])
+    def test_agrees_with_the_row_loop(self, csv_path, rows):
+        buf = io.StringIO()
+        csv.writer(buf).writerows([METADATA_HEADER] + rows)
+        csv_path.write_text(buf.getvalue())
+        expected = _outcome(reference_load_index, csv_path)
+        if isinstance(expected, list):
+            # an accepted file comes out of the column path: the row loop never runs
+            with mock.patch.object(gallery, "_first_row_fault", side_effect=AssertionError("row loop ran")):
+                assert _outcome(load_index, csv_path) == expected
+        else:
+            assert _outcome(load_index, csv_path) == expected
+
+    def test_accepted_spellings_give_the_same_columns(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text(
+            "index,person_id,camera_id,role,path\n"
+            "\n"
+            ' 0 ,007,-0,"gallery"," x,y.ppm "\n'
+            f"1,{2**63 - 1},3, train ,b.ppm\n"
+        )
+        index = load_index(path)
+        assert index.person_ids.dtype == np.int64 and index.person_ids.tolist() == [7, 2**63 - 1]
+        assert index.camera_ids.tolist() == [0, 3]
+        assert index.roles.dtype == np.dtype("<U7") and index.roles.tolist() == ["gallery", "train"]
+        assert index.paths == ("x,y.ppm", "b.ppm")
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [("1,+3,0,query,a", "index, person_id and camera_id must be decimal integers, got '1', '+3', '0'"),
+         ("1,1_000,0,query,a", "must be decimal integers"),
+         ("1,٣,0,query,a", "must be decimal integers"),
+         (f"1,{'9' * 4301},0,query,a", "must be decimal integers"),
+         (f"1,{2**63},0,query,a", "person_id and camera_id must be below 2^63 (int64)"),
+         ("1,-3,0,query,a", "person_id and camera_id must be non-negative"),
+         ("1,1,0,probe,a", "unknown role 'probe'"),
+         ("1,1,0,query,  ", "path must be non-empty"),
+         ("2,1,0,query,a", "index 2 out of order, expected 1"),
+         ("1,1,0,query", "expected 5 fields, got 4"),
+         ("1,1,0,query,a,b", "expected 5 fields, got 6")],
+    )
+    def test_first_faulty_row_named(self, tmp_path, row, fault):
+        # the faulty row is the third line; a later row breaks another rule
+        path = tmp_path / "meta.csv"
+        path.write_text(f"index,person_id,camera_id,role,path\n0,1,0,query,a\n{row}\n2,x,0,query,a\n")
+        with pytest.raises(FormatError) as err:
+            load_index(path)
+        assert str(err.value).startswith(f"{path}:3: ") and fault in str(err.value)
 
 
 class TestEmbeddingContainer:
@@ -200,6 +361,113 @@ class TestEmbeddingContainer:
         self._fstat_reporting(monkeypatch, lambda n: n - 4)
         with pytest.raises(TruncationError, match=r"^payload length mismatch: expected 48 bytes, got 52$"):
             load_embeddings(path)
+
+
+class _TrickleFile:
+    """An open file whose readinto returns at most step bytes per call, as a
+    pipe or a network file system may."""
+
+    def __init__(self, fh, step):
+        self.fh, self.step = fh, step
+
+    def readinto(self, b):
+        return self.fh.readinto(memoryview(b)[: self.step])
+
+    def __getattr__(self, name):  # read, fileno
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestChunkedLoad:
+    """load_embeddings reads a container a chunk at a time and checks each
+    chunk's whole float32 values as they arrive; a non-finite value must
+    still be named as decode_embeddings names it, after the length check."""
+
+    @staticmethod
+    def _data(rng):
+        emb = EmbeddingSet(
+            rng.standard_normal((3, 5)).astype(np.float32),
+            rng.standard_normal((3, 2, 3)).astype(np.float32),
+        )
+        return bytes(encode_embeddings(emb)), emb.global_.size, emb.global_.size + emb.local.size
+
+    @staticmethod
+    def _with_value(data, i, value) -> bytes:
+        buf = bytearray(data)
+        struct.pack_into("<f", buf, 24 + 4 * i, value)
+        return bytes(buf)
+
+    @pytest.mark.parametrize("chunk", [16, 20, 6])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_named_at_every_position(self, tmp_path, rng, monkeypatch, chunk, bad):
+        # every value, so the first and the last of each chunk, in main and in local
+        monkeypatch.setattr(gallery, "_READ_CHUNK", chunk)
+        data, n_main, n_values = self._data(rng)
+        path = tmp_path / "e.remb"
+        for i in range(n_values):
+            path.write_bytes(self._with_value(data, i, bad))
+            with pytest.raises(DataError) as want:
+                decode_embeddings(path.read_bytes())
+            with pytest.raises(DataError) as got:
+                load_embeddings(path)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith("non-finite local value" if i >= n_main else "non-finite value")
+
+    @pytest.mark.parametrize("cut", [-4, -1, 3], ids=["short", "short-by-a-byte", "long"])
+    def test_truncation_reported_before_non_finite(self, tmp_path, rng, cut):
+        data, _, _ = self._data(rng)
+        data = self._with_value(data, 0, np.nan)
+        path = tmp_path / "e.remb"
+        path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
+        with pytest.raises(TruncationError, match="^payload length mismatch"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("step", [1, 3, 5, 7, 4097])
+    def test_short_reads_give_the_same_arrays(self, tmp_path, rng, monkeypatch, step):
+        monkeypatch.setattr(gallery, "_READ_CHUNK", 64)
+        data, n_main, _ = self._data(rng)
+        path = tmp_path / "e.remb"
+        path.write_bytes(data)
+        plain = load_embeddings(path)
+        monkeypatch.setattr(gallery, "open", lambda p, mode: _TrickleFile(open(p, mode), step), raising=False)
+        back = load_embeddings(path)
+        assert back.global_.tobytes() == plain.global_.tobytes()
+        assert back.local.tobytes() == plain.local.tobytes()
+        path.write_bytes(self._with_value(data, n_main + 1, np.inf))
+        with pytest.raises(DataError, match=r"^non-finite local value at \(0, 0, 1\)$"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("size_of", [lambda n: 0, lambda n: n // 2], ids=["zero", "half"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_bytes_past_the_fstat_size_are_checked(self, tmp_path, rng, monkeypatch, size_of, where):
+        # the value lies in what the read past fstat's size returns
+        data, _, n_values = self._data(rng)
+        i = n_values - 1 if where == "last" else (len(data) // 2 - 24) // 4 + 1
+        path = tmp_path / "e.remb"
+        path.write_bytes(self._with_value(data, i, np.nan))
+        TestEmbeddingContainer._fstat_reporting(monkeypatch, size_of)
+        with pytest.raises(DataError) as got:
+            load_embeddings(path)
+        with pytest.raises(DataError) as want:
+            decode_embeddings(path.read_bytes())
+        assert str(got.value) == str(want.value)
+
+    def test_peak_memory_is_the_file(self, tmp_path, rng):
+        path = tmp_path / "e.remb"
+        save_embeddings(EmbeddingSet(rng.standard_normal((2048, 1024)).astype(np.float32)), path)
+        tracemalloc.start()
+        try:
+            back = load_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.n == 2048
+        assert peak <= 1.05 * os.path.getsize(path)
 
 
 def reference_container(magic, main, local=None):
