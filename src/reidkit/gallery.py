@@ -120,7 +120,8 @@ def load_index(metadata_file) -> GalleryIndex:
     """Read a GalleryIndex from the comma-separated metadata format.
 
     Expected header: ``index,person_id,camera_id,role,path``. Row index
-    must equal line order (0-based) so embeddings stay row-aligned.
+    must equal line order (0-based) so embeddings stay row-aligned. The
+    FormatError of a faulty file names its first faulty line.
     """
     try:
         with open(metadata_file, newline="") as fh:
@@ -136,97 +137,76 @@ def load_index(metadata_file) -> GalleryIndex:
             f"{metadata_file}: bad header {rows[0]!r}, "
             f"expected {','.join(METADATA_HEADER)}"
         )
-    index = _index_columns(rows[1:])
-    if index is None:
-        raise FormatError(_first_row_fault(metadata_file, rows))
-    return index
+    body = rows[1:]
+    try:
+        return _index_columns(body)
+    except ValueError as e:
+        fault = e
+    # every rule is prefix-monotone: the shortest failing prefix ends at the
+    # first faulty row, and the pass over it names that row's fault
+    good, bad = 0, len(body)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _index_columns(body[:mid])
+            good = mid
+        except ValueError as e:
+            bad, fault = mid, e
+    raise FormatError(f"{metadata_file}:{bad + 1}: {fault}") from None
 
 
-def _index_columns(body: list) -> Optional[GalleryIndex]:
-    """The index of the rows body, checked and converted a column at a time
-    by the rules of _first_row_fault; None when a rule fails anywhere, so
-    that _first_row_fault names the first faulty row."""
+def _index_columns(body: list) -> GalleryIndex:
+    """The index of the rows body, checked and converted a column at a time.
+    The row rules are checked in turn, each over every row before the next;
+    the first that some row breaks raises ValueError with its fault worded
+    for the last row, which load_index's bisection makes the faulty one."""
     if not set(map(len, body)) <= {0, 5}:  # a blank line is a row of no fields
-        return None
+        raise ValueError(f"expected 5 fields, got {len(body[-1])}")
     fields = list(chain.from_iterable(body))
     if not fields:
         return GalleryIndex((), (), (), ())
-    idx_s, paths = (list(map(str.strip, fields[k::5])) for k in (0, 4))
+    last = [f.strip() for f in fields[-5:]]
+    idx_s = list(map(str.strip, fields[::5]))
+    # ids and roles repeat: each distinct field is checked and converted once
+    (pid_s, pid_at), (cam_s, cam_at), (role_s, role_at) = (
+        _distinct(fields[k::5]) for k in (1, 2, 3)
+    )
     try:
-        if not _is_decimal("".join(idx_s)) or list(map(int, idx_s)) != list(range(len(idx_s))):
-            return None
-        # ids and roles repeat: each distinct field is checked and converted once
-        pid, cam, roles = (
-            _by_distinct(fields[k::5], read) for k, read in ((1, _id), (2, _id), (3, _role))
-        )
+        if not _is_decimal("".join(idx_s + pid_s + cam_s)):
+            raise ValueError
+        in_order = list(map(int, idx_s)) == list(range(len(idx_s)))  # n ints, not kept
+        pid, cam = (list(map(int, col)) for col in (pid_s, cam_s))
     except ValueError:
-        return None
-    return GalleryIndex(pid, cam, roles, paths) if all(paths) else None
+        raise ValueError(
+            "index, person_id and camera_id must be decimal integers, "
+            "got {!r}, {!r}, {!r}".format(*last[:3])
+        ) from None
+    if not in_order:
+        raise ValueError(f"index {int(last[0])} out of order, expected {len(idx_s) - 1}")
+    if not _ROLE_VALUES.issuperset(role_s):
+        raise ValueError(f"unknown role {last[3]!r}")
+    if min(pid + cam) < 0:
+        raise ValueError("person_id and camera_id must be non-negative")
+    if max(pid + cam) >= 2**63:  # np.array of 2^63 or more is not int64
+        raise ValueError("person_id and camera_id must be below 2^63 (int64)")
+    if not all(paths := list(map(str.strip, fields[4::5]))):
+        raise ValueError("path must be non-empty")
+    pid, cam = (np.array(v, np.int64)[at] for v, at in ((pid, pid_at), (cam, cam_at)))
+    return GalleryIndex(pid, cam, np.array(role_s)[role_at], paths)
 
 
-def _by_distinct(col: list, read) -> np.ndarray:
-    """read(field) for each field of col, called once per distinct field."""
+def _distinct(col: list) -> tuple[list, np.ndarray]:
+    """The distinct fields of col, stripped, and the position of each
+    field of col among them."""
     position = {field: i for i, field in enumerate(dict.fromkeys(col))}
     codes = np.fromiter(map(position.__getitem__, col), np.intp, len(col))
-    return np.array(list(map(read, position)))[codes]
-
-
-def _id(field: str) -> int:
-    """A person or camera id field as its int; ValueError if
-    _first_row_fault would name it. The range is checked on the Python int:
-    np.array of 2^63 or more is not int64."""
-    if _is_decimal(field := field.strip()) and 0 <= (value := int(field)) < 2**63:
-        return value
-    raise ValueError
-
-
-def _role(field: str) -> str:
-    """A role field, stripped; ValueError if it is unknown."""
-    if (field := field.strip()) not in _ROLE_VALUES:
-        raise ValueError
-    return field
+    return list(map(str.strip, position)), codes
 
 
 def _is_decimal(ids: str) -> bool:
     """Whether ids holds nothing that int() reads beyond ASCII digits and
     "-": int() would also read "+3", "1_000" and non-ASCII digits."""
     return "+" not in ids and "_" not in ids and ids.isascii()
-
-
-def _first_row_fault(metadata_file, rows: list) -> str:
-    """The message naming the first faulty row of a parsed metadata CSV and
-    its fault, by the rules that _index_columns applies a column at a time;
-    load_index asks for it only when a column check has failed."""
-    expected = 0
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            return f"{metadata_file}:{lineno}: expected 5 fields, got {len(row)}"
-        idx_s, pid_s, cam_s, role_s, path = map(str.strip, row)
-        try:
-            if not _is_decimal(idx_s + pid_s + cam_s):
-                raise ValueError
-            idx, pid, cam = int(idx_s), int(pid_s), int(cam_s)
-        except ValueError:
-            return (
-                f"{metadata_file}:{lineno}: index, person_id and camera_id must be "
-                f"decimal integers, got {idx_s!r}, {pid_s!r}, {cam_s!r}"
-            )
-        if idx != expected:
-            fault = f"index {idx} out of order, expected {expected}"
-        elif role_s not in _ROLE_VALUES:
-            fault = f"unknown role {role_s!r}"
-        elif pid < 0 or cam < 0:
-            fault = "person_id and camera_id must be non-negative"
-        elif pid >= 2**63 or cam >= 2**63:
-            fault = "person_id and camera_id must be below 2^63 (int64)"
-        elif not path:
-            fault = "path must be non-empty"
-        else:
-            expected += 1
-            continue
-        return f"{metadata_file}:{lineno}: {fault}"
 
 
 def _payload_views(buf, n: int, d: int, s: int, dl: int):

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import struct
 import tracemalloc
@@ -175,8 +176,9 @@ def _outcome(load, path):
 
 
 class TestIndexColumns:
-    """load_index checks and converts whole columns; the per-row loop only
-    names the first faulty row. Both must agree with reference_load_index."""
+    """load_index checks and converts whole columns; on a fault it bisects
+    for the shortest failing prefix, whose last row is the first faulty row.
+    It must agree with reference_load_index."""
 
     @pytest.fixture(scope="class")
     def csv_path(self, tmp_path_factory):
@@ -186,17 +188,19 @@ class TestIndexColumns:
     @given(rows=metadata_rows())
     @example(rows=[["0", str(2**63 - 1), "0", "query", "a"], ["1", "1", str(2**63), "query", "a"]])
     @example(rows=[["0", "-0", "007", " train ", '"q"'], [], ["1", "1", "2", "gallery", "a,b"]])
+    @example(rows=[["0", "1", "0", "query", "a"], [], ["1", "1", "0", "probe", "a"]])
+    @example(rows=[["5", "1", "0", "query", "a"], ["1", "1", "0", "query", "a"]])
+    @example(rows=[["0", "1", "0", "query", ""], ["1", "1", "0", "query"]])
+    @example(rows=[["0", str(2**63), "0", "probe", "a"]])
     def test_agrees_with_the_row_loop(self, csv_path, rows):
         buf = io.StringIO()
         csv.writer(buf).writerows([METADATA_HEADER] + rows)
         csv_path.write_text(buf.getvalue())
         expected = _outcome(reference_load_index, csv_path)
-        if isinstance(expected, list):
-            # an accepted file comes out of the column path: the row loop never runs
-            with mock.patch.object(gallery, "_first_row_fault", side_effect=AssertionError("row loop ran")):
-                assert _outcome(load_index, csv_path) == expected
-        else:
+        with mock.patch.object(gallery, "_index_columns", wraps=gallery._index_columns) as columns:
             assert _outcome(load_index, csv_path) == expected
+        if isinstance(expected, list):
+            assert columns.call_count == 1  # an accepted file takes one column pass
 
     def test_accepted_spellings_give_the_same_columns(self, tmp_path):
         path = tmp_path / "meta.csv"
@@ -224,15 +228,36 @@ class TestIndexColumns:
          ("1,1,0,query,  ", "path must be non-empty"),
          ("2,1,0,query,a", "index 2 out of order, expected 1"),
          ("1,1,0,query", "expected 5 fields, got 4"),
-         ("1,1,0,query,a,b", "expected 5 fields, got 6")],
+         ("1,1,0,query,a,b", "expected 5 fields, got 6"),
+         ("x,1,0,query", "expected 5 fields, got 4"),
+         ("5,x,0,query,a", "must be decimal integers"),
+         ("5,1,0,probe,a", "index 5 out of order, expected 1"),
+         (f"1,-3,{2**63},probe,a", "unknown role 'probe'"),
+         (f"1,-3,{2**63},query,", "person_id and camera_id must be non-negative"),
+         (f"1,1,{2**63},query,", "person_id and camera_id must be below 2^63 (int64)")],
     )
     def test_first_faulty_row_named(self, tmp_path, row, fault):
-        # the faulty row is the third line; a later row breaks another rule
+        # the faulty row is the third line; a later row breaks another rule.
+        # A row that breaks two rules is named by the first in the loop's order.
         path = tmp_path / "meta.csv"
         path.write_text(f"index,person_id,camera_id,role,path\n0,1,0,query,a\n{row}\n2,x,0,query,a\n")
         with pytest.raises(FormatError) as err:
             load_index(path)
         assert str(err.value).startswith(f"{path}:3: ") and fault in str(err.value)
+
+    def test_fault_located_in_logarithmic_passes(self, tmp_path):
+        n = 16_384
+        path = tmp_path / "meta.csv"
+        path.write_text(
+            "index,person_id,camera_id,role,path\n"
+            + "".join(f"{k},{k % 750},{k % 6},gallery,{k}.ppm\n" for k in range(n - 1))
+            + f"{n - 1},1,1,probe,x.ppm\n"
+        )
+        with mock.patch.object(gallery, "_index_columns", wraps=gallery._index_columns) as columns:
+            with pytest.raises(FormatError) as err:
+                load_index(path)
+        assert str(err.value) == f"{path}:{n + 1}: unknown role 'probe'"
+        assert columns.call_count <= math.ceil(math.log2(n)) + 2
 
 
 class TestEmbeddingContainer:
