@@ -55,21 +55,33 @@ def _load_aligned(index_path, emb_path):
 
 
 def _distances(args, q_index=None, g_index=None):
-    """(query index, gallery index, distances) for dist and eval, each side
-    checked against its index file (q_index, g_index) if given. The local term
-    comes first, so the float32 file buffers are freed before the global
-    matmul; every array but the result is released on return."""
+    """(query index, gallery index, (Q, G), distance row blocks) for dist and
+    eval, each side checked against its index file (q_index, g_index) if
+    given. The local term comes first, whole, and is added to each block.
+    Then the gallery is cast to float64 and its float32 file buffer freed,
+    before the first block's matmul; the queries stay float32, and each
+    block casts its own rows."""
     distance_mod.check_lambda(args.lam)
     queries, q = _load_aligned(q_index, args.emb_q)
     gal, g = _load_aligned(g_index, args.emb_g)
+    shape = q.n, g.n
     dl = None
     if args.local_mode != "none":
         dl = distance_mod.local_distance_matrix(q, g, args.local_mode)
-    q, g = q.global_.astype(np.float64), g.global_.astype(np.float64)
-    d = distance_mod.distance_matrix(q, g, args.metric)
+    q, g = q.global_, g.global_.astype(np.float64)
+    blocks = distance_mod.global_distance_blocks(q, g, args.metric)
     if dl is not None:
-        d = distance_mod.combine_distances(d, dl, args.lam)
-    return queries, gal, d
+        blocks = _plus_local(blocks, dl, args.lam)
+    return queries, gal, shape, blocks
+
+
+def _plus_local(blocks, dl, lam):
+    """Each row block combined with the rows of the local term dl it covers."""
+    row0 = 0
+    for d in blocks:
+        local = distance_mod.DistanceMatrix(dl.values[row0 : row0 + d.shape[0]])
+        yield distance_mod.combine_distances(d, local, lam)
+        row0 += d.shape[0]
 
 
 def _add_distance_flags(p):
@@ -107,7 +119,8 @@ def _cmd_mask(args):
 
 
 def _cmd_dist(args):
-    gallery._write_file(args.out, distance_mod.encode_distance_matrix(_distances(args)[2]))
+    _, _, shape, blocks = _distances(args)
+    gallery._write_file(args.out, distance_mod.encode_distance_matrix(blocks, shape))
 
 
 def _cmd_eval(args):
@@ -117,11 +130,11 @@ def _cmd_eval(args):
         cross_camera_filter=not args.no_cross_camera_filter,
         max_rank=args.max_rank,
     )
-    queries, gal, d = _distances(args, args.queries, args.gallery)
+    queries, gal, _, blocks = _distances(args, args.queries, args.gallery)
     # no rank lies past the gallery's last item; torchreid's eval_market1501
     # clamps the same way, and a 2^63 or 10^15 CMC cannot be allocated
     protocol = dataclasses.replace(protocol, max_rank=min(protocol.max_rank, len(gal)))
-    report = metrics.evaluate(queries, gal, d, protocol)
+    report = metrics.evaluate(queries, gal, blocks, protocol)
     doc = report.to_dict()
     doc["config"] = {
         "metric": args.metric,

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import DataError
-from .gallery import EmbeddingSet, _check_finite, _container_views, _encode_container
+from .gallery import EmbeddingSet, _cast_checked, _check_finite, _container_header
+from .gallery import _container_views, _encode_container
 
 DISTANCE_MAGIC = b"RDMX"
 
@@ -127,10 +129,14 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     differences, so d(x, x) is exactly 0 and near-duplicates rank as their
     direct differences do. A block whose minimum clears the bound of its
     largest norms skips the comparison."""
-    an, bn = _sq_norms(a), _sq_norms(b)
-    sq = a @ b.T
-    tau = _twice_gamma(a.shape[1] + 2)
-    an_tau, bn_tau = tau * an, tau * bn
+    return _finish_sq_euclidean(a, b, a @ b.T, *_side_terms(b, Metric.EUCLIDEAN))
+
+
+def _finish_sq_euclidean(a, b, sq, bn, bn_tau) -> np.ndarray:
+    """_sq_euclidean's finish of sq = a @ b.T in place, given b's squared
+    norms bn and tau terms bn_tau."""
+    an = _sq_norms(a)
+    an_tau = _twice_gamma(a.shape[1] + 2) * an
     for rows in _blocks(*sq.shape):
         blk = sq[rows]
         blk *= 2.0
@@ -140,13 +146,78 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _side_terms(g: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, tau terms) of the float64 rows of g, one side's share of the
+    global finish: squared norms and tau times them for euclidean, norms and
+    tau_c / 2 per row for cosine (tau_c / 2 per row of either side: tau_c per
+    entry)."""
+    sq = _sq_norms(g)
+    if metric is Metric.EUCLIDEAN:
+        return sq, _twice_gamma(g.shape[1] + 2) * sq
+    return np.sqrt(sq), np.full(len(g), _twice_gamma(g.shape[1] + 4) / 2)
+
+
+# Result cells of one block of query rows in global_distance_blocks: 2^23
+# float64 cells (64 MiB), 527 query rows at Market-1501's 15,913 gallery
+# items. Each block's matmul packs the whole gallery again; larger blocks
+# cost memory.
+_QUERY_BLOCK_CELLS = 1 << 23
+
+
+def global_distance_blocks(q, g, metric=Metric.EUCLIDEAN, rows=None) -> Iterator[DistanceMatrix]:
+    """distance_matrix(q, g, metric) in blocks of rows query rows (by
+    default as many as _QUERY_BLOCK_CELLS result cells hold). The gallery
+    operand (C-ordered float64 rows, norms, tau terms) is built once, here.
+    Each block casts its query rows to float64 when it is drawn and is
+    finished in one reused result buffer, so its values hold until the next
+    block is drawn. Within a block the float operations and their order are
+    distance_matrix's, but BLAS may round a block of other rows than the
+    whole matrix differently in the last bit."""
+    q = np.asarray(q)
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    if q.ndim != 2 or g.ndim != 2:
+        raise DataError("inputs must be 2-D matrices")
+    if q.shape[1] != g.shape[1]:
+        raise DataError(f"dimension mismatch: {q.shape[1]} vs {g.shape[1]}")
+    metric = Metric(metric)
+    terms = _side_terms(g, metric)
+    rows = rows or max(1, _QUERY_BLOCK_CELLS // max(1, len(g)))
+    out = np.empty((min(rows, len(q)), len(g)))
+    starts = range(0, max(len(q), 1), rows)
+    return (_global_block(q[i : i + rows], g, out, metric, *terms) for i in starts)
+
+
+def _global_block(q, g, out, metric, gn, g_tau) -> DistanceMatrix:
+    """The distances of the query rows q to the gallery g (with its
+    _side_terms gn, g_tau), finished in the leading rows of out a tile of rows
+    at a time."""
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    d = np.matmul(q, g.T, out=out[: len(q)])
+    if metric is Metric.EUCLIDEAN:
+        np.sqrt(_finish_sq_euclidean(q, g, d, gn, g_tau), out=d)
+        return DistanceMatrix(d)
+    qn, q_tau = _side_terms(q, metric)
+    for rows in _blocks(*d.shape):
+        blk = d[rows]
+        denom = qn[rows, None] * gn
+        pos = denom > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(blk, denom, out=blk, where=pos)
+        # zero-norm rows get cos 0, hence distance 1
+        blk[~pos] = 0.0
+        np.subtract(1.0, blk, out=blk)
+        np.clip(blk, 0.0, 2.0, out=blk)
+        _exact_near_zero(q[rows], g, blk, q_tau[rows], g_tau, qn[rows], gn)
+    return DistanceMatrix(d)
+
+
 def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLIDEAN) -> DistanceMatrix:
-    """Pairwise Q x G distances between global feature matrices, finished in
-    place in one (Q, G) buffer a block of rows at a time. q and g are cast to
+    """Pairwise Q x G distances between global feature matrices: the one
+    block of global_distance_blocks that holds every query row, finished in
+    place in one (Q, G) buffer a tile of rows at a time. q and g are cast to
     C-ordered float64 whole: a matmul into column slices of the result changes
     bits on some shapes, and numpy sums a row of an F-ordered matrix in
-    another order than a lone row. The dist and eval commands pass C-ordered
-    float64, so the cast copies nothing there.
+    another order than a lone row.
 
     Euclidean entries near zero are exact as _sq_euclidean states. A cosine
     entry 1 - q.g / (|q| |g|) differs from its true value by at most
@@ -156,34 +227,7 @@ def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLID
     exact near 0. Every entry at or below tau_c is recomputed as half the
     squared direct difference of the unit rows, so d(x, x) = d(x, 2x) = 0
     exactly and near-parallel rows rank by their angle."""
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    if q.ndim != 2 or g.ndim != 2:
-        raise DataError("inputs must be 2-D matrices")
-    if q.shape[1] != g.shape[1]:
-        raise DataError(f"dimension mismatch: {q.shape[1]} vs {g.shape[1]}")
-    metric = Metric(metric)
-    if metric is Metric.EUCLIDEAN:
-        d = _sq_euclidean(q, g)
-        np.sqrt(d, out=d)
-    else:
-        qn, gn = np.sqrt(_sq_norms(q)), np.sqrt(_sq_norms(g))
-        d = q @ g.T
-        # tau_c / 2 per row of either side: tau_c per entry
-        half_tau = _twice_gamma(q.shape[1] + 4) / 2
-        q_tau, g_tau = np.full(len(q), half_tau), np.full(len(g), half_tau)
-        for rows in _blocks(*d.shape):
-            blk = d[rows]
-            denom = qn[rows, None] * gn
-            pos = denom > 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(blk, denom, out=blk, where=pos)
-            # zero-norm rows get cos 0, hence distance 1
-            blk[~pos] = 0.0
-            np.subtract(1.0, blk, out=blk)
-            np.clip(blk, 0.0, 2.0, out=blk)
-            _exact_near_zero(q[rows], g, blk, q_tau[rows], g_tau, qn[rows], gn)
-    return DistanceMatrix(d)
+    return next(global_distance_blocks(q, g, metric, max(1, len(q))))
 
 
 def _stripe_costs(qa: np.ndarray, ga: np.ndarray) -> np.ndarray:
@@ -284,9 +328,39 @@ def combine_distances(dg: DistanceMatrix, dl: DistanceMatrix, lam: float) -> Dis
     return DistanceMatrix(dg.values + lam * dl.values)
 
 
-def encode_distance_matrix(d: DistanceMatrix) -> bytearray:
-    """Serialize with the shared binary container (magic RDMX, S=0)."""
-    return _encode_container(DISTANCE_MAGIC, d.values)
+def encode_distance_matrix(d: DistanceMatrix | Iterable[DistanceMatrix], shape=None):
+    """Serialize with the shared binary container (magic RDMX, S=0): one
+    DistanceMatrix as one bytearray or, given the whole matrix's shape, its
+    row blocks as the same bytes in parts (_BlockParts)."""
+    if shape is None:
+        return _encode_container(DISTANCE_MAGIC, d.values)
+    return _BlockParts(d, shape)
+
+
+class _BlockParts:
+    """The .rdmx bytes of a matrix of a known shape given as row blocks, as
+    parts for gallery._write_file: the header, then each block cast to
+    float32 in one reused buffer and checked, a bad cell named by its row in
+    the whole matrix. A part holds until the next is drawn; len() is the
+    container's size in bytes."""
+
+    def __init__(self, blocks, shape):
+        self.blocks, self.header = blocks, _container_header(DISTANCE_MAGIC, *shape)
+        self.size = len(self.header) + 4 * shape[0] * shape[1]
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        yield self.header
+        buf, row0 = None, 0
+        for d in self.blocks:
+            if buf is None:  # the first block is the largest
+                buf = np.empty(d.shape, "<f4")
+            part = buf[: d.shape[0]]
+            _cast_checked(part, d.values, row0)
+            yield part
+            row0 += d.shape[0]
 
 
 def decode_distance_matrix(data: bytes) -> DistanceMatrix:

@@ -10,6 +10,7 @@ S = Dl = 0 means no local stripe features.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -222,38 +223,41 @@ def _finite(arr: np.ndarray) -> bool:
     return not arr.size or bool(np.isfinite([arr.min(), arr.max()]).all())
 
 
-def _check_finite(main: np.ndarray, local: Optional[np.ndarray]) -> None:
-    """Reject a non-finite payload value, naming its cell: two reductions per
+def _check_finite(main: np.ndarray, local: Optional[np.ndarray], row0: int = 0) -> None:
+    """Reject a non-finite payload value, naming its cell, whose row counts
+    from row0 (a block's first row in the whole matrix): two reductions per
     array, and a mask only on failure."""
     for arr, what in ((main, "value"), (local, "local value")):
         if arr is not None and not _finite(arr):
-            cell = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-            raise DataError(f"non-finite {what} at {cell}")
+            row, *rest = (int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+            raise DataError(f"non-finite {what} at {(row0 + row, *rest)}")
 
 
-def _container_sizes(main: np.ndarray, local: Optional[np.ndarray]) -> tuple[int, int, int, int]:
-    """N, D, S, Dl of a container's header, each checked to fit its u32 field."""
-    n, d = main.shape
-    s, dl = (0, 0) if local is None else local.shape[1:]
+def _container_header(magic: bytes, n: int, d: int, s: int = 0, dl: int = 0) -> bytes:
+    """A container's header, each size checked to fit its u32 field."""
     for name, size in (("N", n), ("D", d), ("S", s), ("Dl", dl)):
         if size >= 2**32:
             raise DataError(f"{name} = {size} does not fit the container header's u32 field")
-    return n, d, s, dl
+    return _HEADER.pack(magic, CONTAINER_VERSION, n, d, s, dl)
+
+
+def _cast_checked(dst: np.ndarray, src: np.ndarray, row0: int = 0) -> None:
+    """Cast src into the float32 array dst and reject a non-finite value as
+    float32, so a float64 value that overflows float32 is rejected too."""
+    with np.errstate(over="ignore"):  # the check below names an overflow to inf
+        dst[...] = src
+    _check_finite(dst, None, row0)
 
 
 def _encode_container(magic: bytes, main: np.ndarray) -> bytearray:
     """Header and float32 payload of a container without local features, in
     one buffer: main is cast straight into its place, so the payload is
-    copied once. Non-finite values are rejected as float32, so a float64
-    value that overflows float32 is too, and a size the u32 header cannot
-    hold is rejected before the buffer."""
-    n, d, _, _ = _container_sizes(main, None)
-    buf = bytearray(_HEADER.size + 4 * n * d)
-    _HEADER.pack_into(buf, 0, magic, CONTAINER_VERSION, n, d, 0, 0)
-    view, _ = _payload_views(buf, n, d, 0, 0)
-    with np.errstate(over="ignore"):  # the check below names an overflow to inf
-        view[...] = main
-    _check_finite(view, None)
+    copied once. A size the u32 header cannot hold is rejected before the
+    buffer."""
+    header = _container_header(magic, *main.shape)
+    buf = bytearray(len(header) + 4 * main.size)
+    buf[: len(header)] = header
+    _cast_checked(_payload_views(buf, *main.shape, 0, 0)[0], main)
     return buf
 
 
@@ -285,7 +289,7 @@ def _embedding_parts(emb: EmbeddingSet) -> list:
     nothing is copied."""
     main = np.ascontiguousarray(emb.global_, dtype="<f4")
     local = None if emb.local is None else np.ascontiguousarray(emb.local, dtype="<f4")
-    header = _HEADER.pack(EMBEDDING_MAGIC, CONTAINER_VERSION, *_container_sizes(main, local))
+    header = _container_header(EMBEDDING_MAGIC, *main.shape, *(() if local is None else local.shape[1:]))
     _check_finite(main, local)
     return [header, main] + ([] if local is None else [local])
 
@@ -309,11 +313,33 @@ def _json_report(doc: dict) -> str:
 
 
 def _write_file(path, data) -> None:
-    """The one writer of every file reidkit writes, called as gallery._write_file:
-    data is the whole encoded output, one bytes-like object or a list of them
-    written in order, so a rejected output creates no file."""
-    with open(path, "wb") as fh:
-        fh.writelines(data if isinstance(data, list) else [data])
+    """The one writer of every file reidkit writes, called as gallery._write_file.
+    data is the encoded output: one bytes-like object, or any iterable of
+    them written in order, such as a generator that encodes one block at a
+    time and may raise part-way. The parts go to .<name>.tmp-<pid> in the
+    target's directory, which os.replace puts in place only once every part
+    is written; on any exception the temporary file is removed. So an output
+    rejected or cut part-way leaves the old file with its bytes, or no file.
+    Nothing is fsynced: the replace guards against a failed run, not against
+    a power loss. A device or FIFO (/dev/null, a pipe) is written in place."""
+    parts = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
+    path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
+        return
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.tmp-{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:  # name the target, as open(path) would
+            raise type(e)(e.errno, e.strerror, path) from None
+        raise
 
 
 def save_embeddings(emb: EmbeddingSet, path) -> None:

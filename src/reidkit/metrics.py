@@ -8,6 +8,7 @@ left with no valid positive are excluded from both mAP and CMC.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -95,27 +96,41 @@ def _relevant_ranks(row: np.ndarray, relevant: np.ndarray, n_valid: int) -> np.n
     return ranks
 
 
+def _rows(dist, nq: int, ng: int):
+    """The rows of dist, one DistanceMatrix or its row blocks, each block
+    checked to extend an (nq, ng) matrix when it is drawn."""
+    done = 0
+    for block in [dist] if isinstance(dist, DistanceMatrix) else dist:
+        done += block.shape[0]
+        if block.shape[1] != ng or done > nq:
+            raise DataError(f"distance shape {(done, block.shape[1])} != ({nq}, {ng})")
+        yield from block.values
+    if done != nq:
+        raise DataError(f"distance shape {(done, ng)} != ({nq}, {ng})")
+
+
 def evaluate(
     queries: GalleryIndex,
     gallery: GalleryIndex,
-    dist: DistanceMatrix,
+    dist: DistanceMatrix | Iterable[DistanceMatrix],
     protocol: EvalProtocol = EvalProtocol(),
 ) -> EvalReport:
     """Full retrieval protocol over a query/gallery pair.
 
-    Per query, the valid gallery items are ranked by ascending distance,
-    ties broken by ascending gallery index. Only the ranks r_1 < ... < r_R
-    of the R relevant items are computed: AP = (1/R) * sum over k of k/r_k
-    (precision at each relevant rank), and the first hit is r_1.
+    dist is one DistanceMatrix, or its row blocks in query order (as
+    distance.global_distance_blocks yields them), each read before the next
+    is drawn. Per query, the valid gallery items are ranked by ascending
+    distance, ties broken by ascending gallery index. Only the ranks
+    r_1 < ... < r_R of the R relevant items are computed: AP = (1/R) * sum
+    over k of k/r_k (precision at each relevant rank), and the first hit is
+    r_1.
     """
     nq, ng = len(queries), len(gallery)
-    if dist.shape != (nq, ng):
-        raise DataError(f"distance shape {dist.shape} != ({nq}, {ng})")
     rows_of = {p: rows for (p,), rows in _groups(gallery.person_ids)}
     no_rows = np.empty(0, np.intp)
     per_query_ap = []
     first_hits = []
-    for row, q_pid, q_cam in zip(dist.values, queries.person_ids, queries.camera_ids):
+    for row, q_pid, q_cam in zip(_rows(dist, nq, ng), queries.person_ids, queries.camera_ids):
         relevant = rows_of.get(q_pid, no_rows)
         n_valid = ng
         if protocol.cross_camera_filter:

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import os
 import pathlib
@@ -731,6 +732,90 @@ def test_dist_float32_overflow_exit_2_with_one_line(tmp_path, capsys):
             "--out", str(out)]
     assert run_cli(argv) == 2
     assert capsys.readouterr().err == "error: non-finite value at (0, 1)\n"
+    assert not out.exists()
+
+
+def temporary_files(directory):
+    return [p.name for p in directory.iterdir() if ".tmp-" in p.name]
+
+
+def query_blocks_of(monkeypatch, rows, ng):
+    # the block budget counts result cells: rows query rows of ng gallery items
+    monkeypatch.setattr(distance, "_QUERY_BLOCK_CELLS", rows * ng)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+def test_dist_overflow_in_the_last_block_names_the_whole_matrix_cell(tmp_path, capsys, monkeypatch, existing):
+    # blocks of 3 query rows: two blocks are written before the last one
+    # (rows 6 and 7), whose pair (7, 2) is 6e38 apart, beyond float32
+    q = np.arange(8, dtype=np.float32)[:, None]
+    q[7] = 3e38
+    g = np.array([[0.0], [1.0], [-3e38]], np.float32)
+    for side, x in (("q", q), ("g", g)):
+        gallery.save_embeddings(gallery.EmbeddingSet(x), tmp_path / f"{side}.remb")
+    out = tmp_path / "d.rdmx"
+    if existing:
+        out.write_bytes(b"previous bytes")
+    query_blocks_of(monkeypatch, 3, len(g))
+    argv = ["dist", "--emb-q", str(tmp_path / "q.remb"), "--emb-g", str(tmp_path / "g.remb"),
+            "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "error: non-finite value at (7, 2)\n"
+    assert out.read_bytes() == b"previous bytes" if existing else not out.exists()
+    assert temporary_files(tmp_path) == []
+
+
+class CutFile(io.FileIO):
+    """A file whose writes stop with ENOSPC once room bytes are written."""
+
+    def __init__(self, path, mode, room):
+        super().__init__(path, mode)
+        self.room = room
+
+    def write(self, b):
+        b = memoryview(b).cast("B")
+        if len(b) > self.room:
+            super().write(b[: self.room])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(b)
+        return super().write(b)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+@pytest.mark.parametrize("command", ["dist", "eval"])
+def test_write_cut_at_k_bytes_leaves_the_previous_file_or_none(tmp_path, capsys, monkeypatch, command, existing):
+    write_pair(tmp_path)
+    query_blocks_of(monkeypatch, 1, 9)  # dist writes its header and six row blocks
+    out = tmp_path / ("d.rdmx" if command == "dist" else "r.json")
+    argv = {
+        "dist": ["dist", *pair_flags(tmp_path), "--out", str(out)],
+        "eval": ["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv"),
+                 *pair_flags(tmp_path), "--out", str(out)],
+    }[command]
+    assert run_cli(argv) == 0
+    size = out.stat().st_size
+    for k in (0, 10, 24, 24 + 4 * 9, size // 2, size - 1):
+        if existing:
+            out.write_bytes(b"previous bytes")
+        else:
+            out.unlink(missing_ok=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(gallery, "open", lambda path, mode="r", *a, **kw:
+                       CutFile(path, mode, k) if "w" in mode else open(path, mode, *a, **kw), raising=False)
+            assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert out.read_bytes() == b"previous bytes" if existing else not out.exists()
+        assert temporary_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["dist", "eval"])
+def test_output_in_a_missing_directory_names_the_output(tmp_path, capsys, command):
+    write_pair(tmp_path)
+    out = tmp_path / "missing" / "out"
+    index_flags = ["--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv")]
+    argv = [command, *(index_flags if command == "eval" else []), *pair_flags(tmp_path), "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 @pytest.mark.parametrize("command", INDEX_COMMANDS, ids=lambda c: c[0])
@@ -1053,19 +1138,20 @@ class TestTsneCommand:
 
 
 @pytest.mark.parametrize("command", ["dist", "eval"])
-def test_global_stage_peak_is_float64_features_and_one_result(tmp_path, command):
+def test_global_stage_peak_is_float64_gallery_and_one_block(tmp_path, monkeypatch, command):
     # Market-1501 in proportion (3,368 x 15,913 x 2,048, scaled down, with
-    # nq/D = 1.6): without a local term the stage holds float64 q and g and
-    # one result; neither the float32 file buffers (a fifth more here) nor
-    # full-size boolean masks may come on top. Each block of the global
-    # distance adds at most 2^16 cells (14 result rows here), so nq stays
-    # well above a block.
-    nq, ng, dim = 984, 4_500, 600
+    # nq/D = 1.6), in blocks of 256 query rows (four blocks): without a local
+    # term the stage holds the float64 gallery and the float32 queries, and
+    # then the larger of the float32 gallery buffer (alive only while it is
+    # cast) and one result block, plus its float32 copy in dist. The float64
+    # gallery and a whole (nq, ng) result alone exceed this bound.
+    nq, ng, dim, rows = 984, 4_500, 600, 256
     rng = np.random.default_rng(0)
     for side, n in (("q", nq), ("g", ng)):
         emb = gallery.EmbeddingSet(rng.standard_normal((n, dim)).astype(np.float32))
         gallery.save_embeddings(emb, tmp_path / f"{side}.remb")
         write_index(tmp_path / f"{side}.csv", n)
+    query_blocks_of(monkeypatch, rows, ng)
     emb_flags = ["--emb-q", str(tmp_path / "q.remb"), "--emb-g", str(tmp_path / "g.remb")]
     argv = {
         "dist": ["dist", *emb_flags, "--out", str(tmp_path / "d.rdmx")],
@@ -1079,12 +1165,15 @@ def test_global_stage_peak_is_float64_features_and_one_result(tmp_path, command)
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak < 1.1 * 8 * (nq * ng + nq * dim + ng * dim)
+    block = (8 + 4 * (command == "dist")) * rows * ng
+    bound = 1.1 * (8 * ng * dim + 4 * nq * dim + max(4 * ng * dim, block))
+    assert peak < bound < 1.1 * 8 * (nq * ng + nq * dim + ng * dim)  # the whole-matrix bound
+    assert 8 * (nq * ng + ng * dim) > bound
 
 
-@pytest.mark.parametrize("local_mode", ["none", "dp_aligned", "one_to_one"])
-@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-def test_dist_and_eval_write_the_library_composition(tmp_path, metric, local_mode):
+def write_pair(tmp_path):
+    """6 queries and 9 gallery items with global and local features, written
+    as q/g .remb and .csv; returns their embedding sets."""
     rng = np.random.default_rng(3)
     sides = {}
     for side, n, role in (("q", 6, "query"), ("g", 9, "gallery")):
@@ -1094,13 +1183,23 @@ def test_dist_and_eval_write_the_library_composition(tmp_path, metric, local_mod
         )
         gallery.save_embeddings(sides[side], tmp_path / f"{side}.remb")
         write_index(tmp_path / f"{side}.csv", n, role=role)
-    q, g = sides["q"], sides["g"]
+    return sides["q"], sides["g"]
+
+
+def pair_flags(tmp_path, metric="euclidean", local_mode="none"):
+    return ["--emb-q", str(tmp_path / "q.remb"), "--emb-g", str(tmp_path / "g.remb"),
+            "--metric", metric, "--local-mode", local_mode, "--lam", "0.37"]
+
+
+@pytest.mark.parametrize("local_mode", ["none", "dp_aligned", "one_to_one"])
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_dist_and_eval_write_the_library_composition(tmp_path, metric, local_mode):
+    q, g = write_pair(tmp_path)
     expected = distance.distance_matrix(q.global_, g.global_, metric)
     if local_mode != "none":
         dl = distance.local_distance_matrix(q, g, local_mode)
         expected = distance.combine_distances(expected, dl, 0.37)
-    flags = ["--emb-q", str(tmp_path / "q.remb"), "--emb-g", str(tmp_path / "g.remb"),
-             "--metric", metric, "--local-mode", local_mode, "--lam", "0.37"]
+    flags = pair_flags(tmp_path, metric, local_mode)
     assert run_cli(["dist", *flags, "--out", str(tmp_path / "d.rdmx")]) == 0
     assert (tmp_path / "d.rdmx").read_bytes() == distance.encode_distance_matrix(expected)
     assert run_cli(["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv"),
@@ -1110,6 +1209,40 @@ def test_dist_and_eval_write_the_library_composition(tmp_path, metric, local_mod
     doc = metrics.evaluate(queries, gal, expected, metrics.EvalProtocol(max_rank=len(gal))).to_dict()
     doc["config"] = {"metric": metric, "local_mode": local_mode, "lambda": 0.37}
     assert (tmp_path / "r.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("local_mode", ["none", "dp_aligned", "one_to_one"])
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_dist_and_eval_bytes_do_not_depend_on_the_query_block(tmp_path, monkeypatch, metric, local_mode):
+    write_pair(tmp_path)
+    eval_flags = ["--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv")]
+    outputs = []
+    for rows in (1, 3, 6):  # six blocks, two, and all six query rows in one
+        query_blocks_of(monkeypatch, rows, 9)
+        d, r = tmp_path / f"d{rows}.rdmx", tmp_path / f"r{rows}.json"
+        assert run_cli(["dist", *pair_flags(tmp_path, metric, local_mode), "--out", str(d)]) == 0
+        assert run_cli(["eval", *eval_flags, *pair_flags(tmp_path, metric, local_mode), "--out", str(r)]) == 0
+        outputs.append((d.read_bytes(), r.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("command", ["dist", "eval"])
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_gallery_terms_built_once_and_every_block_checked(tmp_path, monkeypatch, metric, command):
+    write_pair(tmp_path)
+    query_blocks_of(monkeypatch, 1, 9)
+    normed, checked = [], []
+    sq_norms, post_init = distance._sq_norms, distance.DistanceMatrix.__post_init__
+    monkeypatch.setattr(distance, "_sq_norms", lambda x: normed.append(len(x)) or sq_norms(x))
+    monkeypatch.setattr(distance.DistanceMatrix, "__post_init__",
+                        lambda self: checked.append(np.shape(self.values)) or post_init(self))
+    index_flags = ["--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv")]
+    argv = [command, *(index_flags if command == "eval" else []), *pair_flags(tmp_path, metric),
+            "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 0
+    # the gallery's norms once per stage, each one-row block's own norm once
+    assert normed == [9] + [1] * 6
+    assert checked == [(1, 9)] * 6
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import csv
 import io
 import math
 import os
+import stat
 import struct
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -550,6 +552,52 @@ class TestContainerLayout:
         local = np.full((2, 1, 1), np.nan, dtype=np.float32)
         with pytest.raises(DataError, match=r"^non-finite value at \(1, 0\)$"):
             encode_embeddings(EmbeddingSet(g, local))
+
+
+class TestWriteFile:
+    def test_parts_of_any_iterable_written_in_order(self, tmp_path):
+        out = tmp_path / "f"
+        gallery._write_file(out, (p for p in (b"ab", bytearray(b"cd"), np.arange(2, dtype="<u2"))))
+        assert out.read_bytes() == b"abcd\x00\x00\x01\x00"
+        assert os.listdir(tmp_path) == ["f"]
+
+    def test_parts_go_to_a_temporary_file_beside_the_target(self, tmp_path):
+        seen = []
+
+        def parts():
+            yield b"a"
+            seen.extend(os.listdir(tmp_path))
+            yield b"b"
+
+        (tmp_path / "f").write_bytes(b"old")
+        gallery._write_file(tmp_path / "f", parts())
+        assert sorted(seen) == [f".f.tmp-{os.getpid()}", "f"]
+        assert (tmp_path / "f").read_bytes() == b"ab"
+
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["absent", "existing"])
+    def test_a_part_that_raises_leaves_the_old_file_and_no_temporary(self, tmp_path, old):
+        def parts():
+            yield b"new"
+            raise DataError("late block")
+
+        out = tmp_path / "f"
+        if old is not None:
+            out.write_bytes(old)
+        with pytest.raises(DataError, match="late block"):
+            gallery._write_file(out, parts())
+        assert os.listdir(tmp_path) == ([] if old is None else ["f"])
+        assert old is None or out.read_bytes() == old
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        gallery._write_file(fifo, [b"ab", b"cd"])
+        reader.join(10)
+        assert got == [b"abcd"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 class TestEmbeddingSetInvariants:

@@ -256,6 +256,26 @@ class TestEvaluate:
         with pytest.raises(DataError, match="shape"):
             evaluate(queries, gallery, d)
 
+    @pytest.mark.parametrize("cuts", [[], [1], [2, 3], [1, 2, 3, 4]])
+    def test_row_blocks_give_the_whole_matrix_report(self, cuts):
+        queries, gallery, d = random_problem(11, 5, 40, 6, 3, 4)
+        blocks = (DistanceMatrix(v) for v in np.split(d.values, cuts))
+        got = outcome(lambda *a: evaluate(*a).to_dict(), queries, gallery, blocks, EvalProtocol())
+        assert got == outcome(lambda *a: evaluate(*a).to_dict(), queries, gallery, d, EvalProtocol())
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [([(2, 4), (2, 4)], r"\(4, 4\) != \(3, 4\)"), ([(2, 4)], r"\(2, 4\) != \(3, 4\)"),
+         ([(2, 4), (1, 5)], r"\(3, 5\) != \(3, 4\)"), ([(3, 3)], r"\(3, 3\) != \(3, 4\)")],
+        ids=["extra_rows", "missing_rows", "wider_block", "narrower_block"],
+    )
+    def test_row_blocks_of_the_wrong_shape(self, shapes, message):
+        queries = build_index([(1, 1, "query")] * 3)
+        gallery = build_index([(1, 2, "gallery")] * 4)
+        blocks = [DistanceMatrix(np.zeros(shape)) for shape in shapes]
+        with pytest.raises(DataError, match=rf"^distance shape {message}$"):
+            evaluate(queries, gallery, blocks)
+
 
 class TestProperties:
     def _random_setup(self, rng, nq=6, ng=15):
