@@ -77,11 +77,9 @@ def _distances(args, q_index=None, g_index=None):
 
 def _plus_local(blocks, dl, lam):
     """Each row block combined with the rows of the local term dl it covers."""
-    row0 = 0
-    for d in blocks:
+    for row0, d in distance_mod._checked_blocks(blocks, dl.shape):
         local = distance_mod.DistanceMatrix(dl.values[row0 : row0 + d.shape[0]])
         yield distance_mod.combine_distances(d, local, lam)
-        row0 += d.shape[0]
 
 
 def _add_distance_flags(p):
@@ -132,8 +130,9 @@ def _cmd_eval(args):
     )
     queries, gal, _, blocks = _distances(args, args.queries, args.gallery)
     # no rank lies past the gallery's last item; torchreid's eval_market1501
-    # clamps the same way, and a 2^63 or 10^15 CMC cannot be allocated
-    protocol = dataclasses.replace(protocol, max_rank=min(protocol.max_rank, len(gal)))
+    # clamps the same way, and a 2^63 or 10^15 CMC cannot be allocated. An
+    # empty gallery keeps rank 1, so evaluate names the empty evaluation
+    protocol = dataclasses.replace(protocol, max_rank=min(protocol.max_rank, max(1, len(gal))))
     report = metrics.evaluate(queries, gal, blocks, protocol)
     doc = report.to_dict()
     doc["config"] = {

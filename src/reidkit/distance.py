@@ -15,8 +15,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .gallery import EmbeddingSet, _cast_checked, _check_finite, _container_header
-from .gallery import _container_views, _encode_container
+from .gallery import EmbeddingSet, _check_finite, _container_header
+from .gallery import _container_views, _payload_views
 
 DISTANCE_MAGIC = b"RDMX"
 
@@ -135,8 +135,7 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _finish_sq_euclidean(a, b, sq, bn, bn_tau) -> np.ndarray:
     """_sq_euclidean's finish of sq = a @ b.T in place, given b's squared
     norms bn and tau terms bn_tau."""
-    an = _sq_norms(a)
-    an_tau = _twice_gamma(a.shape[1] + 2) * an
+    an, an_tau = _side_terms(a, Metric.EUCLIDEAN)
     for rows in _blocks(*sq.shape):
         blk = sq[rows]
         blk *= 2.0
@@ -328,39 +327,62 @@ def combine_distances(dg: DistanceMatrix, dl: DistanceMatrix, lam: float) -> Dis
     return DistanceMatrix(dg.values + lam * dl.values)
 
 
+def _checked_blocks(dist, shape) -> Iterator[tuple[int, DistanceMatrix]]:
+    """(first row, block) for each block of dist, one DistanceMatrix or its
+    row blocks, each checked to extend a matrix of shape (nq, ng) when it is
+    drawn, and all of them to fill it once the last is drawn."""
+    nq, ng = shape
+    done = 0
+    for block in [dist] if isinstance(dist, DistanceMatrix) else dist:
+        row0, done = done, done + block.shape[0]
+        if block.shape[1] != ng or done > nq:
+            raise DataError(f"distance shape {(done, block.shape[1])} != ({nq}, {ng})")
+        yield row0, block
+    if done != nq:
+        raise DataError(f"distance shape {(done, ng)} != ({nq}, {ng})")
+
+
 def encode_distance_matrix(d: DistanceMatrix | Iterable[DistanceMatrix], shape=None):
-    """Serialize with the shared binary container (magic RDMX, S=0): one
-    DistanceMatrix as one bytearray or, given the whole matrix's shape, its
-    row blocks as the same bytes in parts (_BlockParts)."""
-    if shape is None:
-        return _encode_container(DISTANCE_MAGIC, d.values)
-    return _BlockParts(d, shape)
+    """Serialize with the shared binary container (magic RDMX, S=0): given
+    the whole matrix's shape, its row blocks as parts (_BlockParts); one
+    DistanceMatrix as the one part, a bytearray, of its one block."""
+    if shape is not None:
+        return _BlockParts(d, shape)
+    [part] = _BlockParts([d], d.shape)
+    return part
 
 
 class _BlockParts:
-    """The .rdmx bytes of a matrix of a known shape given as row blocks, as
-    parts for gallery._write_file: the header, then each block cast to
-    float32 in one reused buffer and checked, a bad cell named by its row in
-    the whole matrix. A part holds until the next is drawn; len() is the
-    container's size in bytes."""
+    """The .rdmx bytes of a matrix of a known shape given as row blocks
+    (_checked_blocks), as parts for gallery._write_file: one bytearray of the
+    header and the first block as float32, then each later block, no longer
+    than the first, cast into its place. A non-finite float32 cell is named by
+    its row in the whole matrix. A part holds until the next is drawn; len()
+    is the container's size in bytes."""
 
     def __init__(self, blocks, shape):
-        self.blocks, self.header = blocks, _container_header(DISTANCE_MAGIC, *shape)
+        self.blocks, self.shape = blocks, shape
+        self.header = _container_header(DISTANCE_MAGIC, *shape)
         self.size = len(self.header) + 4 * shape[0] * shape[1]
 
     def __len__(self):
         return self.size
 
     def __iter__(self):
-        yield self.header
-        buf, row0 = None, 0
-        for d in self.blocks:
-            if buf is None:  # the first block is the largest
-                buf = np.empty(d.shape, "<f4")
-            part = buf[: d.shape[0]]
-            _cast_checked(part, d.values, row0)
-            yield part
-            row0 += d.shape[0]
+        buf = None
+        for row0, d in _checked_blocks(self.blocks, self.shape):
+            first = buf is None
+            if first:
+                buf = bytearray(len(self.header) + 4 * d.values.size)
+                buf[: len(self.header)] = self.header
+                main = _payload_views(buf, *d.shape, 0, 0)[0]
+            elif len(d.values) > len(main):
+                raise DataError(f"a row block of {len(d.values)} rows follows one of {len(main)}")
+            part = main[: len(d.values)]
+            with np.errstate(over="ignore"):  # _check_finite names an overflow to inf
+                part[...] = d.values
+            _check_finite(part, None, row0)
+            yield buf if first else part
 
 
 def decode_distance_matrix(data: bytes) -> DistanceMatrix:

@@ -241,26 +241,6 @@ def _container_header(magic: bytes, n: int, d: int, s: int = 0, dl: int = 0) -> 
     return _HEADER.pack(magic, CONTAINER_VERSION, n, d, s, dl)
 
 
-def _cast_checked(dst: np.ndarray, src: np.ndarray, row0: int = 0) -> None:
-    """Cast src into the float32 array dst and reject a non-finite value as
-    float32, so a float64 value that overflows float32 is rejected too."""
-    with np.errstate(over="ignore"):  # the check below names an overflow to inf
-        dst[...] = src
-    _check_finite(dst, None, row0)
-
-
-def _encode_container(magic: bytes, main: np.ndarray) -> bytearray:
-    """Header and float32 payload of a container without local features, in
-    one buffer: main is cast straight into its place, so the payload is
-    copied once. A size the u32 header cannot hold is rejected before the
-    buffer."""
-    header = _container_header(magic, *main.shape)
-    buf = bytearray(len(header) + 4 * main.size)
-    buf[: len(header)] = header
-    _cast_checked(_payload_views(buf, *main.shape, 0, 0)[0], main)
-    return buf
-
-
 def _container_views(data, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(main, local) payload arrays of a container, as float32 views of data,
     after the header and length checks. The values are not checked:
@@ -316,24 +296,29 @@ def _write_file(path, data) -> None:
     """The one writer of every file reidkit writes, called as gallery._write_file.
     data is the encoded output: one bytes-like object, or any iterable of
     them written in order, such as a generator that encodes one block at a
-    time and may raise part-way. The parts go to .<name>.tmp-<pid> in the
-    target's directory, which os.replace puts in place only once every part
-    is written; on any exception the temporary file is removed. So an output
-    rejected or cut part-way leaves the old file with its bytes, or no file.
-    Nothing is fsynced: the replace guards against a failed run, not against
-    a power loss. A device or FIFO (/dev/null, a pipe) is written in place."""
+    time and may raise part-way. The target is the file path names once its
+    symlinks are resolved. The parts go to .<name>.tmp-<pid> in the target's
+    directory, which os.replace puts in place, with the permission bits of
+    the file it replaces, only once every part is written; on any exception
+    the temporary file is removed. So an output rejected or cut part-way
+    leaves the old file with its bytes, or no file. Nothing is fsynced: the
+    replace guards against a failed run, not against a power loss. A device
+    or FIFO (/dev/null, a pipe) is written in place."""
     parts = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
     path = os.fspath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             fh.writelines(parts)
         return
-    head, name = os.path.split(path)
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.tmp-{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:
             fh.writelines(parts)
-        os.replace(tmp, path)
+        with contextlib.suppress(FileNotFoundError):  # a new file keeps the umask's bits
+            os.chmod(tmp, os.stat(target).st_mode & 0o777)
+        os.replace(tmp, target)
     except BaseException as e:
         with contextlib.suppress(OSError):
             os.remove(tmp)

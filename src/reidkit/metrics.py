@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError
-from .distance import DistanceMatrix
+from .distance import DistanceMatrix, _checked_blocks
 from .gallery import GalleryIndex, _groups
 
 
@@ -96,19 +96,6 @@ def _relevant_ranks(row: np.ndarray, relevant: np.ndarray, n_valid: int) -> np.n
     return ranks
 
 
-def _rows(dist, nq: int, ng: int):
-    """The rows of dist, one DistanceMatrix or its row blocks, each block
-    checked to extend an (nq, ng) matrix when it is drawn."""
-    done = 0
-    for block in [dist] if isinstance(dist, DistanceMatrix) else dist:
-        done += block.shape[0]
-        if block.shape[1] != ng or done > nq:
-            raise DataError(f"distance shape {(done, block.shape[1])} != ({nq}, {ng})")
-        yield from block.values
-    if done != nq:
-        raise DataError(f"distance shape {(done, ng)} != ({nq}, {ng})")
-
-
 def evaluate(
     queries: GalleryIndex,
     gallery: GalleryIndex,
@@ -130,7 +117,8 @@ def evaluate(
     no_rows = np.empty(0, np.intp)
     per_query_ap = []
     first_hits = []
-    for row, q_pid, q_cam in zip(_rows(dist, nq, ng), queries.person_ids, queries.camera_ids):
+    rows = (row for _, block in _checked_blocks(dist, (nq, ng)) for row in block.values)
+    for row, q_pid, q_cam in zip(rows, queries.person_ids, queries.camera_ids):
         relevant = rows_of.get(q_pid, no_rows)
         n_valid = ng
         if protocol.cross_camera_filter:

@@ -347,10 +347,7 @@ class TestEmaCommand:
     )
     def test_flags_an_update_would_ignore_exit_2_before_reading(self, tmp_path, capsys, monkeypatch, flags):
         # an update keeps its state's alpha and warm-up, and --init reads no state
-        def unreachable(directory):
-            raise AssertionError(f"read {directory} before checking the flags")
-
-        monkeypatch.setattr(ensemble, "load_ema_state", unreachable)
+        forbid(monkeypatch, "ema", "ensemble.load_ema_state")
         argv = ["ema", *flags, "--student", str(tmp_path / "T"), "--out", str(tmp_path / "o")]
         assert run_cli(argv) == 2
         assert_one_line_error(capsys)
@@ -489,7 +486,7 @@ class TestCameraCommand:
     )
     def test_malformed_residual_params_exit_2(self, tmp_path, monkeypatch, capsys, params):
         # rejected before camera_offsets runs: fail_if_called raises past run_cli
-        monkeypatch.setattr(camera, "camera_offsets", fail_if_called)
+        forbid(monkeypatch, "camera", "camera.camera_offsets")
         emb = gallery.EmbeddingSet(np.zeros((4, 1), np.float32))
         gallery.save_embeddings(emb, tmp_path / "e.remb")
         write_index(tmp_path / "meta.csv", 4)
@@ -539,7 +536,7 @@ class TestCameraCommand:
         assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_normalize_and_residual_together_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(gallery, "load_index", fail_if_called)
+        forbid(monkeypatch, "camera", "gallery.load_index")
         rc = run_cli(
             [
                 "camera", "--index", "meta.csv", "--emb", "e.remb", "--normalize",
@@ -552,6 +549,64 @@ class TestCameraCommand:
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("flag validation ran after the computation it guards")
+
+
+# The calls that each command's flag checks must come before. A guard test
+# makes some of them fail (forbid), and test_guarded_calls_are_made runs each
+# command with good flags and checks that it makes every one, so a guard
+# cannot stand on a call that its command no longer makes.
+GUARDED_CALLS = {
+    "dist": ["distance.global_distance_blocks", "distance.local_distance_matrix"],
+    "eval": ["distance.global_distance_blocks", "distance.local_distance_matrix"],
+    "embed": ["gallery.load_index", "imaging.decode_image"],
+    "mine": ["gallery.load_index", "gallery.load_embeddings"],
+    "tsne": ["gallery.load_index", "gallery.load_embeddings"],
+    "camera": ["gallery.load_index", "camera.camera_offsets"],
+    "ema": ["ensemble.load_ema_state"],
+}
+
+
+def forbid(monkeypatch, command, *names):
+    """Make each of names, calls in GUARDED_CALLS[command], fail if called."""
+    for name in names:
+        assert name in GUARDED_CALLS[command], f"{name} is not a guarded call of {command}"
+        module, attr = name.split(".")
+        monkeypatch.setattr(globals()[module], attr, fail_if_called)
+
+
+@pytest.mark.parametrize("command", sorted(GUARDED_CALLS))
+def test_guarded_calls_are_made(tmp_path, monkeypatch, command):
+    rng = np.random.default_rng(0)
+    gallery.save_embeddings(gallery.EmbeddingSet(rng.standard_normal((12, 3)).astype(np.float32)),
+                            tmp_path / "train.remb")
+    write_index(tmp_path / "train.csv", 12, role="train")
+    write_index(tmp_path / "two.csv", 2)
+    for i in range(2):
+        write_ppm(tmp_path / f"x{i}.ppm", np.zeros((16, 8, 3)))
+    save_ema_state(EmaState({"w": np.ones((1, 2))}), tmp_path / "student")
+    train = ["--index", str(tmp_path / "train.csv"), "--emb", str(tmp_path / "train.remb")]
+    argv = {
+        **{c: [*a, "--local-mode", "dp_aligned"] for c, a in write_retrieval_inputs(tmp_path).items()},
+        "embed": ["embed", "--index", str(tmp_path / "two.csv"), "--images-root", str(tmp_path),
+                  "--out", str(tmp_path / "two.remb")],
+        "mine": ["mine", *train, "--p", "2", "--k", "2"],
+        "tsne": ["tsne", *train, "--role", "train", "--perplexity", "4", "--iterations", "5"],
+        "camera": ["camera", *train],
+        "ema": ["ema", "--init", "--student", str(tmp_path / "student"), "--out", str(tmp_path / "state")],
+    }[command]
+    calls = dict.fromkeys(GUARDED_CALLS[command], 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        module, attr = name.split(".")
+        monkeypatch.setattr(globals()[module], attr, counted(name, getattr(globals()[module], attr)))
+    assert run_cli(argv) == 0
+    assert all(calls.values()), calls
 
 
 def write_retrieval_inputs(tmp_path):
@@ -584,8 +639,7 @@ def test_stripe_dimension_mismatch_exit_2(tmp_path, capsys, command, local_mode)
 
 @pytest.mark.parametrize("bins", ["1", "257", "100000000"])
 def test_embed_bad_bins_exit_2_before_loading(monkeypatch, capsys, bins):
-    monkeypatch.setattr(gallery, "load_index", fail_if_called)
-    monkeypatch.setattr(imaging, "decode_image", fail_if_called)
+    forbid(monkeypatch, "embed", "gallery.load_index", "imaging.decode_image")
     assert run_cli(["embed", "--index", "meta.csv", "--bins", bins, "--out", "e.remb"]) == 2
     assert capsys.readouterr().err == f"error: bins per channel must be in [2, 256], got {bins}\n"
 
@@ -595,15 +649,14 @@ def test_embed_bad_bins_exit_2_before_loading(monkeypatch, capsys, bins):
 @pytest.mark.parametrize("command", ["dist", "eval"])
 def test_bad_lambda_exit_2_before_any_distance(tmp_path, monkeypatch, capsys, command, local_mode, lam):
     argv = write_retrieval_inputs(tmp_path)[command]
-    monkeypatch.setattr(distance, "distance_matrix", fail_if_called)
-    monkeypatch.setattr(distance, "local_distance_matrix", fail_if_called)
+    forbid(monkeypatch, command, "distance.global_distance_blocks", "distance.local_distance_matrix")
     assert run_cli([*argv, "--local-mode", local_mode, "--lam", lam]) == 2
     assert capsys.readouterr().err == "error: lambda must be finite and >= 0\n"
 
 
 def test_eval_bad_max_rank_exit_2_before_any_distance(tmp_path, monkeypatch, capsys):
     argv = write_retrieval_inputs(tmp_path)["eval"]
-    monkeypatch.setattr(distance, "distance_matrix", fail_if_called)
+    forbid(monkeypatch, "eval", "distance.global_distance_blocks")
     assert run_cli([*argv, "--max-rank", "0"]) == 2
     assert capsys.readouterr().err == "error: max_rank must be >= 1\n"
 
@@ -628,7 +681,7 @@ def test_eval_row_mismatch_exit_2_before_any_distance(tmp_path, monkeypatch, cap
     argv = write_retrieval_inputs(tmp_path)["eval"]
     write_index(tmp_path / "q5.csv", 5)
     argv[argv.index("--queries" if rows[0] == 5 else "--gallery") + 1] = str(tmp_path / "q5.csv")
-    monkeypatch.setattr(distance, "distance_matrix", fail_if_called)
+    forbid(monkeypatch, "eval", "distance.global_distance_blocks")
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -651,8 +704,7 @@ def test_eval_row_mismatch_exit_2_before_any_distance(tmp_path, monkeypatch, cap
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_bad_mine_tsne_params_exit_2_before_loading(monkeypatch, capsys, argv, message):
-    monkeypatch.setattr(gallery, "load_index", fail_if_called)
-    monkeypatch.setattr(gallery, "load_embeddings", fail_if_called)
+    forbid(monkeypatch, argv[0], "gallery.load_index", "gallery.load_embeddings")
     assert run_cli([*argv, "--index", "meta.csv", "--emb", "e.remb"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -663,7 +715,7 @@ def test_camera_without_out_emb_exit_2_before_offsets(tmp_path, monkeypatch, cap
     gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((4, 2), np.float32)), tmp_path / "e.remb")
     write_index(tmp_path / "meta.csv", 4)
     (tmp_path / "res.json").write_text("{}")
-    monkeypatch.setattr(camera, "camera_offsets", fail_if_called)
+    forbid(monkeypatch, "camera", "camera.camera_offsets")
     assert run_cli(["camera", "--index", "meta.csv", "--emb", "e.remb", *flags]) == 2
     assert_one_line_error(capsys)
 
@@ -672,7 +724,7 @@ def test_camera_out_emb_without_transform_exit_2_before_offsets(tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((4, 2), np.float32)), tmp_path / "e.remb")
     write_index(tmp_path / "meta.csv", 4)
-    monkeypatch.setattr(camera, "camera_offsets", fail_if_called)
+    forbid(monkeypatch, "camera", "camera.camera_offsets")
     assert run_cli(["camera", "--index", "meta.csv", "--emb", "e.remb", "--out-emb", "o.remb"]) == 2
     assert_one_line_error(capsys)
     assert not (tmp_path / "o.remb").exists()
@@ -818,6 +870,48 @@ def test_output_in_a_missing_directory_names_the_output(tmp_path, capsys, comman
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
+def test_dist_writes_through_a_symlink_and_names_it(tmp_path, capsys):
+    write_pair(tmp_path)
+    (tmp_path / "real").mkdir()
+    (tmp_path / "real" / "d.rdmx").write_bytes(b"previous bytes")
+    link = tmp_path / "d.rdmx"
+    link.symlink_to(tmp_path / "real" / "d.rdmx")
+    assert run_cli(["dist", *pair_flags(tmp_path), "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert distance.decode_distance_matrix((tmp_path / "real" / "d.rdmx").read_bytes()).shape == (6, 9)
+    assert temporary_files(tmp_path) == temporary_files(tmp_path / "real") == []
+    # a link into a missing directory: the error names the path given
+    dangling = tmp_path / "dangling.rdmx"
+    dangling.symlink_to(tmp_path / "missing" / "d.rdmx")
+    assert run_cli(["dist", *pair_flags(tmp_path), "--out", str(dangling)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{dangling}'\n"
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o755], ids=oct)
+def test_eval_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path, mode):
+    write_pair(tmp_path)
+    out = tmp_path / "r.json"
+    out.write_bytes(b"previous bytes")
+    out.chmod(mode)
+    argv = ["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv"),
+            *pair_flags(tmp_path), "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert out.stat().st_mode & 0o777 == mode
+    assert json.loads(out.read_text())["num_valid_queries"] > 0
+
+
+def test_eval_on_an_empty_gallery_names_the_empty_evaluation(tmp_path, capsys):
+    write_pair(tmp_path)
+    write_index(tmp_path / "none.csv", 0)
+    gallery.save_embeddings(gallery.EmbeddingSet(np.zeros((0, 5), np.float32)), tmp_path / "none.remb")
+    argv = ["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "none.csv"),
+            "--emb-q", str(tmp_path / "q.remb"), "--emb-g", str(tmp_path / "none.remb")]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "error: empty evaluation: every query has zero valid positives\n"
+    assert run_cli([*argv, "--max-rank", "0"]) == 2
+    assert capsys.readouterr().err == "error: max_rank must be >= 1\n"
+
+
 @pytest.mark.parametrize("command", INDEX_COMMANDS, ids=lambda c: c[0])
 @pytest.mark.parametrize("index_rows,emb_rows", [(40, 10), (10, 40)])
 def test_index_embedding_row_mismatch_exit_2(tmp_path, capsys, command, index_rows, emb_rows):
@@ -892,7 +986,7 @@ def test_invalid_index_row_exit_2_names_line(tmp_path, monkeypatch, capsys, text
 
 
 def test_embed_zero_stripes_exit_2_before_loading(monkeypatch, capsys):
-    monkeypatch.setattr(gallery, "load_index", fail_if_called)
+    forbid(monkeypatch, "embed", "gallery.load_index")
     assert run_cli(["embed", "--index", "meta.csv", "--stripes", "0", "--out", "e.remb"]) == 2
     assert capsys.readouterr().err == "error: stripe count must be positive\n"
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reidkit.errors import DataError
-from reidkit.distance import DistanceMatrix
+from reidkit.distance import DistanceMatrix, encode_distance_matrix
+from reidkit.gallery import _write_file
 from reidkit.metrics import EvalProtocol, EvalReport, cmc_curve, evaluate
 from conftest import build_index
 from test_acceptance import ap_brute_force, average_precision, rank_gallery
@@ -30,6 +31,15 @@ def evaluate_oracle(queries, gallery, dist, protocol):
     if not aps:
         raise DataError("empty evaluation: every query has zero valid positives")
     return EvalReport(cmc_curve(first_hits, protocol.max_rank), aps, protocol).to_dict()
+
+
+# Row blocks that do not fill a (3, 4) matrix, and the shape they reach
+WRONG_BLOCK_SHAPES = pytest.mark.parametrize(
+    "shapes, message",
+    [([(2, 4), (2, 4)], r"\(4, 4\) != \(3, 4\)"), ([(2, 4)], r"\(2, 4\) != \(3, 4\)"),
+     ([(2, 4), (1, 5)], r"\(3, 5\) != \(3, 4\)"), ([(3, 3)], r"\(3, 3\) != \(3, 4\)")],
+    ids=["extra_rows", "missing_rows", "wider_block", "narrower_block"],
+)
 
 
 def outcome(fn, *args):
@@ -263,18 +273,27 @@ class TestEvaluate:
         got = outcome(lambda *a: evaluate(*a).to_dict(), queries, gallery, blocks, EvalProtocol())
         assert got == outcome(lambda *a: evaluate(*a).to_dict(), queries, gallery, d, EvalProtocol())
 
-    @pytest.mark.parametrize(
-        "shapes, message",
-        [([(2, 4), (2, 4)], r"\(4, 4\) != \(3, 4\)"), ([(2, 4)], r"\(2, 4\) != \(3, 4\)"),
-         ([(2, 4), (1, 5)], r"\(3, 5\) != \(3, 4\)"), ([(3, 3)], r"\(3, 3\) != \(3, 4\)")],
-        ids=["extra_rows", "missing_rows", "wider_block", "narrower_block"],
-    )
+    @WRONG_BLOCK_SHAPES
     def test_row_blocks_of_the_wrong_shape(self, shapes, message):
         queries = build_index([(1, 1, "query")] * 3)
         gallery = build_index([(1, 2, "gallery")] * 4)
         blocks = [DistanceMatrix(np.zeros(shape)) for shape in shapes]
         with pytest.raises(DataError, match=rf"^distance shape {message}$"):
             evaluate(queries, gallery, blocks)
+
+    @WRONG_BLOCK_SHAPES
+    def test_row_blocks_of_the_wrong_shape_write_no_rdmx(self, tmp_path, shapes, message):
+        # the .rdmx encoder checks its blocks with evaluate's rule, as it draws them
+        blocks = (DistanceMatrix(np.zeros(shape)) for shape in shapes)
+        with pytest.raises(DataError, match=rf"^distance shape {message}$"):
+            _write_file(tmp_path / "d.rdmx", encode_distance_matrix(blocks, (3, 4)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_row_block_longer_than_the_first_writes_no_rdmx(self, tmp_path):
+        blocks = (DistanceMatrix(np.zeros(shape)) for shape in [(1, 4), (2, 4)])
+        with pytest.raises(DataError, match=r"^a row block of 2 rows follows one of 1$"):
+            _write_file(tmp_path / "d.rdmx", encode_distance_matrix(blocks, (3, 4)))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestProperties:
