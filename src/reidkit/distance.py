@@ -386,6 +386,4 @@ class _BlockParts:
 
 
 def decode_distance_matrix(data: bytes) -> DistanceMatrix:
-    main, _ = _container_views(data, DISTANCE_MAGIC)
-    _check_finite(main, None)
-    return DistanceMatrix(main)
+    return DistanceMatrix(_container_views(data, DISTANCE_MAGIC)[0])

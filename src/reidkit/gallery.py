@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -243,8 +244,8 @@ def _container_header(magic: bytes, n: int, d: int, s: int = 0, dl: int = 0) -> 
 
 def _container_views(data, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(main, local) payload arrays of a container, as float32 views of data,
-    after the header and length checks. The values are not checked:
-    _check_finite checks them as the writer does."""
+    after the header and length checks. The values are not checked: the
+    caller checks them (_check_finite, or DistanceMatrix for an .rdmx)."""
     if len(data) < _HEADER.size:
         raise TruncationError(
             f"header truncated: expected at least {_HEADER.size} bytes, got {len(data)}"
@@ -302,11 +303,13 @@ def _write_file(path, data) -> None:
     the file it replaces, only once every part is written; on any exception
     the temporary file is removed. So an output rejected or cut part-way
     leaves the old file with its bytes, or no file. Nothing is fsynced: the
-    replace guards against a failed run, not against a power loss. A device
-    or FIFO (/dev/null, a pipe) is written in place."""
+    replace guards against a failed run, not against a power loss. A device,
+    a FIFO (/dev/null, a pipe) or a hard-linked file is written in place."""
     parts = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
     path = os.fspath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    # the path, not its realpath: /dev/stdout on a pipe resolves to no file
+    st = os.stat(path) if os.path.exists(path) else None
+    if st and (st.st_nlink > 1 or not stat.S_ISREG(st.st_mode)):
         with open(path, "wb") as fh:
             fh.writelines(parts)
         return
@@ -316,8 +319,8 @@ def _write_file(path, data) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.writelines(parts)
-        with contextlib.suppress(FileNotFoundError):  # a new file keeps the umask's bits
-            os.chmod(tmp, os.stat(target).st_mode & 0o777)
+        if st:  # a new file keeps the umask's bits
+            os.chmod(tmp, st.st_mode & 0o777)
         os.replace(tmp, target)
     except BaseException as e:
         with contextlib.suppress(OSError):
@@ -338,7 +341,7 @@ def load_embeddings(path) -> EmbeddingSet:
     sized by fstat, and the arrays are views of it, so the payload is copied
     once and never zero-filled first. The whole float32 values of each
     chunk read are checked finite while they are in cache; only when one
-    is not does _check_finite, after the length check, name its cell."""
+    is not does decode_embeddings, given the bytes whole, name its cell."""
     with open(path, "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
         size, checked, finite = 0, _HEADER.size, True
@@ -352,10 +355,7 @@ def load_embeddings(path) -> EmbeddingSet:
         buf = np.concatenate((buf, np.frombuffer(tail, np.uint8)))
         if finite:
             checked, finite = _check_chunk(buf, checked, buf.size)
-    views = _container_views(buf, EMBEDDING_MAGIC)
-    if not finite:
-        _check_finite(*views)
-    return EmbeddingSet(*views)
+    return EmbeddingSet(*_container_views(buf, EMBEDDING_MAGIC)) if finite else decode_embeddings(buf)
 
 
 def _check_chunk(buf: np.ndarray, start: int, stop: int) -> tuple[int, bool]:

@@ -108,6 +108,14 @@ class TestCameraOffsets:
         with pytest.raises(DataError):
             camera_offsets(np.zeros((0, 3)), np.array([]))
 
+    @pytest.mark.parametrize(
+        "cams, pids, message",
+        [([[0], [1], [0]], None, "camera id"), ([0, 1], None, "camera id"), ([0, 1, 0], [1, 2], "person id")],
+    )
+    def test_id_counts_must_match_the_rows(self, cams, pids, message):
+        with pytest.raises(DataError, match=f"^{message} count != row count$"):
+            camera_offsets(np.zeros((3, 2)), cams, pids)
+
     @pytest.mark.parametrize("with_pids", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_per_cell_loop(self, rng, dtype, with_pids):

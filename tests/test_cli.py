@@ -574,8 +574,9 @@ def forbid(monkeypatch, command, *names):
         monkeypatch.setattr(globals()[module], attr, fail_if_called)
 
 
-@pytest.mark.parametrize("command", sorted(GUARDED_CALLS))
-def test_guarded_calls_are_made(tmp_path, monkeypatch, command):
+def write_train_and_images(tmp_path):
+    """A train split of 12 rows (train.csv, train.remb) and two images
+    (two.csv, x0.ppm, x1.ppm); returns the split's --index and --emb flags."""
     rng = np.random.default_rng(0)
     gallery.save_embeddings(gallery.EmbeddingSet(rng.standard_normal((12, 3)).astype(np.float32)),
                             tmp_path / "train.remb")
@@ -583,8 +584,13 @@ def test_guarded_calls_are_made(tmp_path, monkeypatch, command):
     write_index(tmp_path / "two.csv", 2)
     for i in range(2):
         write_ppm(tmp_path / f"x{i}.ppm", np.zeros((16, 8, 3)))
+    return ["--index", str(tmp_path / "train.csv"), "--emb", str(tmp_path / "train.remb")]
+
+
+@pytest.mark.parametrize("command", sorted(GUARDED_CALLS))
+def test_guarded_calls_are_made(tmp_path, monkeypatch, command):
+    train = write_train_and_images(tmp_path)
     save_ema_state(EmaState({"w": np.ones((1, 2))}), tmp_path / "student")
-    train = ["--index", str(tmp_path / "train.csv"), "--emb", str(tmp_path / "train.remb")]
     argv = {
         **{c: [*a, "--local-mode", "dp_aligned"] for c, a in write_retrieval_inputs(tmp_path).items()},
         "embed": ["embed", "--index", str(tmp_path / "two.csv"), "--images-root", str(tmp_path),
@@ -834,18 +840,33 @@ class CutFile(io.FileIO):
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
-@pytest.mark.parametrize("command", ["dist", "eval"])
+@pytest.mark.parametrize(
+    "command",
+    ["dist", "eval", "embed --out", "camera --out-emb", "camera --out", "mine --out", "tsne --out", "tsne --trace"],
+    ids=lambda c: c.replace(" --", "-"),
+)
 def test_write_cut_at_k_bytes_leaves_the_previous_file_or_none(tmp_path, capsys, monkeypatch, command, existing):
+    # each command writes one file, the one cut; what else it reports goes to stdout
     write_pair(tmp_path)
     query_blocks_of(monkeypatch, 1, 9)  # dist writes its header and six row blocks
-    out = tmp_path / ("d.rdmx" if command == "dist" else "r.json")
+    train = write_train_and_images(tmp_path)
+    tsne_flags = ["tsne", *train, "--role", "train", "--perplexity", "4", "--iterations", "5"]
+    out = tmp_path / "out"
     argv = {
         "dist": ["dist", *pair_flags(tmp_path), "--out", str(out)],
         "eval": ["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv"),
                  *pair_flags(tmp_path), "--out", str(out)],
+        "embed --out": ["embed", "--index", str(tmp_path / "two.csv"), "--images-root", str(tmp_path),
+                        "--out", str(out)],
+        "camera --out-emb": ["camera", *train, "--normalize", "--out-emb", str(out)],
+        "camera --out": ["camera", *train, "--out", str(out)],
+        "mine --out": ["mine", *train, "--p", "2", "--k", "2", "--out", str(out)],
+        "tsne --out": [*tsne_flags, "--out", str(out)],
+        "tsne --trace": [*tsne_flags, "--trace", str(out)],
     }[command]
     assert run_cli(argv) == 0
     size = out.stat().st_size
+    assert size > 24 + 4 * 9  # so that each k below cuts the write
     for k in (0, 10, 24, 24 + 4 * 9, size // 2, size - 1):
         if existing:
             out.write_bytes(b"previous bytes")
@@ -885,6 +906,20 @@ def test_dist_writes_through_a_symlink_and_names_it(tmp_path, capsys):
     dangling.symlink_to(tmp_path / "missing" / "d.rdmx")
     assert run_cli(["dist", *pair_flags(tmp_path), "--out", str(dangling)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{dangling}'\n"
+
+
+def test_eval_writes_a_hard_linked_report_through_every_name(tmp_path):
+    write_pair(tmp_path)
+    out, other = tmp_path / "r.json", tmp_path / "also.json"
+    out.write_bytes(b"previous bytes")
+    os.link(out, other)
+    argv = ["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv"),
+            *pair_flags(tmp_path), "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert json.loads(out.read_text())["num_valid_queries"] > 0
+    assert other.read_bytes() == out.read_bytes()
+    assert out.stat().st_nlink == other.stat().st_nlink == 2
+    assert temporary_files(tmp_path) == []
 
 
 @pytest.mark.parametrize("mode", [0o600, 0o755], ids=oct)

@@ -53,6 +53,10 @@ class TestGlobalDistance:
         with pytest.raises(DataError, match="mismatch"):
             distance_matrix(np.zeros((1, 2)), np.zeros((1, 3)))
 
+    def test_inputs_must_be_matrices(self):
+        with pytest.raises(DataError, match="^inputs must be 2-D matrices$"):
+            distance_matrix(np.zeros(3), np.zeros((1, 3)))
+
     def test_euclidean_triangle_inequality(self, rng):
         x = rng.standard_normal((12, 6))
         d = distance_matrix(x, x).values
@@ -362,6 +366,10 @@ class TestOneToOne:
         with pytest.raises(DataError, match="stripe count"):
             one_to_one_distance(np.zeros((3, 2)), np.zeros((4, 2)))
 
+    def test_stripe_sequences_must_be_matrices(self):
+        with pytest.raises(DataError, match=r"^stripe sequences must be 2-D \(S x Dl\)$"):
+            one_to_one_distance(np.zeros(3), np.zeros((1, 3)))
+
 
 class TestLocalDistanceMatrix:
     def test_zero_diagonal_both_modes(self, rng):
@@ -548,6 +556,24 @@ def test_distance_matrix_serialization_round_trip(rng):
     np.testing.assert_array_equal(back.values, d.values)
 
 
+@pytest.mark.parametrize(
+    "bad, fault", [(np.nan, "non-finite"), (np.inf, "non-finite"), (-0.5, "negative")], ids=["nan", "inf", "negative"]
+)
+def test_distance_matrix_decode_checks_values_once(monkeypatch, bad, fault):
+    # DistanceMatrix's float64 cast and min/max are the one value pass: the
+    # float32 check of the writer never runs on a decode
+    def second_pass(*args):
+        raise AssertionError("_check_finite called during a decode")
+
+    monkeypatch.setattr(distance, "_check_finite", second_pass)
+    v = np.ones((3, 4), "<f4")
+    header = struct.pack("<4s5I", b"RDMX", 1, 3, 4, 0, 0)
+    assert decode_distance_matrix(header + v.tobytes()).values.tolist() == v.tolist()
+    v[2, 1] = bad
+    with pytest.raises(DataError, match=f"^distance matrix contains {fault} entries$"):
+        decode_distance_matrix(header + v.tobytes())
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (6, 9)])
 def test_distance_matrix_container_layout(rng, shape):
     v = rng.uniform(0, 3, shape)
@@ -614,6 +640,11 @@ class TestDistanceMatrixValidation:
     def test_negative_zero_accepted(self):
         v = np.full((2, 3), -0.0)
         assert np.signbit(DistanceMatrix(v).values).all()
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(DataError, match="^distance matrix must be 2-D$"):
+            DistanceMatrix(np.zeros(shape))
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
     def test_empty_accepted(self, shape):

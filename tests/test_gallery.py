@@ -445,6 +445,25 @@ class TestChunkedLoad:
             assert str(got.value) == str(want.value)
             assert str(got.value).startswith("non-finite local value" if i >= n_main else "non-finite value")
 
+    def test_a_non_finite_file_is_named_by_decode_embeddings(self, tmp_path, rng, monkeypatch):
+        # the chunk check decides; the bytes-whole decoder alone names the cell
+        calls = []
+
+        def decode(buf):
+            calls.append(len(buf))
+            return decode_embeddings(buf)
+
+        monkeypatch.setattr(gallery, "decode_embeddings", decode)
+        data, _, _ = self._data(rng)
+        path = tmp_path / "e.remb"
+        path.write_bytes(data)
+        assert load_embeddings(path).global_.tobytes() == decode_embeddings(data).global_.tobytes()
+        assert calls == []
+        path.write_bytes(self._with_value(data, 7, np.nan))
+        with pytest.raises(DataError, match=r"^non-finite value at \(1, 2\)$"):
+            load_embeddings(path)
+        assert calls == [len(data)]
+
     @pytest.mark.parametrize("cut", [-4, -1, 3], ids=["short", "short-by-a-byte", "long"])
     def test_truncation_reported_before_non_finite(self, tmp_path, rng, cut):
         data, _, _ = self._data(rng)
@@ -599,6 +618,28 @@ class TestWriteFile:
         assert got == [b"abcd"]
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
+    def test_a_pipe_named_through_a_magic_link_is_written_in_place(self):
+        # /dev/fd/N, as /dev/stdout, resolves to no path: the stat goes through the link
+        r, w = os.pipe()
+        try:
+            gallery._write_file(f"/dev/fd/{w}", [b"ab", b"cd"])
+            assert os.read(r, 16) == b"abcd"
+        finally:
+            os.close(r)
+            os.close(w)
+
+    def test_a_hard_linked_file_is_written_in_place(self, tmp_path):
+        # every name of the file reads the new bytes, and it keeps its mode
+        out, other = tmp_path / "f", tmp_path / "g"
+        out.write_bytes(b"old")
+        out.chmod(0o604)
+        os.link(out, other)
+        gallery._write_file(out, [b"ne", b"w"])
+        assert out.read_bytes() == other.read_bytes() == b"new"
+        assert os.stat(out).st_nlink == 2
+        assert os.stat(out).st_mode & 0o777 == 0o604
+        assert sorted(os.listdir(tmp_path)) == ["f", "g"]
+
 
 class TestEmbeddingSetInvariants:
     def test_local_row_count_must_match(self):
@@ -608,3 +649,12 @@ class TestEmbeddingSetInvariants:
     def test_degenerate_local_rejected(self):
         with pytest.raises(DataError):
             EmbeddingSet(np.zeros((2, 3)), np.zeros((2, 0, 2)))
+
+    @pytest.mark.parametrize(
+        "main, local, message",
+        [((6,), None, "global features must be an N x D matrix"),
+         ((2, 3), (2, 3), "local features must be an N x S x Dl tensor")],
+    )
+    def test_feature_arrays_of_the_wrong_rank_rejected(self, main, local, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            EmbeddingSet(np.zeros(main), None if local is None else np.zeros(local))

@@ -81,6 +81,11 @@ class TestResize:
         out = resize_nearest(img, 2, 1)
         assert out.pixels[:, :, 0].tolist() == [[10, 30]]
 
+    @pytest.mark.parametrize("width, height", [(0, 2), (2, 0)])
+    def test_target_dimensions_must_be_positive(self, width, height):
+        with pytest.raises(DataError, match="^target dimensions must be positive$"):
+            resize_nearest(flat_color(2, 2, (1, 1, 1)), width, height)
+
 
 class TestApplyMask:
     def test_all_ones_identity(self, rng):
@@ -169,6 +174,23 @@ def test_values_the_uint8_cast_would_change_are_rejected(make, values):
     for given in (values, np.array(values)):
         with pytest.raises(DataError):
             make(given)
+
+
+def test_pixels_given_as_a_matrix_get_one_channel():
+    assert Image(np.zeros((2, 3), np.uint8)).pixels.shape == (2, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "make, shape, message",
+    [
+        (Image, (2, 2, 2), r"pixels must be \(H, W, 1\) or \(H, W, 3\)"),
+        (Image, (0, 2, 3), "image dimensions must be positive"),
+        (Mask, (3,), "mask must be a 2-D array"),
+    ],
+)
+def test_arrays_of_the_wrong_shape_are_rejected(make, shape, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        make(np.zeros(shape, np.uint8))
 
 
 def test_integral_values_in_uint8_range_are_stored_as_uint8():

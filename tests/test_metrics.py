@@ -197,6 +197,11 @@ class TestCmcCurve:
     def test_two_queries(self):
         np.testing.assert_allclose(cmc_curve([1, 3], 3), [0.5, 0.5, 1.0])
 
+    @pytest.mark.parametrize("ranks, message", [([], "no queries to aggregate"), ([1, 0], "ranks must be >= 1")])
+    def test_rejected_ranks(self, ranks, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            cmc_curve(ranks, 3)
+
     def test_non_decreasing(self, rng):
         ranks = rng.integers(1, 30, size=50)
         curve = cmc_curve(ranks, 20)
@@ -330,6 +335,10 @@ class TestProperties:
     def test_report_rejects_decreasing_cmc(self):
         with pytest.raises(DataError, match="non-decreasing"):
             EvalReport(np.array([0.9, 0.5]), [0.5], EvalProtocol(max_rank=2))
+
+    def test_report_rejects_cmc_values_out_of_range(self):
+        with pytest.raises(DataError, match=r"^CMC values must lie in \[0, 1\]$"):
+            EvalReport(np.array([0.5, 1.5]), [0.5], EvalProtocol(max_rank=2))
 
     def test_report_serialization_keys(self):
         report = EvalReport(np.array([0.5, 1.0]), [0.5], EvalProtocol(max_rank=2))

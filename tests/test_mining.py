@@ -179,6 +179,13 @@ class TestBatchHard:
         t2 = batch_hard(np.exp(2 * d) - 1, labels)
         assert t1 == t2
 
+    def test_empty_batch_has_no_triplets(self):
+        assert batch_hard(np.zeros((0, 0)), []) == ()
+
+    def test_distance_shape_must_match_the_labels(self):
+        with pytest.raises(DataError, match=r"^distance matrix shape \(2, 3\) != \(2, 2\)$"):
+            batch_hard(np.zeros((2, 3)), ["a", "b"])
+
     def test_missing_negative(self):
         with pytest.raises(DataError, match="negative"):
             batch_hard(np.zeros((2, 2)), ["a", "a"])
