@@ -71,15 +71,8 @@ def _distances(args, q_index=None, g_index=None):
     q, g = q.global_, g.global_.astype(np.float64)
     blocks = distance_mod.global_distance_blocks(q, g, args.metric)
     if dl is not None:
-        blocks = _plus_local(blocks, dl, args.lam)
+        blocks = distance_mod.combine_distances(blocks, dl, args.lam)
     return queries, gal, shape, blocks
-
-
-def _plus_local(blocks, dl, lam):
-    """Each row block combined with the rows of the local term dl it covers."""
-    for row0, d in distance_mod._checked_blocks(blocks, dl.shape):
-        local = distance_mod.DistanceMatrix(dl.values[row0 : row0 + d.shape[0]])
-        yield distance_mod.combine_distances(d, local, lam)
 
 
 def _add_distance_flags(p):
@@ -129,10 +122,6 @@ def _cmd_eval(args):
         max_rank=args.max_rank,
     )
     queries, gal, _, blocks = _distances(args, args.queries, args.gallery)
-    # no rank lies past the gallery's last item; torchreid's eval_market1501
-    # clamps the same way, and a 2^63 or 10^15 CMC cannot be allocated. An
-    # empty gallery keeps rank 1, so evaluate names the empty evaluation
-    protocol = dataclasses.replace(protocol, max_rank=min(protocol.max_rank, max(1, len(gal))))
     report = metrics.evaluate(queries, gal, blocks, protocol)
     doc = report.to_dict()
     doc["config"] = {
@@ -321,10 +310,12 @@ def run_cli(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except SystemExit as e:  # --help, printed
+        return e.code
     try:
         args.func(args)
-    except (ReidError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ReidError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
     return 0
 

@@ -319,12 +319,16 @@ def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> 
     return DistanceMatrix(_local_distances(q.local, g.local, mode))
 
 
-def combine_distances(dg: DistanceMatrix, dl: DistanceMatrix, lam: float) -> DistanceMatrix:
-    """Entrywise global + lambda * local combination."""
-    if dg.shape != dl.shape:
-        raise DataError(f"shape mismatch: {dg.shape} vs {dl.shape}")
+def combine_distances(dg, dl: DistanceMatrix, lam: float):
+    """Entrywise global + lambda * local combination: of one DistanceMatrix
+    dg, one; of its row blocks in query order (_checked_blocks against dl's
+    shape), a generator of each block plus lambda times the rows of dl it covers."""
     check_lambda(lam)
-    return DistanceMatrix(dg.values + lam * dl.values)
+    blocks = (DistanceMatrix(d.values + lam * dl.values[i : i + len(d.values)])
+              for i, d in _checked_blocks(dg, dl.shape))
+    if isinstance(dg, DistanceMatrix):
+        (blocks,) = blocks  # drawn to its end, where _checked_blocks counts the rows
+    return blocks
 
 
 def _checked_blocks(dist, shape) -> Iterator[tuple[int, DistanceMatrix]]:

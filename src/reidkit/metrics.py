@@ -7,7 +7,7 @@ left with no valid positive are excluded from both mAP and CMC.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -65,7 +65,8 @@ class EvalReport:
 
 def cmc_curve(first_hit_ranks, max_rank: int) -> np.ndarray:
     """cmc[r] = fraction of queries whose first correct match is at
-    rank <= r+1; non-decreasing by construction."""
+    rank <= r+1; non-decreasing by construction. The curve has the
+    max_rank entries asked for; evaluate clamps max_rank to the gallery."""
     ranks = np.asarray(first_hit_ranks, dtype=np.int64)
     if len(ranks) == 0:
         raise DataError("no queries to aggregate")
@@ -110,7 +111,8 @@ def evaluate(
     distance, ties broken by ascending gallery index. Only the ranks
     r_1 < ... < r_R of the R relevant items are computed: AP = (1/R) * sum
     over k of k/r_k (precision at each relevant rank), and the first hit is
-    r_1.
+    r_1. The report's protocol has max_rank clamped to the gallery size, past
+    which no rank lies, as in torchreid's eval_market1501.
     """
     nq, ng = len(queries), len(gallery)
     rows_of = {p: rows for (p,), rows in _groups(gallery.person_ids)}
@@ -136,4 +138,5 @@ def evaluate(
         first_hits.append(int(ranks[0]))
     if not per_query_ap:
         raise DataError("empty evaluation: every query has zero valid positives")
+    protocol = replace(protocol, max_rank=min(protocol.max_rank, ng))
     return EvalReport(cmc_curve(first_hits, protocol.max_rank), per_query_ap, protocol)

@@ -1356,6 +1356,21 @@ def test_dist_and_eval_bytes_do_not_depend_on_the_query_block(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("command", ["dist", "eval"])
+def test_local_term_checked_once_whole_not_again_per_block(tmp_path, monkeypatch, command):
+    write_pair(tmp_path)
+    query_blocks_of(monkeypatch, 1, 9)
+    checked, post_init = [], distance.DistanceMatrix.__post_init__
+    monkeypatch.setattr(distance.DistanceMatrix, "__post_init__",
+                        lambda self: checked.append(np.shape(self.values)) or post_init(self))
+    index_flags = ["--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv")]
+    argv = [command, *(index_flags if command == "eval" else []),
+            *pair_flags(tmp_path, local_mode="dp_aligned"), "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 0
+    # the whole local term, then each one-row global block and its sum
+    assert checked == [(6, 9)] + [(1, 9)] * 12
+
+
+@pytest.mark.parametrize("command", ["dist", "eval"])
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 def test_gallery_terms_built_once_and_every_block_checked(tmp_path, monkeypatch, metric, command):
     write_pair(tmp_path)
@@ -1500,6 +1515,49 @@ def test_stage_imports_only_the_modules_it_calls(tmp_path, command, called, abse
     imported = set(res.stdout.split())
     assert f"reidkit.{called}" in imported
     assert imported.isdisjoint(f"reidkit.{m}" for m in absent)
+
+
+_UNDER_1_GIB = """
+import resource, sys
+from reidkit.cli import run_cli
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.exit(run_cli(sys.argv[1:]))
+"""
+
+
+def test_remb_larger_than_memory_exit_2_with_one_line(tmp_path):
+    # a 4 TiB sparse file: truncate writes no data, and the loader's buffer
+    # exceeds a 1 GiB address-space limit whatever the kernel's overcommit mode
+    big = tmp_path / "big.remb"
+    big.touch()
+    os.truncate(big, 4 << 40)
+    argv = ["dist", "--emb-q", str(big), "--emb-g", str(big), "--out", str(tmp_path / "d.rdmx")]
+    src = os.path.dirname(os.path.dirname(gallery.__file__))
+    res = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, *argv], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"), timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.remb"]
+
+
+def test_memory_error_without_a_message_is_named(tmp_path, monkeypatch, capsys):
+    # Python's own allocations (bytes, bytearray) raise a bare MemoryError()
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(gallery, "load_embeddings", no_memory)
+    assert run_cli(write_retrieval_inputs(tmp_path)["dist"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+SUBCOMMANDS = sorted(next(a.choices for a in cli.build_parser()._actions if a.dest == "command"))
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in SUBCOMMANDS], ids=" ".join)
+def test_help_returns_0(capsys, argv):
+    assert run_cli(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: reidkit") and err == ""
 
 
 def readme_cli_lines():

@@ -540,8 +540,30 @@ class TestCombine:
     def test_shape_mismatch(self, rng):
         dg = DistanceMatrix(np.zeros((2, 2)))
         dl = DistanceMatrix(np.zeros((2, 3)))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^distance shape \(2, 2\) != \(2, 3\)$"):
             combine_distances(dg, dl, 1.0)
+
+    @pytest.mark.parametrize("dg_rows", [2, 4])
+    def test_row_count_mismatch(self, dg_rows):
+        # one matrix is drawn to its end, so one short of dl's rows fails too
+        dg, dl = DistanceMatrix(np.zeros((dg_rows, 3))), DistanceMatrix(np.zeros((3, 3)))
+        with pytest.raises(DataError, match=rf"^distance shape \({dg_rows}, 3\) != \(3, 3\)$"):
+            combine_distances(dg, dl, 1.0)
+
+    @pytest.mark.parametrize("rows", [1, 3, 6])
+    def test_row_blocks_combine_as_each_block_whole(self, rng, rows):
+        dg = DistanceMatrix(rng.uniform(0, 1, (6, 9)))
+        dl = DistanceMatrix(rng.uniform(0, 1, (6, 9)))
+        blocks = (DistanceMatrix(dg.values[i : i + rows]) for i in range(0, 6, rows))
+        got = [d.values.tobytes() for d in combine_distances(blocks, dl, 0.37)]
+        want = [combine_distances(DistanceMatrix(dg.values[i : i + rows]), DistanceMatrix(dl.values[i : i + rows]),
+                                  0.37).values.tobytes() for i in range(0, 6, rows)]
+        assert got == want
+        assert b"".join(got) == combine_distances(dg, dl, 0.37).values.tobytes()
+
+    def test_row_blocks_checked_for_lambda_at_the_call(self):
+        with pytest.raises(DataError, match=r"^lambda must be finite and >= 0$"):
+            combine_distances(iter([]), DistanceMatrix(np.zeros((2, 2))), -1.0)
 
     @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
     def test_bad_lambda(self, lam):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reidkit.errors import DataError
-from reidkit.distance import DistanceMatrix, encode_distance_matrix
+from reidkit.distance import DistanceMatrix, combine_distances, encode_distance_matrix
 from reidkit.gallery import _write_file
 from reidkit.metrics import EvalProtocol, EvalReport, cmc_curve, evaluate
 from conftest import build_index
@@ -16,7 +17,8 @@ from test_acceptance import ap_brute_force, average_precision, rank_gallery
 
 def evaluate_oracle(queries, gallery, dist, protocol):
     """Reference protocol: a full stable ranking of every query row, then
-    average_precision and the first hit read off the ranked relevance."""
+    average_precision and the first hit read off the ranked relevance; the
+    CMC stops at the gallery's last rank."""
     g_pids, g_cams = gallery.person_ids, gallery.camera_ids
     aps, first_hits = [], []
     for qi, (q_pid, q_cam) in enumerate(zip(queries.person_ids, queries.camera_ids)):
@@ -30,6 +32,7 @@ def evaluate_oracle(queries, gallery, dist, protocol):
         first_hits.append(int(np.argmax(rel_ranked)) + 1)
     if not aps:
         raise DataError("empty evaluation: every query has zero valid positives")
+    protocol = dataclasses.replace(protocol, max_rank=min(protocol.max_rank, len(gallery)))
     return EvalReport(cmc_curve(first_hits, protocol.max_rank), aps, protocol).to_dict()
 
 
@@ -264,6 +267,15 @@ class TestEvaluate:
         with pytest.raises(DataError, match="empty evaluation"):
             evaluate(queries, gallery, d)
 
+    @pytest.mark.parametrize("max_rank", [10**15, 2**63, 4])
+    def test_max_rank_clamped_to_the_gallery_size(self, max_rank):
+        # the CMC of the rank asked for, 10^15 entries, cannot be allocated
+        queries, gallery, d = random_problem(3, 5, 4, 2, 2, 0)
+        report = evaluate(queries, gallery, d, EvalProtocol(max_rank=max_rank))
+        assert len(report.cmc) == report.protocol.max_rank == len(gallery)
+        clamped = evaluate(queries, gallery, d, EvalProtocol(max_rank=len(gallery)))
+        assert json.dumps(report.to_dict()) == json.dumps(clamped.to_dict())
+
     def test_shape_mismatch(self):
         queries = build_index([(1, 1, "query")])
         gallery = build_index([(1, 2, "gallery")])
@@ -292,6 +304,15 @@ class TestEvaluate:
         blocks = (DistanceMatrix(np.zeros(shape)) for shape in shapes)
         with pytest.raises(DataError, match=rf"^distance shape {message}$"):
             _write_file(tmp_path / "d.rdmx", encode_distance_matrix(blocks, (3, 4)))
+        assert list(tmp_path.iterdir()) == []
+
+    @WRONG_BLOCK_SHAPES
+    def test_row_blocks_of_the_wrong_shape_combine_and_write_nothing(self, tmp_path, shapes, message):
+        # the local term's rows are matched to each block by the same rule
+        blocks = (DistanceMatrix(np.zeros(shape)) for shape in shapes)
+        combined = combine_distances(blocks, DistanceMatrix(np.ones((3, 4))), 0.5)
+        with pytest.raises(DataError, match=rf"^distance shape {message}$"):
+            _write_file(tmp_path / "d.rdmx", encode_distance_matrix(combined, (3, 4)))
         assert list(tmp_path.iterdir()) == []
 
     def test_row_block_longer_than_the_first_writes_no_rdmx(self, tmp_path):

@@ -1,7 +1,9 @@
 """The public surface of reidkit is pinned: every public top-level name of a
 `reidkit` module is used by library code outside its own definition, or is
 named in backticks in README.md as library surface. A function only tests
-call cannot come back unseen. Only `gallery._write_file` writes files."""
+call cannot come back unseen. Only `gallery._write_file` writes files, and
+`cli` reads no private name of another module but gallery's writer and
+JSON report form, so no library decision hides in the CLI."""
 
 import ast
 import pathlib
@@ -103,3 +105,27 @@ def test_every_file_is_written_by_gallery_write_file():
     assert write_sites(writer), "the scan finds no write in gallery._write_file itself"
     sites = {m: write_sites(tree, writer) for m, tree in MODULES.items()}
     assert not any(sites.values()), {m: s for m, s in sites.items() if s}
+
+
+def private_reads(tree):
+    """(module, name) of each private name the tree reads from another reidkit
+    module: imported as `from .m import _name`, or read as an attribute of a
+    module imported as `from . import m [as alias]`."""
+    modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for a in node.names}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            found |= {(node.module, a.name) for a in node.names if a.name.startswith("_")}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
+def test_cli_reads_no_private_name_but_the_writer_and_the_report_form():
+    allowed = {("gallery", "_write_file"), ("gallery", "_json_report")}
+    found = private_reads(MODULES["cli"])
+    assert allowed <= found, "the scan no longer sees cli's writes"
+    assert found <= allowed, sorted(found - allowed)
