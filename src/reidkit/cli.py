@@ -156,10 +156,6 @@ def _cmd_mine(args):
 def _cmd_ema(args):
     from . import ensemble
 
-    if args.init and args.state:
-        raise ReidError("--state cannot be combined with --init")
-    if not args.init and not args.state:
-        raise ReidError("--state is required unless --init is given")
     # an update keeps the alpha and warm-up of its state
     if not args.init and (args.alpha is not None or args.warmup):
         raise ReidError("--alpha and --warmup apply only with --init")
@@ -269,10 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mine)
 
     p = sub.add_parser("ema", help="initialize or advance a mean-teacher EMA state")
-    p.add_argument("--state", help="existing state directory (omit with --init)")
+    base = p.add_mutually_exclusive_group(required=True)
+    base.add_argument("--state", help="existing state directory to advance")
+    base.add_argument("--init", action="store_true", help="start a new state from the student")
     p.add_argument("--student", required=True, help="student tensor directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--init", action="store_true")
     p.add_argument("--alpha", type=float, help="EMA decay, with --init only")
     p.add_argument("--warmup", action="store_true")
     p.set_defaults(func=_cmd_ema)
@@ -304,16 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:  # --help, printed
         return e.code
-    try:
-        args.func(args)
     except (ReidError, OSError, MemoryError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2

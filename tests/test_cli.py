@@ -81,9 +81,9 @@ def dataset(tmp_path):
     return tmp_path
 
 
-def assert_one_line_error(capsys):
+def assert_one_line_error(capsys, prefix="error: "):
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith(prefix)
     assert err.count("\n") == 1
 
 
@@ -331,9 +331,13 @@ class TestEmaCommand:
         assert rc == 2
         assert_one_line_error(capsys)
 
-    def test_update_without_state_fails(self, tmp_path):
+    def test_update_without_state_fails(self, tmp_path, capsys, monkeypatch):
+        # the parser asks for one of --state and --init, as camera's pair
+        forbid(monkeypatch, "ema", "ensemble.load_ema_state")
         rc = run_cli(["ema", "--student", str(tmp_path), "--out", str(tmp_path / "o")])
-        assert rc == 2
+        assert rc == 1
+        assert_one_line_error(capsys, "usage error: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -346,11 +350,13 @@ class TestEmaCommand:
         ],
     )
     def test_flags_an_update_would_ignore_exit_2_before_reading(self, tmp_path, capsys, monkeypatch, flags):
-        # an update keeps its state's alpha and warm-up, and --init reads no state
+        # an update keeps its state's alpha and warm-up (exit 2); --init reads
+        # no state, and the parser takes --state with it as a usage error
         forbid(monkeypatch, "ema", "ensemble.load_ema_state")
         argv = ["ema", *flags, "--student", str(tmp_path / "T"), "--out", str(tmp_path / "o")]
-        assert run_cli(argv) == 2
-        assert_one_line_error(capsys)
+        usage = "--init" in flags
+        assert run_cli(argv) == (1 if usage else 2)
+        assert_one_line_error(capsys, "usage error: " if usage else "error: ")
         assert not (tmp_path / "o").exists()
 
     def test_init_alpha_defaults_to_ema_state(self, tmp_path):
@@ -1558,6 +1564,16 @@ def test_help_returns_0(capsys, argv):
     assert run_cli(argv) == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage: reidkit") and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["--help"], 0), (["ema", "--init", "--state", "S", "--student", "T", "--out", "O"], 1)]
+)
+def test_main_exits_with_the_code_of_run_cli(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["reidkit", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == code
 
 
 def readme_cli_lines():

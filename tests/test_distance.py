@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reidkit import distance
+from reidkit import distance, gallery
 from reidkit.errors import DataError
 from reidkit.distance import (
     DistanceMatrix,
@@ -85,7 +85,80 @@ def _reference_distance(q, g, metric):
     return np.clip(1.0 - cos, 0.0, 2.0)
 
 
+def _direct_reference(x, metric):
+    """Long-double distances between the rows of x from direct differences,
+    a block of rows at a time: squared euclidean, or cosine as half the
+    squared difference of the unit rows (1 where either row is zero)."""
+    x = x.astype(np.longdouble)
+    norms = np.sqrt(np.sum(x * x, axis=1))
+    if metric is Metric.COSINE:
+        x /= np.where(norms > 0, norms, 1)[:, None]
+    out = np.empty((len(x), len(x)), np.longdouble)
+    step = max(1, (1 << 20) // x.size)
+    for i in range(0, len(x), step):
+        diff = x[i : i + step, None, :] - x[None, :, :]
+        out[i : i + step] = np.sum(diff * diff, axis=2)
+    if metric is Metric.COSINE:
+        out /= 2
+        out[norms == 0] = out[:, norms == 0] = 1
+    return out
+
+
 class TestBlockedGlobalKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nq=st.integers(1, 16),
+        ng=st.integers(1, 64),
+        dim=st.sampled_from([1, 7, 300, 2048]),
+        offset=st.sampled_from([0.0, 50.0, 1e3, 1e4]),
+        duplicates=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 63)), max_size=5),
+        zeros=st.lists(st.integers(0, 79), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_within_the_stated_error_bound(self, nq, ng, dim, offset, duplicates, zeros, seed):
+        # float32-valued rows, as a .remb holds them, in one float64 array:
+        # gallery rows that duplicate a query row, and zero rows
+        rng = np.random.default_rng(seed)
+        x = (offset + rng.uniform(0, 0.8, (nq + ng, dim))).astype(np.float32).astype(np.float64)
+        for i, j in duplicates:
+            x[nq + j % ng] = x[i % nq]
+        x[[i % len(x) for i in zeros]] = 0.0
+        q, g = x[:nq], x[nq:]
+        cross = np.s_[:nq, nq:]
+        # euclidean: tau * (|a|^2 + |b|^2) per entry of _sq_euclidean
+        want = _direct_reference(x, Metric.EUCLIDEAN)
+        sq = np.sum(x.astype(np.longdouble) ** 2, axis=1)
+        bound = distance._twice_gamma(dim + 2) * (sq[:, None] + sq)
+        # the aliased x, x (syrk) and a pair of arrays (gemm) round apart
+        for got, part in [(distance._sq_euclidean(x, x), np.s_[:, :]),
+                          (distance._sq_euclidean(q, g), cross)]:
+            assert (abs(got - want[part]) <= bound[part]).all()
+        # cosine: tau_c per entry of distance_matrix
+        want = _direct_reference(x, Metric.COSINE)
+        tau_c = distance._twice_gamma(dim + 4)
+        for got, part in [(distance_matrix(x, x, Metric.COSINE).values, np.s_[:, :]),
+                          (distance_matrix(q, g, Metric.COSINE).values, cross)]:
+            assert (abs(got - want[part]) <= tau_c).all()
+
+    @pytest.mark.parametrize("offset", [0.0, 50.0])
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
+    def test_scaling_by_a_power_of_two_is_exact(self, metric, offset):
+        # every product, norm, bound and direct difference scales exactly,
+        # so euclidean distances scale with the rows and cosine ones stay
+        rng = np.random.default_rng(2048)
+        x = offset + rng.uniform(0, 0.8, (340, 2048))
+        x[300:305] = x[:5]
+        x[[7, 320]] = 0.0
+        q, g = x[:40], x[40:]
+        want = [distance_matrix(q, g, metric).values, distance_matrix(x, x, metric).values]
+        for k in range(-8, 9):
+            s = 2.0**k
+            factor = s if metric is Metric.EUCLIDEAN else 1.0
+            xs = s * x
+            got = [distance_matrix(s * q, s * g, metric).values, distance_matrix(xs, xs, metric).values]
+            for d, w in zip(got, want):
+                assert d.tobytes() == (factor * w).tobytes()
+
     @settings(max_examples=120, deadline=None)
     @given(
         nq=st.sampled_from([1, 63, 64, 65, 130]),
@@ -635,6 +708,16 @@ def test_distance_matrix_encode_holds_no_mask():
     finally:
         tracemalloc.stop()
     assert peak < 1.05 * len(buf)
+
+
+@pytest.mark.parametrize("nq, rows", [(0, 1), (7, 1), (7, 3), (7, 7)])
+def test_block_parts_length_is_the_bytes_written(tmp_path, rng, nq, rows):
+    # reidbench's traced run reads len() as the size of the .rdmx written
+    q, g = rng.standard_normal((nq, 5)), rng.standard_normal((3, 5))
+    parts = encode_distance_matrix(distance.global_distance_blocks(q, g, rows=rows), (nq, 3))
+    size = len(parts)
+    gallery._write_file(tmp_path / "d.rdmx", parts)
+    assert (tmp_path / "d.rdmx").stat().st_size == size
 
 
 class TestDistanceMatrixValidation:

@@ -407,6 +407,10 @@ class TestRunTsne:
         with pytest.raises(DataError, match=r"^t-SNE diverged at iteration \d+ of 50: "):
             run_tsne(x, params)
 
+    def test_iterations_have_no_upper_bound(self):
+        # a descent runs as many iterations as it is asked for, each O(N^2)
+        assert TsneParams(iterations=2**31).iterations == 2**31
+
     @pytest.mark.parametrize("seed", [0, 5, 17])
     def test_first_trace_entry_is_kl_of_initial_layout(self, rng, seed):
         x, _ = make_clusters(rng, per_cluster=8, dim=4)
