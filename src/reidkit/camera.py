@@ -33,6 +33,9 @@ class CameraOffsets:
             "offsets": {str(c): [float(x) for x in v] for c, v in sorted(self.offsets.items())},
             "counts": {str(c): int(n) for c, n in sorted(self.counts.items())},
             "consistency_score": float(self.consistency_score),
+            "score_definition": "mean over (camera, person) cells of "
+            "||cell displacement - camera offset|| / (||camera offset|| + 1e-8); "
+            "0 means perfectly identity-agnostic camera offsets",
         }
 
 

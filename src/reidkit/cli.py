@@ -75,6 +75,13 @@ def _distances(args, q_index=None, g_index=None):
     return queries, gal, shape, blocks
 
 
+def _given(args, config) -> dict:
+    """The fields of the dataclass config that the command line set; a flag
+    left out reads None, so the field keeps the default of its type."""
+    fields = (f.name for f in dataclasses.fields(config))
+    return {n: getattr(args, n) for n in fields if getattr(args, n, None) is not None}
+
+
 def _add_distance_flags(p):
     p.add_argument("--metric", choices=[m.value for m in distance_mod.Metric], default="euclidean")
     local_modes = [m.value for m in distance_mod.LocalMode] + ["none"]
@@ -85,7 +92,7 @@ def _add_distance_flags(p):
 def _cmd_embed(args):
     from . import featurize
 
-    cfg = featurize.FeaturizerConfig(stripes=args.stripes, bins=args.bins)
+    cfg = featurize.FeaturizerConfig(**_given(args, featurize.FeaturizerConfig))
     paths = gallery.load_index(args.index).paths
     # a generator: one decoded image is alive at a time
     images = (_read_image(os.path.join(args.images_root, p)) for p in paths)
@@ -117,10 +124,7 @@ def _cmd_dist(args):
 def _cmd_eval(args):
     from . import metrics
 
-    protocol = metrics.EvalProtocol(
-        cross_camera_filter=not args.no_cross_camera_filter,
-        max_rank=args.max_rank,
-    )
+    protocol = metrics.EvalProtocol(**_given(args, metrics.EvalProtocol))
     queries, gal, _, blocks = _distances(args, args.queries, args.gallery)
     report = metrics.evaluate(queries, gal, blocks, protocol)
     doc = report.to_dict()
@@ -135,7 +139,7 @@ def _cmd_eval(args):
 def _cmd_mine(args):
     from . import mining
 
-    cfg = mining.MiningConfig(p=args.p, k=args.k, margin=args.margin, seed=args.seed)
+    cfg = mining.MiningConfig(**_given(args, mining.MiningConfig))
     index, emb = _load_aligned(args.index, args.emb)
     batch = mining.pk_sample(index, cfg)
     feats = emb.global_[batch]
@@ -157,12 +161,12 @@ def _cmd_ema(args):
     from . import ensemble
 
     # an update keeps the alpha and warm-up of its state
-    if not args.init and (args.alpha is not None or args.warmup):
+    given = _given(args, ensemble.EmaState)
+    if not args.init and given:
         raise ReidError("--alpha and --warmup apply only with --init")
     student = ensemble.load_ema_state(args.student).tensors
     if args.init:
-        alpha = ensemble.EmaState.alpha if args.alpha is None else args.alpha
-        state = ensemble.EmaState(student, alpha=alpha, step=0, warmup=args.warmup)
+        state = ensemble.EmaState(student, **given)
     else:
         state = ensemble.load_ema_state(args.state)
         state = ensemble.ema_update(state, student)
@@ -188,24 +192,13 @@ def _cmd_camera(args):
             else:
                 camera.camera_normalize(feats, offsets, camids, out=feats)
         gallery.save_embeddings(gallery.EmbeddingSet(feats), args.out_emb)
-    doc = offsets.to_dict()
-    doc["score_definition"] = (
-        "mean over (camera, person) cells of "
-        "||cell displacement - camera offset|| / (||camera offset|| + 1e-8); "
-        "0 means perfectly identity-agnostic camera offsets"
-    )
-    _emit(gallery._json_report(doc), args.out)
+    _emit(gallery._json_report(offsets.to_dict()), args.out)
 
 
 def _cmd_tsne(args):
     from . import tsne
 
-    params = tsne.TsneParams(
-        perplexity=args.perplexity,
-        iterations=args.iterations,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
+    params = tsne.TsneParams(**_given(args, tsne.TsneParams))
     index, emb = _load_aligned(args.index, args.emb)
     keep = np.flatnonzero((index.roles == args.role) | (args.role == "all"))
     if keep.size == 0:
@@ -225,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="featurize images into an embedding file")
     p.add_argument("--index", required=True)
     p.add_argument("--images-root", default=".")
-    p.add_argument("--stripes", type=int, default=8)
-    p.add_argument("--bins", type=int, default=8)
+    p.add_argument("--stripes", type=int)
+    p.add_argument("--bins", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_embed)
 
@@ -249,18 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emb-q", required=True)
     p.add_argument("--emb-g", required=True)
     _add_distance_flags(p)
-    p.add_argument("--no-cross-camera-filter", action="store_true")
-    p.add_argument("--max-rank", type=int, default=20)
+    p.add_argument("--no-cross-camera-filter", dest="cross_camera_filter", action="store_const", const=False)
+    p.add_argument("--max-rank", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("mine", help="PK-sample a batch and mine hard triplets")
     p.add_argument("--index", required=True)
     p.add_argument("--emb", required=True)
-    p.add_argument("--p", type=int, default=4)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--margin", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--margin", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_mine)
 
@@ -271,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--student", required=True, help="student tensor directory")
     p.add_argument("--out", required=True)
     p.add_argument("--alpha", type=float, help="EMA decay, with --init only")
-    p.add_argument("--warmup", action="store_true")
+    p.add_argument("--warmup", action="store_const", const=True)
     p.set_defaults(func=_cmd_ema)
 
     p = sub.add_parser("camera", help="per-camera offset analysis and normalization")
@@ -289,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emb", required=True)
     p.add_argument("--role", choices=[r.value for r in gallery.Role] + ["all"],
                    default=gallery.Role.GALLERY.value)
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--learning-rate", type=float, default=200.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--perplexity", type=float)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--trace", default=None, help="optional KL trace output path")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tsne)

@@ -75,12 +75,14 @@ class EmbeddingSet:
     local: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
-        g = np.asarray(self.global_, dtype=np.float32)
+        # a value beyond float32's range casts to inf, which the writer names
+        with np.errstate(over="ignore"):
+            g = np.asarray(self.global_, dtype=np.float32)
+            l = None if self.local is None else np.asarray(self.local, dtype=np.float32)
         object.__setattr__(self, "global_", g)
         if g.ndim != 2:
             raise DataError("global features must be an N x D matrix")
-        if self.local is not None:
-            l = np.asarray(self.local, dtype=np.float32)
+        if l is not None:
             object.__setattr__(self, "local", l)
             if l.ndim != 3:
                 raise DataError("local features must be an N x S x Dl tensor")

@@ -1,3 +1,6 @@
+import os
+import pathlib
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -44,3 +47,30 @@ def small_tiles():
             yield
 
     return tiles
+
+
+@pytest.fixture(scope="session")
+def tiny_inputs(tmp_path_factory):
+    """{workload: directory} of the benchmark's seeded inputs at its TINY
+    shapes (reidbench/gen.py), generated once per session."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "reidbench"))
+    import gen
+    import workloads
+
+    cache = str(tmp_path_factory.mktemp("inputs"))
+    return {w: gen.ensure_inputs(cache, w, 5, gen.TINY) for w in workloads.WORKLOADS}
+
+
+def config_stage(command, inputs, out) -> list:
+    """argv of one run of command (``ema`` is ``ema --init``) on the TINY
+    inputs, writing out, with every flag of its config type left out."""
+    m, s, a = (inputs[w] for w in ("market_global", "stripes_dp", "analysis"))
+    j = os.path.join
+    return {
+        "embed": ["embed", "--index", j(s, "query.csv"), "--images-root", j(s, "images")],
+        "eval": ["eval", "--queries", j(m, "query.csv"), "--gallery", j(m, "gallery.csv"),
+                 "--emb-q", j(m, "query.remb"), "--emb-g", j(m, "gallery.remb")],
+        "mine": ["mine", "--index", j(a, "train.csv"), "--emb", j(a, "train.remb")],
+        "ema": ["ema", "--init", "--student", j(a, "student0")],
+        "tsne": ["tsne", "--index", j(a, "tsne.csv"), "--emb", j(a, "tsne.remb")],
+    }[command] + ["--out", str(out)]

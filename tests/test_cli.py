@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -14,10 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reidkit import camera, cli, distance, ensemble, gallery, imaging, metrics, tsne
+from reidkit import camera, cli, distance, ensemble, featurize, gallery, imaging, metrics, mining, tsne
 from reidkit.cli import run_cli
 from reidkit.ensemble import EmaState, load_ema_state, save_ema_state
 from reidkit.errors import ReidError
+
+from conftest import config_stage
 
 
 def write_ppm(path, pixels):
@@ -538,7 +541,6 @@ class TestCameraCommand:
         assert (tmp_path / "o.remb").read_bytes() == gallery.encode_embeddings(expected)
         out = capsys.readouterr().out
         doc = camera.camera_offsets(feats, cams, pids).to_dict()
-        doc["score_definition"] = json.loads(out)["score_definition"]
         assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_normalize_and_residual_together_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -1556,7 +1558,8 @@ def test_memory_error_without_a_message_is_named(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: MemoryError\n"
 
 
-SUBCOMMANDS = sorted(next(a.choices for a in cli.build_parser()._actions if a.dest == "command"))
+SUBPARSERS = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+SUBCOMMANDS = sorted(SUBPARSERS)
 
 
 @pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in SUBCOMMANDS], ids=" ".join)
@@ -1574,6 +1577,55 @@ def test_main_exits_with_the_code_of_run_cli(monkeypatch, capsys, argv, code):
     with pytest.raises(SystemExit) as exit_:
         cli.main()
     assert exit_.value.code == code
+
+
+CONFIG_TYPES = {"embed": featurize.FeaturizerConfig, "eval": metrics.EvalProtocol,
+                "mine": mining.MiningConfig, "ema": ensemble.EmaState, "tsne": tsne.TsneParams}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_TYPES))
+def test_config_flags_leave_their_defaults_to_the_config_type(command):
+    fields = {f.name for f in dataclasses.fields(CONFIG_TYPES[command])}
+    flags = [a for a in SUBPARSERS[command]._actions if a.dest in fields]
+    assert flags
+    assert {a.dest: a.default for a in flags if a.default is not None} == {}
+
+
+# (flags given, the config fields the output then states)
+GIVEN_FLAGS = {
+    "embed": (["--stripes", "4", "--bins", "4"], {"stripes": 4, "bins": 4}),
+    "eval": (["--no-cross-camera-filter", "--max-rank", "5"], {"cross_camera_filter": False, "max_rank": 5}),
+    "mine": (["--p", "3", "--k", "2", "--margin", "0.5", "--seed", "7"],
+             {"p": 3, "k": 2, "margin": 0.5, "seed": 7}),
+    "ema": (["--alpha", "0.5", "--warmup"], {"alpha": 0.5, "warmup": True}),
+    "tsne": (["--iterations", "7"], {"iterations": 7}),
+}
+
+
+def stated_config(command, out) -> dict:
+    """The config fields that command's output at out states: the embedding
+    header's S and D = 3 x bins, the KL trace's length, or a JSON field."""
+    if command == "embed":
+        _, _, _, d, s, _ = struct.unpack_from("<4s5I", out.read_bytes())
+        return {"stripes": s, "bins": d // 3}
+    if command == "tsne":
+        return {"iterations": len(out.with_suffix(".kl").read_text().splitlines())}
+    if command == "ema":
+        doc = json.loads((out / "manifest.json").read_text())
+        return {"alpha": doc["alpha"], "warmup": doc["warmup"]}
+    doc = json.loads(out.read_text())
+    return doc["protocol"] if command == "eval" else doc["config"]
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["given", "left_out"])
+@pytest.mark.parametrize("command", sorted(GIVEN_FLAGS))
+def test_each_config_flag_reaches_its_config(tiny_inputs, tmp_path, command, given):
+    flags, stated = GIVEN_FLAGS[command]
+    out = tmp_path / "out"
+    trace = ["--trace", str(out.with_suffix(".kl"))] if command == "tsne" else []
+    assert run_cli(config_stage(command, tiny_inputs, out) + trace + (flags if given else [])) == 0
+    defaults = {f.name: f.default for f in dataclasses.fields(CONFIG_TYPES[command])}
+    assert stated_config(command, out) == (stated if given else {k: defaults[k] for k in stated})
 
 
 def readme_cli_lines():

@@ -152,3 +152,8 @@ class TestPersistence:
         (tmp_path / "w.remb").write_bytes((tmp_path / "state" / "w.remb").read_bytes())
         with pytest.raises(FormatError, match=r"stored in '\.\./w\.remb', not w\.remb"):
             load_ema_state(tmp_path / "state")
+
+    @pytest.mark.filterwarnings("error")
+    def test_tensor_beyond_float32_named_without_a_numpy_warning(self, tmp_path):
+        with pytest.raises(DataError, match=r"^non-finite value at \(0, 0\)$"):
+            save_ema_state(EmaState({"w": np.array([1e300])}), tmp_path / "state")

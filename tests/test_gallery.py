@@ -565,6 +565,19 @@ class TestContainerLayout:
         with pytest.raises(DataError, match=rf"^{field} = {size} does not fit the container header's u32 field$"):
             encode_embeddings(EmbeddingSet(np.zeros(main_shape, np.float32), local))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "local, message",
+        [(None, r"^non-finite value at \(0, 1\)$"),
+         (np.array([[[0.0, 1e300]]]), r"^non-finite local value at \(0, 0, 1\)$")],
+        ids=["global", "local"],
+    )
+    def test_float64_beyond_float32_named_without_a_numpy_warning(self, tmp_path, local, message):
+        g = np.array([[0.0, 1e300 if local is None else 0.0]])
+        with pytest.raises(DataError, match=message):
+            save_embeddings(EmbeddingSet(g, local), tmp_path / "e.remb")
+        assert not (tmp_path / "e.remb").exists()
+
     def test_global_error_reported_before_local(self):
         g = np.zeros((2, 2), dtype=np.float32)
         g[1, 0] = np.nan
