@@ -296,13 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.func(args)
+        with np.errstate(over="raise"):
+            args.func(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:  # --help, printed
         return e.code
-    except (ReidError, OSError, MemoryError) as e:
+    except (ReidError, OSError, MemoryError, FloatingPointError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
     return 0

@@ -76,23 +76,22 @@ def cmc_curve(first_hit_ranks, max_rank: int) -> np.ndarray:
     return np.cumsum(hits) / len(ranks)
 
 
-def _relevant_ranks(row: np.ndarray, relevant: np.ndarray, n_valid: int) -> np.ndarray:
-    """Ascending 1-based ranks of the relevant items among the valid ones,
-    ranked by ascending distance with ties broken by ascending gallery
-    index, without sorting indices. ``row`` holds +inf at filtered-out
-    items, so they sort after every valid one.
+def _relevant_ranks(row: np.ndarray, relevant: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Ascending 1-based ranks of the relevant items among the ``valid`` ones
+    (a mask; a non-finite valid distance is an error), ranked by ascending
+    distance, ties broken by ascending index. Only the valid distances up to
+    the farthest relevant one, all that can rank before it, are sorted.
 
     rank(j) = 1 + #{valid i: d_i < d_j} + #{valid i < j: d_i == d_j}
     """
-    s = np.sort(row)
-    # a non-finite valid entry makes slot 0 -inf, or slot n_valid - 1 +inf
-    # or NaN (NaN sorts after the +inf fill)
-    if not np.isfinite(s[[0, n_valid - 1]]).all():
+    if not (np.isfinite(row) | ~valid).all():
         raise DataError("distances must be finite")
     d = row[relevant]
+    s = np.sort(row[valid & (row <= d.max())])
     ranks = np.searchsorted(s, d, "left") + 1
     for k in np.flatnonzero(np.searchsorted(s, d, "right") - ranks > 0):
-        ranks[k] += np.count_nonzero(row[: relevant[k]] == d[k])
+        j = relevant[k]
+        ranks[k] += np.count_nonzero(valid[:j] & (row[:j] == d[k]))
     ranks.sort()
     return ranks
 
@@ -107,8 +106,9 @@ def evaluate(
 
     dist is one DistanceMatrix, or its row blocks in query order (as
     distance.global_distance_blocks yields them), each read before the next
-    is drawn. Per query, the valid gallery items are ranked by ascending
-    distance, ties broken by ascending gallery index. Only the ranks
+    is drawn. Per query, a mask holds the valid gallery items (all but the
+    person's same-camera ones under the cross-camera filter), ranked by
+    ascending distance, ties broken by ascending gallery index. Only the ranks
     r_1 < ... < r_R of the R relevant items are computed: AP = (1/R) * sum
     over k of k/r_k (precision at each relevant rank), and the first hit is
     r_1. The report's protocol has max_rank clamped to the gallery size, past
@@ -122,17 +122,14 @@ def evaluate(
     rows = (row for _, block in _checked_blocks(dist, (nq, ng)) for row in block.values)
     for row, q_pid, q_cam in zip(rows, queries.person_ids, queries.camera_ids):
         relevant = rows_of.get(q_pid, no_rows)
-        n_valid = ng
+        valid = np.ones(ng, bool)
         if protocol.cross_camera_filter:
             is_junk = gallery.camera_ids[relevant] == q_cam
-            junk, relevant = relevant[is_junk], relevant[~is_junk]
-            if junk.size:
-                n_valid -= junk.size
-                row = row.copy()
-                row[junk] = np.inf
+            valid[relevant[is_junk]] = False
+            relevant = relevant[~is_junk]
         if not relevant.size:
             continue
-        ranks = _relevant_ranks(row, relevant, n_valid)
+        ranks = _relevant_ranks(row, relevant, valid)
         r = relevant.size
         per_query_ap.append(float(np.sum(np.arange(1, r + 1) / ranks) / r))
         first_hits.append(int(ranks[0]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from reidkit import distance
+from reidkit.cli import run_cli
 from reidkit.gallery import GalleryIndex, Role
 from reidkit.imaging import Image
 
@@ -52,24 +53,38 @@ def small_tiles():
 @pytest.fixture(scope="session")
 def tiny_inputs(tmp_path_factory):
     """{workload: directory} of the benchmark's seeded inputs at its TINY
-    shapes (reidbench/gen.py), generated once per session."""
+    shapes (reidbench/gen.py), generated once per session. The stripes_dp
+    directory also holds query.remb and gallery.remb, embedded from its
+    images with the default featurizer."""
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "reidbench"))
     import gen
     import workloads
 
     cache = str(tmp_path_factory.mktemp("inputs"))
-    return {w: gen.ensure_inputs(cache, w, 5, gen.TINY) for w in workloads.WORKLOADS}
+    inputs = {w: gen.ensure_inputs(cache, w, 5, gen.TINY) for w in workloads.WORKLOADS}
+    s = inputs["stripes_dp"]
+    for role in ("query", "gallery"):
+        argv = ["embed", "--index", os.path.join(s, f"{role}.csv"),
+                "--images-root", os.path.join(s, "images"), "--out", os.path.join(s, f"{role}.remb")]
+        assert run_cli(argv) == 0
+    return inputs
 
 
 def config_stage(command, inputs, out) -> list:
     """argv of one run of command (``ema`` is ``ema --init``) on the TINY
-    inputs, writing out, with every flag of its config type left out."""
+    inputs, writing out, with every flag of its config type left out.
+    ``dist`` and ``eval_stripes`` read the stripes_dp embeddings, which have
+    a local term; ``eval`` reads the market_global ones."""
     m, s, a = (inputs[w] for w in ("market_global", "stripes_dp", "analysis"))
     j = os.path.join
+    stripes_emb = ["--emb-q", j(s, "query.remb"), "--emb-g", j(s, "gallery.remb")]
     return {
         "embed": ["embed", "--index", j(s, "query.csv"), "--images-root", j(s, "images")],
         "eval": ["eval", "--queries", j(m, "query.csv"), "--gallery", j(m, "gallery.csv"),
                  "--emb-q", j(m, "query.remb"), "--emb-g", j(m, "gallery.remb")],
+        "dist": ["dist", *stripes_emb],
+        "eval_stripes": ["eval", "--queries", j(s, "query.csv"), "--gallery", j(s, "gallery.csv"),
+                         *stripes_emb],
         "mine": ["mine", "--index", j(a, "train.csv"), "--emb", j(a, "train.remb")],
         "ema": ["ema", "--init", "--student", j(a, "student0")],
         "tsne": ["tsne", "--index", j(a, "tsne.csv"), "--emb", j(a, "tsne.remb")],

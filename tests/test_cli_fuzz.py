@@ -1,6 +1,9 @@
-"""Boundary values for every config flag, run in-process through ``run_cli``
-on the benchmark's TINY inputs: each case ends in exit 0 with nothing on
-stderr, or in exit 1 or 2 with one line, and nothing escapes ``run_cli``.
+"""Boundary values for every config flag, and for ``--lam`` of ``dist`` and
+``eval`` with each local term, run in-process through ``run_cli`` on the
+benchmark's TINY inputs: each case ends in exit 0 with nothing on stderr,
+or in exit 1 or 2 with one line, and nothing escapes ``run_cli``. A value
+whose arithmetic overflows float64 (``--lam 1e308``, ``mine --margin
+1e308``) ends in exit 2, not in a numpy warning or an infinite output.
 
 ``tsne --iterations`` has no upper bound by design (each iteration costs
 O(N^2)), so it draws no value above 2.
@@ -22,7 +25,7 @@ CONFIG_FLAGS = {
     "ema": ["alpha"],
 }
 HUGE = [str(2**31), str(2**32), str(2**63), "1e15"]
-BOUNDARY_VALUES = ["0", "-1", "1", "2", *HUGE, "nan", "inf", "-inf", ""]
+BOUNDARY_VALUES = ["0", "-1", "1", "2", *HUGE, "1e308", "1.7e308", "nan", "inf", "-inf", ""]
 CASES = [
     (command, flag, value)
     for command, flags in CONFIG_FLAGS.items()
@@ -32,11 +35,7 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("command, flag, value", CASES, ids=lambda v: v or "empty")
-def test_boundary_value_ends_in_a_documented_exit(tiny_inputs, tmp_path, capsys, command, flag, value):
-    # a short descent for every tsne case; the flag drawn comes last, so it wins
-    short = ["--iterations", "2"] if command == "tsne" else []
-    argv = config_stage(command, tiny_inputs, tmp_path / "out") + short + [f"--{flag}={value}"]
+def assert_documented_exit(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run_cli(argv)
@@ -48,3 +47,33 @@ def test_boundary_value_ends_in_a_documented_exit(tiny_inputs, tmp_path, capsys,
     else:
         assert err.startswith("usage error: " if code == 1 else "error: ")
         assert err.count("\n") == 1
+    return code
+
+
+@pytest.mark.parametrize("command, flag, value", CASES, ids=lambda v: v or "empty")
+def test_boundary_value_ends_in_a_documented_exit(tiny_inputs, tmp_path, capsys, command, flag, value):
+    # a short descent for every tsne case; the flag drawn comes last, so it wins
+    short = ["--iterations", "2"] if command == "tsne" else []
+    argv = config_stage(command, tiny_inputs, tmp_path / "out") + short + [f"--{flag}={value}"]
+    assert_documented_exit(argv, capsys)
+
+
+@pytest.mark.parametrize("value", BOUNDARY_VALUES, ids=lambda v: v or "empty")
+@pytest.mark.parametrize("mode", ["dp_aligned", "one_to_one"])
+@pytest.mark.parametrize("command", ["dist", "eval_stripes"])
+def test_lam_boundary_value_ends_in_a_documented_exit(tiny_inputs, tmp_path, capsys, command, mode, value):
+    argv = config_stage(command, tiny_inputs, tmp_path / "out") + ["--local-mode", mode, f"--lam={value}"]
+    assert_documented_exit(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("dist", ["--local-mode", "dp_aligned", "--lam", "1e308"]),
+     ("eval_stripes", ["--local-mode", "one_to_one", "--lam", "1.7e308"]),
+     ("mine", ["--margin", "1e308"])],
+    ids=["dist_lam", "eval_lam", "mine_margin"],
+)
+def test_float64_overflow_is_a_data_error(tiny_inputs, tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    assert assert_documented_exit(config_stage(command, tiny_inputs, out) + flags, capsys) == 2
+    assert not out.exists()

@@ -2,14 +2,17 @@
 on the output bytes is known exactly, checked bit for bit.
 
 - local distances follow a row permutation of queries and gallery;
-- ``evaluate`` on a given distance matrix: permuting the queries permutes
-  the per-query APs and keeps the CMC curve; mAP is a mean summed in another
-  order, so it is compared within one ulp;
+- ``evaluate`` on a given distance matrix, and ``run_cli eval`` on
+  embeddings: permuting the queries permutes the per-query APs and keeps
+  the CMC curve; mAP is a mean summed in another order, so it is compared
+  within one ulp;
 - a same-person, same-camera gallery column is junk to that query, so
   appending one leaves the query's AP as it was;
 - through ``run_cli dist``: scaling both embedding files by 2^k scales the
   euclidean ``.rdmx`` payload by 2^k and leaves the cosine one unchanged.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ import pytest
 from reidkit import distance, gallery, metrics
 from reidkit.cli import run_cli
 from reidkit.distance import DistanceMatrix, LocalMode
-from reidkit.gallery import EmbeddingSet
+from reidkit.gallery import EmbeddingSet, GalleryIndex
 
 from conftest import build_index
 
@@ -76,6 +79,46 @@ def test_evaluate_follows_a_query_permutation():
     assert got.per_query_ap == [ap_of[i] for i in perm if i in ap_of]
     assert got.cmc.tobytes() == want.cmc.tobytes()
     assert abs(got.map - want.map) <= np.spacing(want.map)
+
+
+def save_index(path, index):
+    """Write index in the metadata CSV format that load_index reads."""
+    rows = zip(index.person_ids, index.camera_ids, index.roles, index.paths)
+    lines = [",".join(gallery.METADATA_HEADER)]
+    lines += [f"{i},{p},{c},{r},{name}" for i, (p, c, r, name) in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def eval_report(tmp_path, queries, gal, q, g):
+    """The report of `run_cli eval` on the index pair and their embeddings."""
+    for name, index, x in (("q", queries, q), ("g", gal, g)):
+        save_index(tmp_path / f"{name}.csv", index)
+        gallery.save_embeddings(EmbeddingSet(x), tmp_path / f"{name}.remb")
+    out = tmp_path / "report.json"
+    argv = ["eval", "--queries", str(tmp_path / "q.csv"), "--gallery", str(tmp_path / "g.csv"),
+            "--emb-q", str(tmp_path / "q.remb"), "--emb-g", str(tmp_path / "g.remb"), "--out", str(out)]
+    assert run_cli(argv) == 0
+    return json.loads(out.read_text())
+
+
+def test_eval_chain_follows_a_query_permutation(tmp_path):
+    queries, gal, _ = retrieval_setup(nq=200, ng=2000, ids=100)
+    rng = np.random.default_rng(1501)
+    # identity centres weak against the noise, so that the APs spread over (0, 1)
+    centres = 0.25 * rng.standard_normal((120, 2048))
+    q, g = ((centres[index.person_ids] + rng.standard_normal((len(index), 2048))).astype(np.float32)
+            for index in (queries, gal))
+    perm = rng.permutation(len(queries))
+    permuted = GalleryIndex(queries.person_ids[perm], queries.camera_ids[perm], queries.roles[perm],
+                            [queries.paths[i] for i in perm])
+    want = eval_report(tmp_path, queries, gal, q, g)
+    got = eval_report(tmp_path, permuted, gal, q[perm], g)
+    ap_of = dict(zip(scored_rows(queries, gal), want["per_query_ap"]))
+    assert 0 < len(ap_of) < len(queries)
+    assert 0 < want["mAP"] < 1
+    assert got["per_query_ap"] == [ap_of[i] for i in perm if i in ap_of]
+    assert got["cmc"] == want["cmc"]
+    assert abs(got["mAP"] - want["mAP"]) <= np.spacing(want["mAP"])
 
 
 def test_same_camera_column_of_the_query_person_leaves_its_ap():

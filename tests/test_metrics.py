@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reidkit.errors import DataError
-from reidkit.distance import DistanceMatrix, combine_distances, encode_distance_matrix
-from reidkit.gallery import _write_file
-from reidkit.metrics import EvalProtocol, EvalReport, cmc_curve, evaluate
+from reidkit.distance import DistanceMatrix, _checked_blocks, combine_distances, encode_distance_matrix
+from reidkit.gallery import _groups, _write_file
+from reidkit.metrics import EvalProtocol, EvalReport, _relevant_ranks, cmc_curve, evaluate
 from conftest import build_index
 from test_acceptance import ap_brute_force, average_precision, rank_gallery
 
@@ -70,6 +70,107 @@ def random_problem(seed, nq, ng, n_pids, n_cams, levels):
     v = rng.integers(0, levels, (nq, ng)) / 4.0 if levels else rng.random((nq, ng))
     v[(v == 0) & (rng.random((nq, ng)) < 0.3)] = -0.0
     return queries, gallery, DistanceMatrix(v)
+
+
+# The ranking before the valid mask, kept verbatim as a reference: the
+# caller sets the filtered-out items of a copy of the row to +inf, and the
+# sort of the whole row is checked for finiteness at two slots.
+def reference_relevant_ranks(row: np.ndarray, relevant: np.ndarray, n_valid: int) -> np.ndarray:
+    s = np.sort(row)
+    # a non-finite valid entry makes slot 0 -inf, or slot n_valid - 1 +inf
+    # or NaN (NaN sorts after the +inf fill)
+    if not np.isfinite(s[[0, n_valid - 1]]).all():
+        raise DataError("distances must be finite")
+    d = row[relevant]
+    ranks = np.searchsorted(s, d, "left") + 1
+    for k in np.flatnonzero(np.searchsorted(s, d, "right") - ranks > 0):
+        ranks[k] += np.count_nonzero(row[: relevant[k]] == d[k])
+    ranks.sort()
+    return ranks
+
+
+def reference_evaluate(queries, gallery, dist, protocol=EvalProtocol()) -> EvalReport:
+    nq, ng = len(queries), len(gallery)
+    rows_of = {p: rows for (p,), rows in _groups(gallery.person_ids)}
+    no_rows = np.empty(0, np.intp)
+    per_query_ap = []
+    first_hits = []
+    rows = (row for _, block in _checked_blocks(dist, (nq, ng)) for row in block.values)
+    for row, q_pid, q_cam in zip(rows, queries.person_ids, queries.camera_ids):
+        relevant = rows_of.get(q_pid, no_rows)
+        n_valid = ng
+        if protocol.cross_camera_filter:
+            is_junk = gallery.camera_ids[relevant] == q_cam
+            junk, relevant = relevant[is_junk], relevant[~is_junk]
+            if junk.size:
+                n_valid -= junk.size
+                row = row.copy()
+                row[junk] = np.inf
+        if not relevant.size:
+            continue
+        ranks = reference_relevant_ranks(row, relevant, n_valid)
+        r = relevant.size
+        per_query_ap.append(float(np.sum(np.arange(1, r + 1) / ranks) / r))
+        first_hits.append(int(ranks[0]))
+    if not per_query_ap:
+        raise DataError("empty evaluation: every query has zero valid positives")
+    protocol = dataclasses.replace(protocol, max_rank=min(protocol.max_rank, ng))
+    return EvalReport(cmc_curve(first_hits, protocol.max_rank), per_query_ap, protocol)
+
+
+def reference_ranks(row, relevant, junk):
+    """reference_relevant_ranks behind reference_evaluate's +inf fill."""
+    n_valid = len(row) - junk.size
+    if junk.size:
+        row = row.copy()
+        row[junk] = np.inf
+    return reference_relevant_ranks(row, relevant, n_valid)
+
+
+class TestRankingReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 15913),
+        levels=st.integers(0, 8),
+        n_relevant=st.integers(1, 40),
+        n_junk=st.integers(0, 40),
+        relevant_at_max=st.booleans(),
+        bad_junk=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        bad_valid=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    )
+    def test_ranks_match_the_inf_fill_reference(
+        self, seed, width, levels, n_relevant, n_junk, relevant_at_max, bad_junk, bad_valid
+    ):
+        # a coarse grid (levels > 0) makes exact ties common; about half the
+        # zeros are -0.0
+        rng = np.random.default_rng(seed)
+        row = rng.integers(0, levels, width) / 4.0 if levels else rng.random(width)
+        row[(row == 0) & (rng.random(width) < 0.5)] = -0.0
+        cells = rng.permutation(width)
+        relevant = np.sort(cells[:n_relevant])
+        junk = np.sort(cells[n_relevant : n_relevant + n_junk])
+        if relevant_at_max:
+            row[rng.choice(relevant)] = row.max()
+        if bad_junk is not None and junk.size:
+            row[rng.choice(junk, rng.integers(1, junk.size + 1), replace=False)] = bad_junk
+        if bad_valid is not None:
+            row[rng.choice(np.setdiff1d(cells, junk))] = bad_valid
+        valid = np.ones(width, bool)
+        valid[junk] = False
+        got = outcome(lambda: _relevant_ranks(row, relevant, valid).tolist())
+        assert got == outcome(lambda: reference_ranks(row, relevant, junk).tolist())
+
+    @pytest.mark.parametrize("cross_camera_filter", [True, False])
+    @pytest.mark.parametrize("levels", [0, 64])
+    def test_report_matches_the_reference_at_market_width(self, cross_camera_filter, levels):
+        # 300 x 15,913 with 750 identities over 6 cameras, given as row blocks
+        queries, gallery, d = random_problem(1501 + levels, 300, 15913, 750, 6, levels)
+        protocol = EvalProtocol(cross_camera_filter)
+        blocks = (DistanceMatrix(v) for v in np.split(d.values, [64, 128, 256]))
+        report = evaluate(queries, gallery, blocks, protocol)
+        assert 0 < report.num_valid_queries < 300
+        assert report.to_dict() == reference_evaluate(queries, gallery, d, protocol).to_dict()
 
 
 class TestEvaluateOracle:
