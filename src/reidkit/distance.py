@@ -15,8 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .gallery import EmbeddingSet, _check_finite, _container_header
-from .gallery import _container_views, _payload_views
+from .gallery import EmbeddingSet, _check_finite, _container_header, _container_views
 
 DISTANCE_MAGIC = b"RDMX"
 
@@ -319,16 +318,13 @@ def local_distance_matrix(q: EmbeddingSet, g: EmbeddingSet, mode: LocalMode) -> 
     return DistanceMatrix(_local_distances(q.local, g.local, mode))
 
 
-def combine_distances(dg, dl: DistanceMatrix, lam: float):
-    """Entrywise global + lambda * local combination: of one DistanceMatrix
-    dg, one; of its row blocks in query order (_checked_blocks against dl's
-    shape), a generator of each block plus lambda times the rows of dl it covers."""
+def combine_distances(dg, dl: DistanceMatrix, lam: float) -> Iterator[DistanceMatrix]:
+    """Entrywise global + lambda * local combination, a generator of each
+    block of dg (one DistanceMatrix or its row blocks, _checked_blocks
+    against dl's shape) plus lambda times the rows of dl it covers."""
     check_lambda(lam)
-    blocks = (DistanceMatrix(d.values + lam * dl.values[i : i + len(d.values)])
-              for i, d in _checked_blocks(dg, dl.shape))
-    if isinstance(dg, DistanceMatrix):
-        (blocks,) = blocks  # drawn to its end, where _checked_blocks counts the rows
-    return blocks
+    return (DistanceMatrix(d.values + lam * dl.values[i : i + len(d.values)])
+            for i, d in _checked_blocks(dg, dl.shape))
 
 
 def _checked_blocks(dist, shape) -> Iterator[tuple[int, DistanceMatrix]]:
@@ -346,23 +342,21 @@ def _checked_blocks(dist, shape) -> Iterator[tuple[int, DistanceMatrix]]:
         raise DataError(f"distance shape {(done, ng)} != ({nq}, {ng})")
 
 
-def encode_distance_matrix(d: DistanceMatrix | Iterable[DistanceMatrix], shape=None):
-    """Serialize with the shared binary container (magic RDMX, S=0): given
-    the whole matrix's shape, its row blocks as parts (_BlockParts); one
-    DistanceMatrix as the one part, a bytearray, of its one block."""
-    if shape is not None:
-        return _BlockParts(d, shape)
-    [part] = _BlockParts([d], d.shape)
-    return part
+def encode_distance_matrix(d: DistanceMatrix | Iterable[DistanceMatrix], shape=None) -> _BlockParts:
+    """Serialize with the shared binary container (magic RDMX, S=0), as the
+    parts of _BlockParts: of one DistanceMatrix, of its own shape; of its
+    row blocks, of the whole matrix's shape."""
+    return _BlockParts(d, d.shape if shape is None else shape)
 
 
 class _BlockParts:
     """The .rdmx bytes of a matrix of a known shape given as row blocks
-    (_checked_blocks), as parts for gallery._write_file: one bytearray of the
-    header and the first block as float32, then each later block, no longer
-    than the first, cast into its place. A non-finite float32 cell is named by
-    its row in the whole matrix. A part holds until the next is drawn; len()
-    is the container's size in bytes."""
+    (_checked_blocks), as parts for gallery._write_file: the header, then
+    each block cast to float32 into one reused buffer, sized by the first
+    block, that no later block may outgrow. A non-finite float32 cell is
+    named by its row in the whole matrix. A part holds until the next is
+    drawn, so only a one-block stream may be joined; len() is the
+    container's size in bytes."""
 
     def __init__(self, blocks, shape):
         self.blocks, self.shape = blocks, shape
@@ -373,20 +367,18 @@ class _BlockParts:
         return self.size
 
     def __iter__(self):
+        yield self.header
         buf = None
         for row0, d in _checked_blocks(self.blocks, self.shape):
-            first = buf is None
-            if first:
-                buf = bytearray(len(self.header) + 4 * d.values.size)
-                buf[: len(self.header)] = self.header
-                main = _payload_views(buf, *d.shape, 0, 0)[0]
-            elif len(d.values) > len(main):
-                raise DataError(f"a row block of {len(d.values)} rows follows one of {len(main)}")
-            part = main[: len(d.values)]
+            if buf is None:
+                buf = np.empty(d.shape, "<f4")
+            elif len(d.values) > len(buf):
+                raise DataError(f"a row block of {len(d.values)} rows follows one of {len(buf)}")
+            part = buf[: len(d.values)]
             with np.errstate(over="ignore"):  # _check_finite names an overflow to inf
                 part[...] = d.values
             _check_finite(part, None, row0)
-            yield buf if first else part
+            yield part
 
 
 def decode_distance_matrix(data: bytes) -> DistanceMatrix:

@@ -117,7 +117,7 @@ def load_ema_state(directory) -> EmaState:
             tensors,
             alpha=manifest["alpha"],
             step=manifest["step"],
-            warmup=manifest.get("warmup", False),
+            warmup=manifest["warmup"],
         )
     except (KeyError, TypeError, AttributeError, ValueError, DataError) as e:
         raise FormatError(f"{path}: malformed EMA manifest ({type(e).__name__}: {e})") from e

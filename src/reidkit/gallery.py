@@ -195,6 +195,8 @@ def _index_columns(body: list) -> GalleryIndex:
         raise ValueError("person_id and camera_id must be below 2^63 (int64)")
     if not all(paths := list(map(str.strip, fields[4::5]))):
         raise ValueError("path must be non-empty")
+    if "\0" in "".join(paths):  # open() rejects it
+        raise ValueError("path must not contain a NUL character")
     pid, cam = (np.array(v, np.int64)[at] for v, at in ((pid, pid_at), (cam, cam_at)))
     return GalleryIndex(pid, cam, np.array(role_s)[role_at], paths)
 

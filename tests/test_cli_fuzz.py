@@ -4,18 +4,26 @@ benchmark's TINY inputs: each case ends in exit 0 with nothing on stderr,
 or in exit 1 or 2 with one line, and nothing escapes ``run_cli``. A value
 whose arithmetic overflows float64 (``--lam 1e308``, ``mine --margin
 1e308``) ends in exit 2, not in a numpy warning or an infinite output.
+The same holds for every subcommand that reads a file when one of its
+TINY input files is mutated as the decoder fuzz mutates bytes.
 
 ``tsne --iterations`` has no upper bound by design (each iteration costs
 O(N^2)), so it draws no value above 2.
 """
 
+import os
+import shutil
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reidkit.cli import run_cli
 
 from conftest import config_stage
+from test_decoder_fuzz import mutate, mutations
 
 CONFIG_FLAGS = {
     "embed": ["stripes", "bins"],
@@ -77,3 +85,47 @@ def test_float64_overflow_is_a_data_error(tiny_inputs, tmp_path, capsys, command
     out = tmp_path / "out"
     assert assert_documented_exit(config_stage(command, tiny_inputs, out) + flags, capsys) == 2
     assert not out.exists()
+
+
+def reading_stage(command, inputs, out) -> list:
+    """argv of one run of command on the TINY inputs, writing under out;
+    tsne runs a two-step descent."""
+    s, a = inputs["stripes_dp"], inputs["analysis"]
+    j = os.path.join
+    if command == "mask":
+        return ["mask", "--images", j(s, "images"), "--masks", j(s, "masks"), "--out", out]
+    if command == "camera":
+        return ["camera", "--index", j(a, "train.csv"), "--emb", j(a, "train.remb"), "--normalize",
+                "--out-emb", j(out, "normalized.remb"), "--out", j(out, "camera.json")]
+    return config_stage(command, inputs, out) + (["--iterations", "2"] if command == "tsne" else [])
+
+
+def input_files(argv) -> list:
+    """The files argv names, and those in the directories it names."""
+    files = [a for a in argv if os.path.isfile(a)]
+    for d in filter(os.path.isdir, argv):
+        files += [os.path.join(d, n) for n in sorted(os.listdir(d))]
+    return files
+
+
+def with_mutated_copy(argv, target, ops, tmp) -> list:
+    """argv reading a mutated copy of target in tmp: of the file itself, or
+    of the directory argv names that holds it."""
+    i = argv.index(target) if target in argv else argv.index(os.path.dirname(target))
+    copy = mutated = os.path.join(tmp, os.path.basename(argv[i]))
+    if argv[i] != target:
+        shutil.copytree(argv[i], copy)
+        mutated = os.path.join(copy, os.path.basename(target))
+    with open(target, "rb") as fh, open(mutated, "wb") as out:
+        out.write(mutate(fh.read(), ops))
+    return argv[:i] + [copy] + argv[i + 1 :]
+
+
+@pytest.mark.parametrize("command", ["embed", "mask", "dist", "eval", "mine", "tsne", "camera", "ema"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), ops=mutations)
+def test_mutated_input_ends_in_a_documented_exit(tiny_inputs, capsys, command, data, ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = reading_stage(command, tiny_inputs, os.path.join(tmp, "out"))
+        target = data.draw(st.sampled_from(input_files(argv)))
+        assert_documented_exit(with_mutated_copy(argv, target, ops, tmp), capsys)

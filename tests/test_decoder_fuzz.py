@@ -22,7 +22,7 @@ def valid_encodings():
     gray = imaging.Image(rng.integers(0, 256, (4, 3, 1), dtype=np.uint8))
     return {
         "remb": (gallery.decode_embeddings, bytes(gallery.encode_embeddings(emb))),
-        "rdmx": (distance.decode_distance_matrix, bytes(distance.encode_distance_matrix(dist))),
+        "rdmx": (distance.decode_distance_matrix, b"".join(distance.encode_distance_matrix(dist))),
         "ppm": (imaging.decode_image, imaging.encode_image(rgb)),
         "pgm": (imaging.decode_image, imaging.encode_image(gray)),
     }

@@ -593,35 +593,35 @@ class TestCombine:
     def test_lambda_zero(self, rng):
         dg = DistanceMatrix(rng.uniform(0, 1, (3, 3)))
         dl = DistanceMatrix(rng.uniform(0, 1, (3, 3)))
-        np.testing.assert_allclose(combine_distances(dg, dl, 0.0).values, dg.values)
+        [combined] = combine_distances(dg, dl, 0.0)
+        np.testing.assert_allclose(combined.values, dg.values)
 
     def test_linearity(self, rng):
         dg = DistanceMatrix(rng.uniform(0, 1, (3, 3)))
-        np.testing.assert_allclose(
-            combine_distances(dg, dg, 1.0).values, 2 * dg.values
-        )
+        [combined] = combine_distances(dg, dg, 1.0)
+        np.testing.assert_allclose(combined.values, 2 * dg.values)
 
     def test_rowwise_argmin_invariant_to_constant_local(self, rng):
         dg = DistanceMatrix(rng.uniform(0, 1, (4, 6)))
         dl = DistanceMatrix(np.tile(rng.uniform(0, 1, (4, 1)), (1, 6)))
         for lam in (0.0, 0.5, 3.0):
-            combined = combine_distances(dg, dl, lam).values
+            [combined] = combine_distances(dg, dl, lam)
             np.testing.assert_array_equal(
-                combined.argmin(axis=1), dg.values.argmin(axis=1)
+                combined.values.argmin(axis=1), dg.values.argmin(axis=1)
             )
 
     def test_shape_mismatch(self, rng):
         dg = DistanceMatrix(np.zeros((2, 2)))
         dl = DistanceMatrix(np.zeros((2, 3)))
         with pytest.raises(DataError, match=r"^distance shape \(2, 2\) != \(2, 3\)$"):
-            combine_distances(dg, dl, 1.0)
+            [_] = combine_distances(dg, dl, 1.0)
 
     @pytest.mark.parametrize("dg_rows", [2, 4])
     def test_row_count_mismatch(self, dg_rows):
         # one matrix is drawn to its end, so one short of dl's rows fails too
         dg, dl = DistanceMatrix(np.zeros((dg_rows, 3))), DistanceMatrix(np.zeros((3, 3)))
         with pytest.raises(DataError, match=rf"^distance shape \({dg_rows}, 3\) != \(3, 3\)$"):
-            combine_distances(dg, dl, 1.0)
+            [_] = combine_distances(dg, dl, 1.0)
 
     @pytest.mark.parametrize("rows", [1, 3, 6])
     def test_row_blocks_combine_as_each_block_whole(self, rng, rows):
@@ -629,10 +629,12 @@ class TestCombine:
         dl = DistanceMatrix(rng.uniform(0, 1, (6, 9)))
         blocks = (DistanceMatrix(dg.values[i : i + rows]) for i in range(0, 6, rows))
         got = [d.values.tobytes() for d in combine_distances(blocks, dl, 0.37)]
-        want = [combine_distances(DistanceMatrix(dg.values[i : i + rows]), DistanceMatrix(dl.values[i : i + rows]),
-                                  0.37).values.tobytes() for i in range(0, 6, rows)]
+        want = [d.values.tobytes() for i in range(0, 6, rows)
+                for d in combine_distances(DistanceMatrix(dg.values[i : i + rows]),
+                                           DistanceMatrix(dl.values[i : i + rows]), 0.37)]
         assert got == want
-        assert b"".join(got) == combine_distances(dg, dl, 0.37).values.tobytes()
+        [whole] = combine_distances(dg, dl, 0.37)
+        assert b"".join(got) == whole.values.tobytes()
 
     def test_row_blocks_checked_for_lambda_at_the_call(self):
         with pytest.raises(DataError, match=r"^lambda must be finite and >= 0$"):
@@ -647,7 +649,7 @@ class TestCombine:
 
 def test_distance_matrix_serialization_round_trip(rng):
     d = DistanceMatrix(rng.uniform(0, 2, (3, 5)).astype(np.float32))
-    back = decode_distance_matrix(encode_distance_matrix(d))
+    back = decode_distance_matrix(b"".join(encode_distance_matrix(d)))
     np.testing.assert_array_equal(back.values, d.values)
 
 
@@ -677,7 +679,7 @@ def test_distance_matrix_container_layout(rng, shape):
     v = v.T.copy().T  # column-major input
     expected = struct.pack("<4s5I", b"RDMX", 1, *shape, 0, 0)
     expected += np.ascontiguousarray(v, "<f4").tobytes()
-    assert encode_distance_matrix(DistanceMatrix(v)) == expected
+    assert b"".join(encode_distance_matrix(DistanceMatrix(v))) == expected
 
 
 def test_distance_matrix_float32_overflow_named_by_cell():
@@ -686,7 +688,7 @@ def test_distance_matrix_float32_overflow_named_by_cell():
     # the error names the cell, and no overflow warning comes with it
     # (filterwarnings = error would raise one)
     with pytest.raises(DataError, match=r"^non-finite value at \(2, 1\)$"):
-        encode_distance_matrix(DistanceMatrix(v))
+        list(encode_distance_matrix(DistanceMatrix(v)))
 
 
 def test_distance_matrix_float32_overflow_named_by_first_cell():
@@ -694,30 +696,45 @@ def test_distance_matrix_float32_overflow_named_by_first_cell():
     v[2, 3] = 1e39
     v[1, 5] = 2e39
     with pytest.raises(DataError, match=r"^non-finite value at \(1, 5\)$"):
-        encode_distance_matrix(DistanceMatrix(v))
+        list(encode_distance_matrix(DistanceMatrix(v)))
 
 
 def test_distance_matrix_encode_holds_no_mask():
     # the float32 buffer is the only full-size allocation; a boolean mask
-    # of the payload would add a quarter of it
+    # of the payload would add a quarter of it. The parts are drawn while
+    # traced: the encoder does its work as they are drawn, not at the call
     d = DistanceMatrix(np.random.default_rng(0).uniform(0, 2, (400, 2_000)))
     tracemalloc.start()
     try:
-        buf = encode_distance_matrix(d)
+        parts = encode_distance_matrix(d)
+        drawn = sum(memoryview(part).nbytes for part in parts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.05 * len(buf)
+    assert drawn == len(parts)
+    assert peak < 1.05 * len(parts)
 
 
-@pytest.mark.parametrize("nq, rows", [(0, 1), (7, 1), (7, 3), (7, 7)])
+@pytest.mark.parametrize("nq, rows", [(0, 1), (7, 1), (7, 3), (7, 7), (0, None)])
 def test_block_parts_length_is_the_bytes_written(tmp_path, rng, nq, rows):
-    # reidbench's traced run reads len() as the size of the .rdmx written
+    # reidbench's traced run reads len() as the size of the .rdmx written;
+    # rows None is a stream of no blocks, which still writes its header
     q, g = rng.standard_normal((nq, 5)), rng.standard_normal((3, 5))
-    parts = encode_distance_matrix(distance.global_distance_blocks(q, g, rows=rows), (nq, 3))
+    blocks = iter([]) if rows is None else distance.global_distance_blocks(q, g, rows=rows)
+    parts = encode_distance_matrix(blocks, (nq, 3))
     size = len(parts)
     gallery._write_file(tmp_path / "d.rdmx", parts)
     assert (tmp_path / "d.rdmx").stat().st_size == size
+    assert decode_distance_matrix((tmp_path / "d.rdmx").read_bytes()).shape == (nq, 3)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_whole_matrix_and_its_row_blocks_encode_alike(tmp_path, rng, rows):
+    d = DistanceMatrix(rng.uniform(0, 2, (7, 5)))
+    blocks = (DistanceMatrix(d.values[i : i + rows]) for i in range(0, 7, rows))
+    gallery._write_file(tmp_path / "whole.rdmx", encode_distance_matrix(d))
+    gallery._write_file(tmp_path / "blocks.rdmx", encode_distance_matrix(blocks, d.shape))
+    assert (tmp_path / "whole.rdmx").read_bytes() == (tmp_path / "blocks.rdmx").read_bytes()
 
 
 class TestDistanceMatrixValidation:

@@ -130,6 +130,8 @@ def reference_load_index(metadata_file) -> GalleryIndex:
             fault = "person_id and camera_id must be below 2^63 (int64)"
         elif not path:
             fault = "path must be non-empty"
+        elif "\0" in path:
+            fault = "path must not contain a NUL character"
         else:
             entries.append((pid, cam, role_s, path))
             continue
@@ -143,7 +145,7 @@ ID_OK = ["{v}", " {v} ", "\t{v}", "00{v}", "-0", "0" * 40 + "{v}", str(2**63 - 1
 ROLE_OK = ["query", "gallery", "train", " gallery ", "\ttrain"]
 PATH_OK = ["a.ppm", "dir,with,commas.ppm", ' b "x".ppm ', "é.ppm", "\u3000c.ppm"]
 ID_BAD = ["-3", "+{v}", "1_000", "{v}٣", "٣", "", "-", "1 2", str(2**63), "9" * 4301, "0" * 4300 + "7"]
-BAD = [["{k1}", "+{k}", "{k}_0", "", "٣"], ID_BAD, ID_BAD, ["Query", "probe", ""], ["", "  ", "\u3000"]]
+BAD = [["{k1}", "+{k}", "{k}_0", "", "٣"], ID_BAD, ID_BAD, ["Query", "probe", ""], ["", "  ", "\u3000", "a\0.ppm"]]
 
 
 @st.composite
@@ -228,6 +230,7 @@ class TestIndexColumns:
          ("1,-3,0,query,a", "person_id and camera_id must be non-negative"),
          ("1,1,0,probe,a", "unknown role 'probe'"),
          ("1,1,0,query,  ", "path must be non-empty"),
+         ("1,1,0,query,a\0b", "path must not contain a NUL character"),
          ("2,1,0,query,a", "index 2 out of order, expected 1"),
          ("1,1,0,query", "expected 5 fields, got 4"),
          ("1,1,0,query,a,b", "expected 5 fields, got 6"),

@@ -10,6 +10,10 @@ on the output bytes is known exactly, checked bit for bit.
   appending one leaves the query's AP as it was;
 - through ``run_cli dist``: scaling both embedding files by 2^k scales the
   euclidean ``.rdmx`` payload by 2^k and leaves the cosine one unchanged.
+
+Global distances are not exact under a gallery permutation, aliasing (x, x
+against x, x.copy()) or query blocking: BLAS rounds them apart. There each
+cell is checked within the sum of the two sides' stated error bounds.
 """
 
 import json
@@ -19,7 +23,7 @@ import pytest
 
 from reidkit import distance, gallery, metrics
 from reidkit.cli import run_cli
-from reidkit.distance import DistanceMatrix, LocalMode
+from reidkit.distance import DistanceMatrix, LocalMode, Metric
 from reidkit.gallery import EmbeddingSet, GalleryIndex
 
 from conftest import build_index
@@ -159,3 +163,48 @@ def test_dist_chain_scales_with_a_power_of_two(tmp_path, metric, offset):
         s = np.float32(2.0**k)
         factor = s if metric == "euclidean" else np.float32(1.0)
         assert dist_payload(tmp_path, s * q, s * g, metric).tobytes() == (factor * want).tobytes(), k
+
+
+def float32_rows(offset, n=340, dim=2048):
+    """n float32-valued rows (as a .remb holds them) in float64, offset from
+    0: rows 300-304 repeat rows 0-4, rows 200-202 repeat row 100, and rows 7
+    and 320 are zero."""
+    rng = np.random.default_rng(2048)
+    x = (offset + rng.uniform(0, 0.8, (n, dim))).astype(np.float32).astype(np.float64)
+    x[300:305] = x[:5]
+    x[200:203] = x[100]
+    x[[7, 320]] = 0.0
+    return x
+
+
+def stated_tolerance(a, b, metric):
+    """(len(a), len(b)) cells: the sum of the stated bounds of two
+    computations of distance_matrix(a, b, metric). Cosine: tau_c each.
+    Euclidean: tau * (|a|^2 + |b|^2) each on the squared value, and
+    |d1 - d2| <= sqrt(|d1^2 - d2^2|) for d1, d2 >= 0."""
+    dim = a.shape[1]
+    if metric is Metric.COSINE:
+        return np.full((len(a), len(b)), 2 * distance._twice_gamma(dim + 4))
+    an, bn = (np.sum(v.astype(np.longdouble) ** 2, axis=1) for v in (a, b))
+    return np.sqrt(2 * distance._twice_gamma(dim + 2) * (an[:, None] + bn)).astype(np.float64)
+
+
+@pytest.mark.parametrize("change", ["gallery_permutation", "aliasing", "query_blocks"])
+@pytest.mark.parametrize("offset", [0.0, 50.0, 1e3])
+@pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
+def test_global_distances_agree_within_the_stated_bound(metric, offset, change):
+    x = float32_rows(offset)
+    q, g = x[:40], x[40:]
+    if change == "aliasing":
+        q, g = x, x
+    want = distance.distance_matrix(q, g, metric).values
+    tol = stated_tolerance(q, g, metric)
+    if change == "gallery_permutation":
+        perm = np.random.default_rng(7).permutation(len(g))
+        got, want, tol = distance.distance_matrix(q, g[perm], metric).values, want[:, perm], tol[:, perm]
+    elif change == "aliasing":
+        got = distance.distance_matrix(x, x.copy(), metric).values
+    else:
+        got = [np.vstack([b.values.copy() for b in distance.global_distance_blocks(q, g, metric, rows=k)])
+               for k in (1, 7, 16)]
+    assert (abs(np.asarray(got) - want) <= tol).all()
