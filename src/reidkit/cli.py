@@ -296,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():  # only an in-process argv holds a NUL
+            if isinstance(value, str) and "\0" in value:
+                raise _UsageError(f"argument --{name.replace('_', '-')}: must not contain a NUL character")
         with np.errstate(over="raise"):
             args.func(args)
     except _UsageError as e:

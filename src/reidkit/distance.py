@@ -113,11 +113,8 @@ def _exact_near_zero(a, b, blk, an_tau, bn_tau, an=None, bn=None) -> None:
 
 
 def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances between the rows of a and b.
-
-    One (na, nb) buffer holds a @ b.T; each block of its rows is then
-    doubled, subtracted from |a|^2 + |b|^2 and clamped at 0 in place: the same
-    float operations, in the same order, as (an + bn) - 2.0 * (a @ b.T).
+    """Squared euclidean distances between the rows of a and b: _finish of
+    a @ b.T, the float operations of max((an + bn) - 2.0 * (a @ b.T), 0).
 
     Near zero that expansion cancels. Its computed value differs from the
     true one by at most tau * (|a|^2 + |b|^2), tau = 2 gamma_{D+2},
@@ -128,20 +125,32 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     differences, so d(x, x) is exactly 0 and near-duplicates rank as their
     direct differences do. A block whose minimum clears the bound of its
     largest norms skips the comparison."""
-    return _finish_sq_euclidean(a, b, a @ b.T, *_side_terms(b, Metric.EUCLIDEAN))
+    return _finish(a, b, a @ b.T, Metric.EUCLIDEAN, *_side_terms(b, Metric.EUCLIDEAN))
 
 
-def _finish_sq_euclidean(a, b, sq, bn, bn_tau) -> np.ndarray:
-    """_sq_euclidean's finish of sq = a @ b.T in place, given b's squared
-    norms bn and tau terms bn_tau."""
-    an, an_tau = _side_terms(a, Metric.EUCLIDEAN)
-    for rows in _blocks(*sq.shape):
-        blk = sq[rows]
-        blk *= 2.0
-        np.subtract(an[rows, None] + bn, blk, out=blk)
-        _exact_near_zero(a[rows], b, blk, an_tau[rows], bn_tau)
-        np.maximum(blk, 0.0, out=blk)
-    return sq
+def _finish(q, g, d, metric, gn, g_tau) -> np.ndarray:
+    """The products d = q @ g.T of the float64 rows q and g (g's _side_terms
+    gn, g_tau) made distances in place, a tile of rows at a time: squared
+    euclidean |q|^2 + |g|^2 - 2d in [0, inf), or cosine 1 - d / (|q| |g|) in
+    [0, 2], a zero norm leaving d (0 for a zero row) undivided; then entries
+    at or below their bound are recomputed exactly. A NaN row stays NaN for
+    DistanceMatrix to reject. A float64 row whose squared norm underflows
+    to 0 reads 1 - d, which is not 1 only against values beyond ~1e140."""
+    qn, q_tau = _side_terms(q, metric)
+    cosine = metric is Metric.COSINE
+    for rows in _blocks(*d.shape):
+        blk = d[rows]
+        if cosine:
+            denom = qn[rows, None] * gn
+            with np.errstate(invalid="ignore"):  # inf / inf
+                np.divide(blk, denom, out=blk, where=denom != 0)
+            np.subtract(1.0, blk, out=blk)
+        else:
+            blk *= 2.0
+            np.subtract(qn[rows, None] + gn, blk, out=blk)
+        np.clip(blk, 0.0, 2.0 if cosine else None, out=blk)
+        _exact_near_zero(q[rows], g, blk, q_tau[rows], g_tau, *((qn[rows], gn) if cosine else ()))
+    return d
 
 
 def _side_terms(g: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
@@ -187,25 +196,11 @@ def global_distance_blocks(q, g, metric=Metric.EUCLIDEAN, rows=None) -> Iterator
 
 def _global_block(q, g, out, metric, gn, g_tau) -> DistanceMatrix:
     """The distances of the query rows q to the gallery g (with its
-    _side_terms gn, g_tau), finished in the leading rows of out a tile of rows
-    at a time."""
+    _side_terms gn, g_tau), finished in the leading rows of out."""
     q = np.ascontiguousarray(q, dtype=np.float64)
-    d = np.matmul(q, g.T, out=out[: len(q)])
+    d = _finish(q, g, np.matmul(q, g.T, out=out[: len(q)]), metric, gn, g_tau)
     if metric is Metric.EUCLIDEAN:
-        np.sqrt(_finish_sq_euclidean(q, g, d, gn, g_tau), out=d)
-        return DistanceMatrix(d)
-    qn, q_tau = _side_terms(q, metric)
-    for rows in _blocks(*d.shape):
-        blk = d[rows]
-        denom = qn[rows, None] * gn
-        pos = denom > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(blk, denom, out=blk, where=pos)
-        # zero-norm rows get cos 0, hence distance 1
-        blk[~pos] = 0.0
-        np.subtract(1.0, blk, out=blk)
-        np.clip(blk, 0.0, 2.0, out=blk)
-        _exact_near_zero(q[rows], g, blk, q_tau[rows], g_tau, qn[rows], gn)
+        np.sqrt(d, out=d)
     return DistanceMatrix(d)
 
 

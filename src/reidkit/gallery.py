@@ -215,13 +215,6 @@ def _is_decimal(ids: str) -> bool:
     return "+" not in ids and "_" not in ids and ids.isascii()
 
 
-def _payload_views(buf, n: int, d: int, s: int, dl: int):
-    """(main, local) float32 views of a container's payload; no local if S or Dl is 0."""
-    main = np.frombuffer(buf, "<f4", n * d, _HEADER.size).reshape(n, d)
-    local = np.frombuffer(buf, "<f4", n * s * dl, _HEADER.size + 4 * n * d).reshape(n, s, dl)
-    return main, local if s and dl else None
-
-
 def _finite(arr: np.ndarray) -> bool:
     """Whether every value of arr is finite, by one min and one max: NaN
     propagates through both."""
@@ -248,8 +241,9 @@ def _container_header(magic: bytes, n: int, d: int, s: int = 0, dl: int = 0) -> 
 
 def _container_views(data, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(main, local) payload arrays of a container, as float32 views of data,
-    after the header and length checks. The values are not checked: the
-    caller checks them (_check_finite, or DistanceMatrix for an .rdmx)."""
+    after the header and length checks; no local if S or Dl is 0. The values
+    are not checked: the caller checks them (_check_finite, or DistanceMatrix
+    for an .rdmx)."""
     if len(data) < _HEADER.size:
         raise TruncationError(
             f"header truncated: expected at least {_HEADER.size} bytes, got {len(data)}"
@@ -264,7 +258,9 @@ def _container_views(data, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarra
         raise TruncationError(
             f"payload length mismatch: expected {expected} bytes, got {len(data)}"
         )
-    return _payload_views(data, n, d, s, dl)
+    main = np.frombuffer(data, "<f4", n * d, _HEADER.size).reshape(n, d)
+    local = np.frombuffer(data, "<f4", n * s * dl, _HEADER.size + 4 * n * d).reshape(n, s, dl)
+    return main, local if s and dl else None
 
 
 def _embedding_parts(emb: EmbeddingSet) -> list:
@@ -308,12 +304,16 @@ def _write_file(path, data) -> None:
     the temporary file is removed. So an output rejected or cut part-way
     leaves the old file with its bytes, or no file. Nothing is fsynced: the
     replace guards against a failed run, not against a power loss. A device,
-    a FIFO (/dev/null, a pipe) or a hard-linked file is written in place."""
+    a FIFO (/dev/null, a pipe) or a hard-linked file is written in place.
+    So is a path with no last part ("", "sub/") or whose directory is none
+    ("missing/../x"), which open() rejects and its realpath would not: the
+    OSError is open()'s, and nothing is written."""
     parts = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
     path = os.fspath(path)
     # the path, not its realpath: /dev/stdout on a pipe resolves to no file
     st = os.stat(path) if os.path.exists(path) else None
-    if st and (st.st_nlink > 1 or not stat.S_ISREG(st.st_mode)):
+    named = os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")
+    if not named or st and (st.st_nlink > 1 or not stat.S_ISREG(st.st_mode)):
         with open(path, "wb") as fh:
             fh.writelines(parts)
         return

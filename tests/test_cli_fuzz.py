@@ -5,7 +5,9 @@ or in exit 1 or 2 with one line, and nothing escapes ``run_cli``. A value
 whose arithmetic overflows float64 (``--lam 1e308``, ``mine --margin
 1e308``) ends in exit 2, not in a numpy warning or an infinite output.
 The same holds for every subcommand that reads a file when one of its
-TINY input files is mutated as the decoder fuzz mutates bytes.
+TINY input files is mutated as the decoder fuzz mutates bytes, and for
+every path flag of every subcommand given an empty path, a NUL byte (exit
+1), a directory, a path under a missing directory or a trailing separator.
 
 ``tsne --iterations`` has no upper bound by design (each iteration costs
 O(N^2)), so it draws no value above 2.
@@ -119,6 +121,57 @@ def with_mutated_copy(argv, target, ops, tmp) -> list:
     with open(target, "rb") as fh, open(mutated, "wb") as out:
         out.write(mutate(fh.read(), ops))
     return argv[:i] + [copy] + argv[i + 1 :]
+
+
+PATH_FLAGS = {
+    "embed": ["index", "images-root", "out"],
+    "mask": ["images", "masks", "out"],
+    "dist": ["emb-q", "emb-g", "out"],
+    "eval": ["queries", "gallery", "emb-q", "emb-g", "out"],
+    "mine": ["index", "emb", "out"],
+    "ema": ["state", "student", "out"],
+    "camera": ["index", "emb", "residual", "out-emb", "out"],
+    "tsne": ["index", "emb", "trace", "out"],
+}
+PATH_CASES = [(command, flag) for command, flags in PATH_FLAGS.items() for flag in flags]
+PATH_VALUES = ["empty", "nul", "directory", "missing-parent", "trailing-separator"]
+
+
+def with_flag(argv, flag, value) -> list:
+    """argv with --flag set to value, in place of its own value or appended;
+    --state takes the place of ema's --init, --residual that of camera's
+    --normalize."""
+    argv = [a for a in argv if a != {"--state": "--init", "--residual": "--normalize"}.get(flag)]
+    if flag not in argv:
+        return argv + [flag, value]
+    i = argv.index(flag)
+    return argv[: i + 1] + [value] + argv[i + 2 :]
+
+
+@pytest.mark.parametrize("value", PATH_VALUES)
+@pytest.mark.parametrize("command, flag", PATH_CASES, ids=[f"{c}-{f}" for c, f in PATH_CASES])
+def test_path_value_ends_in_a_documented_exit(tiny_inputs, tmp_path, monkeypatch, capsys, command, flag, value):
+    # a relative path resolves in an empty directory
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    if command == "camera":  # its two outputs go inside out
+        out.mkdir()
+    argv = reading_stage(command, tiny_inputs, str(out))
+    flag = f"--{flag}"
+    own = argv[argv.index(flag) + 1] if flag in argv else str(tmp_path / "new")
+    path = {
+        "empty": "",
+        "nul": "a\0b",
+        "directory": str(tmp_path),
+        "missing-parent": str(tmp_path / "missing" / "x"),
+        "trailing-separator": own + os.sep,
+    }[value]
+    existed = os.path.isfile(own)
+    code = assert_documented_exit(with_flag(argv, flag, path), capsys)
+    if value == "nul":
+        assert code == 1
+    if value == "trailing-separator":  # it names no file, and never becomes one
+        assert existed or not os.path.isfile(own)
 
 
 @pytest.mark.parametrize("command", ["embed", "mask", "dist", "eval", "mine", "tsne", "camera", "ema"])

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -104,6 +104,56 @@ def _direct_reference(x, metric):
     return out
 
 
+def finish_sq_euclidean_reference(a, b, sq, bn, bn_tau):
+    """The euclidean finish of sq = a @ b.T in place, as the kernel ran it
+    before the two metrics shared one finish (distance._finish)."""
+    an, an_tau = distance._side_terms(a, Metric.EUCLIDEAN)
+    for rows in distance._blocks(*sq.shape):
+        blk = sq[rows]
+        blk *= 2.0
+        np.subtract(an[rows, None] + bn, blk, out=blk)
+        distance._exact_near_zero(a[rows], b, blk, an_tau[rows], bn_tau)
+        np.maximum(blk, 0.0, out=blk)
+    return sq
+
+
+def finish_cosine_reference(q, g, d, gn, g_tau):
+    """The cosine finish of d = q @ g.T in place, as the kernel ran it then:
+    a zero norm product read as cos 0, hence distance 1."""
+    qn, q_tau = distance._side_terms(q, Metric.COSINE)
+    for rows in distance._blocks(*d.shape):
+        blk = d[rows]
+        denom = qn[rows, None] * gn
+        pos = denom > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(blk, denom, out=blk, where=pos)
+        blk[~pos] = 0.0
+        np.subtract(1.0, blk, out=blk)
+        np.clip(blk, 0.0, 2.0, out=blk)
+        distance._exact_near_zero(q[rows], g, blk, q_tau[rows], g_tau, qn[rows], gn)
+    return d
+
+
+def global_blocks_reference(q, g, metric, rows):
+    """global_distance_blocks(q, g, metric, rows) through the two finishes
+    above, each block its own array."""
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    terms = distance._side_terms(g, metric)
+    blocks = []
+    for i in range(0, len(q), rows):
+        qb = np.ascontiguousarray(q[i : i + rows], dtype=np.float64)
+        if metric is Metric.EUCLIDEAN:
+            blocks.append(np.sqrt(finish_sq_euclidean_reference(qb, g, qb @ g.T, *terms)))
+        else:
+            blocks.append(finish_cosine_reference(qb, g, qb @ g.T, *terms))
+    return blocks
+
+
+def assert_same_bytes(got, want):
+    np.testing.assert_array_equal(got, want, strict=True)
+    assert got.tobytes() == want.tobytes()  # and the sign of each zero
+
+
 class TestBlockedGlobalKernel:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -139,6 +189,67 @@ class TestBlockedGlobalKernel:
         for got, part in [(distance_matrix(x, x, Metric.COSINE).values, np.s_[:, :]),
                           (distance_matrix(q, g, Metric.COSINE).values, cross)]:
             assert (abs(got - want[part]) <= tau_c).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nq=st.integers(1, 12),
+        ng=st.integers(1, 20),
+        dim=st.sampled_from([1, 3, 16, 64]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        metric=st.sampled_from([Metric.EUCLIDEAN, Metric.COSINE]),
+        offset=st.sampled_from([0.0, 50.0, 1e3]),
+        # (source, target, scale): duplicate, scaled and opposite rows
+        copies=st.lists(
+            st.tuples(st.integers(0, 31), st.integers(0, 31), st.sampled_from([1.0, 2.0, -1.0, -2.0])),
+            max_size=6,
+        ),
+        zeros=st.lists(st.integers(0, 31), max_size=2),
+        # rows whose squared norm underflows to 0 (zero rows in float32)
+        tiny=st.lists(st.integers(0, 31), max_size=2),
+        cells=st.integers(1, 400) | st.just(1 << 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # six rows and their opposites: at this seed 1 - cos of one pair rounds
+    # above 2 before the clamp
+    @example(nq=6, ng=6, dim=16, dtype=np.float64, metric=Metric.COSINE, offset=0.0,
+             copies=[(i, 6 + i, -1.0) for i in range(6)], zeros=[], tiny=[], cells=1 << 16, seed=1)
+    def test_one_finish_has_the_bytes_of_the_two_it_replaced(
+        self, small_tiles, nq, ng, dim, dtype, metric, offset, copies, zeros, tiny, cells, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = nq + ng
+        x = offset + rng.standard_normal((n, dim))
+        for i, j, scale in copies:
+            x[j % n] = scale * x[i % n]
+        x[[i % n for i in zeros]] = 0.0
+        for i in tiny:
+            x[i % n] = 1e-170 * rng.standard_normal(dim)
+        x = x.astype(dtype)
+        q, g = x[:nq], x[nq:]
+        x64 = x.astype(np.float64)
+        with small_tiles(cells):
+            for rows in (1, 7, nq):
+                got = [b.values.copy() for b in distance.global_distance_blocks(q, g, metric, rows)]
+                want = global_blocks_reference(q, g, metric, rows)
+                assert len(got) == len(want)
+                for b, w in zip(got, want):
+                    assert_same_bytes(b, w)
+            [whole] = global_blocks_reference(q, g, metric, nq)
+            assert_same_bytes(distance_matrix(q, g, metric).values, whole)
+            terms = distance._side_terms(x64, Metric.EUCLIDEAN)
+            want = finish_sq_euclidean_reference(x64, x64, x64 @ x64.T, *terms)
+            assert_same_bytes(distance._sq_euclidean(x64, x64), want)
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
+    def test_a_nan_row_is_rejected(self, metric):
+        # a NaN norm is no zero norm: the row does not read as cosine distance 1
+        q = np.array([[np.nan, 1.0, 2.0], [1.0, 0.0, 0.0]])
+        g = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
+        for a, b in ((q, g), (g, q)):
+            with pytest.raises(DataError, match="^distance matrix contains non-finite entries$"):
+                distance_matrix(a, b, metric)
+            with pytest.raises(DataError, match="non-finite"):
+                list(distance.global_distance_blocks(a, b, metric, 1))
 
     @pytest.mark.parametrize("offset", [0.0, 50.0])
     @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])

@@ -623,6 +623,26 @@ class TestWriteFile:
         assert os.listdir(tmp_path) == ([] if old is None else ["f"])
         assert old is None or out.read_bytes() == old
 
+    @pytest.mark.parametrize(
+        "name, old",
+        [("keep/", None), ("keep/", b"old bytes"), ("missing/../keep", None), ("keep/../other", b"old bytes")],
+        ids=["new", "existing", "missing-directory", "file-as-directory"],
+    )
+    def test_a_path_open_rejects_raises_as_open_and_writes_nothing(self, tmp_path, monkeypatch, name, old):
+        # realpath drops a trailing separator and folds ".." without looking;
+        # open("keep/", "wb") and open("missing/../keep", "wb") raise
+        monkeypatch.chdir(tmp_path)
+        if old is not None:
+            (tmp_path / "keep").write_bytes(old)
+        path = name.replace("/", os.sep)
+        with pytest.raises(OSError) as raised:
+            gallery._write_file(path, [b"ne", b"w"])
+        with pytest.raises(type(raised.value)):
+            open(path, "wb")
+        assert raised.value.filename == path
+        assert os.listdir(tmp_path) == ([] if old is None else ["keep"])
+        assert old is None or (tmp_path / "keep").read_bytes() == old
+
     def test_a_fifo_is_written_in_place(self, tmp_path):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
