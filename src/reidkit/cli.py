@@ -57,22 +57,15 @@ def _load_aligned(index_path, emb_path):
 def _distances(args, q_index=None, g_index=None):
     """(query index, gallery index, (Q, G), distance row blocks) for dist and
     eval, each side checked against its index file (q_index, g_index) if
-    given. The local term comes first, whole, and is added to each block.
-    Then the gallery is cast to float64 and its float32 file buffer freed,
-    before the first block's matmul; the queries stay float32, and each
-    block casts its own rows."""
+    given. The local term comes first, whole, and is added to each block."""
     distance_mod.check_lambda(args.lam)
     queries, q = _load_aligned(q_index, args.emb_q)
     gal, g = _load_aligned(g_index, args.emb_g)
-    shape = q.n, g.n
-    dl = None
-    if args.local_mode != "none":
-        dl = distance_mod.local_distance_matrix(q, g, args.local_mode)
-    q, g = q.global_, g.global_.astype(np.float64)
-    blocks = distance_mod.global_distance_blocks(q, g, args.metric)
-    if dl is not None:
-        blocks = distance_mod.combine_distances(blocks, dl, args.lam)
-    return queries, gal, shape, blocks
+    if args.local_mode == "none":
+        return queries, gal, (q.n, g.n), distance_mod.global_distance_blocks(q.global_, g.global_, args.metric)
+    dl = distance_mod.local_distance_matrix(q, g, args.local_mode)
+    blocks = distance_mod.global_distance_blocks(q.global_, g.global_, args.metric)
+    return queries, gal, (q.n, g.n), distance_mod.combine_distances(blocks, dl, args.lam)
 
 
 def _given(args, config) -> dict:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .gallery import EmbeddingSet, _check_finite, _container_header, _container_views
+from .gallery import EmbeddingSet, _check_finite, _container_header, _container_views, _finite
 
 DISTANCE_MAGIC = b"RDMX"
 
@@ -30,9 +30,16 @@ class LocalMode(str, Enum):
     ONE_TO_ONE = "one_to_one"
 
 
+def _real(x) -> np.ndarray:
+    """x as an array that is not complex: numpy casts one to float64 with a ComplexWarning."""
+    if np.iscomplexobj(x := np.asarray(x)):
+        raise DataError("values must be real, not complex")
+    return x
+
+
 def check_lambda(lam: float) -> None:
-    """Reject a global/local mixing weight that is negative or not finite."""
-    if not np.isfinite(lam) or lam < 0:
+    """Reject a global/local mixing weight that is complex, negative or not finite."""
+    if np.iscomplexobj(lam) or not np.isfinite(lam) or lam < 0:
         raise DataError("lambda must be finite and >= 0")
 
 
@@ -41,7 +48,7 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(_real(self.values), dtype=np.float64)
         if v.ndim != 2:
             raise DataError("distance matrix must be 2-D")
         # two reductions, no full-size mask: NaN propagates through both,
@@ -125,25 +132,25 @@ def _sq_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     differences, so d(x, x) is exactly 0 and near-duplicates rank as their
     direct differences do. A block whose minimum clears the bound of its
     largest norms skips the comparison."""
-    return _finish(a, b, a @ b.T, Metric.EUCLIDEAN, *_side_terms(b, Metric.EUCLIDEAN))
+    return _finish(a, b, Metric.EUCLIDEAN, _side_terms(b, Metric.EUCLIDEAN))
 
 
-def _finish(q, g, d, metric, gn, g_tau) -> np.ndarray:
-    """The products d = q @ g.T of the float64 rows q and g (g's _side_terms
-    gn, g_tau) made distances in place, a tile of rows at a time: squared
-    euclidean |q|^2 + |g|^2 - 2d in [0, inf), or cosine 1 - d / (|q| |g|) in
-    [0, 2], a zero norm leaving d (0 for a zero row) undivided; then entries
-    at or below their bound are recomputed exactly. A NaN row stays NaN for
-    DistanceMatrix to reject. A float64 row whose squared norm underflows
-    to 0 reads 1 - d, which is not 1 only against values beyond ~1e140."""
-    qn, q_tau = _side_terms(q, metric)
+def _finish(q, g, metric, g_terms, out=None) -> np.ndarray:
+    """d = q @ g.T (into out) of the float64 rows q and g, taken after q's
+    _side_terms (g's are g_terms), made distances in place a tile of rows at
+    a time: squared euclidean |q|^2 + |g|^2 - 2d in [0, inf), or cosine
+    1 - d / (|q| |g|) in [0, 2], a zero norm leaving d (0 for a zero row)
+    undivided; then entries at or below their bound are recomputed exactly.
+    A float64 row whose squared norm underflows to 0 reads 1 - d, which is
+    not 1 only against values beyond ~1e140."""
+    (qn, q_tau), (gn, g_tau) = _side_terms(q, metric), g_terms
+    d = np.matmul(q, g.T, out=out)
     cosine = metric is Metric.COSINE
     for rows in _blocks(*d.shape):
         blk = d[rows]
         if cosine:
             denom = qn[rows, None] * gn
-            with np.errstate(invalid="ignore"):  # inf / inf
-                np.divide(blk, denom, out=blk, where=denom != 0)
+            np.divide(blk, denom, out=blk, where=denom != 0)
             np.subtract(1.0, blk, out=blk)
         else:
             blk *= 2.0
@@ -157,8 +164,12 @@ def _side_terms(g: np.ndarray, metric: Metric) -> tuple[np.ndarray, np.ndarray]:
     """(norms, tau terms) of the float64 rows of g, one side's share of the
     global finish: squared norms and tau times them for euclidean, norms and
     tau_c / 2 per row for cosine (tau_c / 2 per row of either side: tau_c per
-    entry)."""
-    sq = _sq_norms(g)
+    entry). A row with a NaN or inf, or a squared norm of at least a quarter
+    of float64's max, raises DataError: below that, _finish cannot overflow."""
+    with np.errstate(over="ignore"):
+        sq = _sq_norms(g)
+    if not (sq < np.finfo(np.float64).max / 4).all():
+        raise DataError("feature row with a NaN, an inf or a squared norm past float64's max / 4")
     if metric is Metric.EUCLIDEAN:
         return sq, _twice_gamma(g.shape[1] + 2) * sq
     return np.sqrt(sq), np.full(len(g), _twice_gamma(g.shape[1] + 4) / 2)
@@ -174,34 +185,30 @@ _QUERY_BLOCK_CELLS = 1 << 23
 def global_distance_blocks(q, g, metric=Metric.EUCLIDEAN, rows=None) -> Iterator[DistanceMatrix]:
     """distance_matrix(q, g, metric) in blocks of rows query rows (by
     default as many as _QUERY_BLOCK_CELLS result cells hold). The gallery
-    operand (C-ordered float64 rows, norms, tau terms) is built once, here.
-    Each block casts its query rows to float64 when it is drawn and is
-    finished in one reused result buffer, so its values hold until the next
-    block is drawn. Within a block the float operations and their order are
-    distance_matrix's, but BLAS may round a block of other rows than the
-    whole matrix differently in the last bit."""
-    q = np.asarray(q)
-    g = np.ascontiguousarray(g, dtype=np.float64)
+    operand (C-ordered float64 rows, norms, tau terms) is built here, from
+    any real g. Each block casts its query rows to float64 when it is drawn
+    and is finished in one result buffer, made at the first draw, so its
+    values hold until the next draw. Within a block the float operations and
+    their order are distance_matrix's, but BLAS may round a block of other
+    rows than the whole matrix differently in the last bit."""
+    q, g = _real(q), np.ascontiguousarray(_real(g), dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2:
         raise DataError("inputs must be 2-D matrices")
     if q.shape[1] != g.shape[1]:
         raise DataError(f"dimension mismatch: {q.shape[1]} vs {g.shape[1]}")
     metric = Metric(metric)
-    terms = _side_terms(g, metric)
     rows = rows or max(1, _QUERY_BLOCK_CELLS // max(1, len(g)))
-    out = np.empty((min(rows, len(q)), len(g)))
-    starts = range(0, max(len(q), 1), rows)
-    return (_global_block(q[i : i + rows], g, out, metric, *terms) for i in starts)
+    if rows < 1:
+        raise DataError(f"rows must be >= 1, got {rows}")
+    return _global_blocks(q, g, metric, rows, _side_terms(g, metric))
 
 
-def _global_block(q, g, out, metric, gn, g_tau) -> DistanceMatrix:
-    """The distances of the query rows q to the gallery g (with its
-    _side_terms gn, g_tau), finished in the leading rows of out."""
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    d = _finish(q, g, np.matmul(q, g.T, out=out[: len(q)]), metric, gn, g_tau)
-    if metric is Metric.EUCLIDEAN:
-        np.sqrt(d, out=d)
-    return DistanceMatrix(d)
+def _global_blocks(q, g, metric, rows, g_terms) -> Iterator[DistanceMatrix]:
+    out = np.empty((min(rows, len(q)), len(g)))  # at the first draw
+    for i in range(0, max(len(q), 1), rows):
+        qb = np.ascontiguousarray(q[i : i + rows], dtype=np.float64)
+        d = _finish(qb, g, metric, g_terms, out[: len(qb)])
+        yield DistanceMatrix(np.sqrt(d, out=d) if metric is Metric.EUCLIDEAN else d)
 
 
 def distance_matrix(q: np.ndarray, g: np.ndarray, metric: Metric = Metric.EUCLIDEAN) -> DistanceMatrix:
@@ -236,10 +243,11 @@ def _stripe_costs(qa: np.ndarray, ga: np.ndarray) -> np.ndarray:
     # dimension
     acc = np.zeros((s1, nq, s2, ng))
     diff = np.empty_like(acc)
-    for k in range(dl):
-        np.subtract.outer(qa[k], ga[k], out=diff)
-        diff *= diff
-        acc += diff
+    with np.errstate(over="ignore"):  # an overflow is inf: tanh(inf) = 1 is its cost
+        for k in range(dl):
+            np.subtract.outer(qa[k], ga[k], out=diff)
+            diff *= diff
+            acc += diff
     # tanh(d/2) in place
     np.sqrt(acc, out=acc)
     acc /= 2.0
@@ -262,12 +270,12 @@ def _min_path_costs(c: np.ndarray) -> np.ndarray:
 
 
 def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
-    """(nq, ng) local distances between the stripe stacks (nq, S1, Dl) and
-    (ng, S2, Dl), in float64. DP-aligned tiles hold at most _TILE_CELLS grid
-    cells, or one pair when a single grid is larger. One-to-one sums, tile by
-    tile, the DP-aligned distances of the S single-stripe stacks (a 1 x 1 grid
-    has one path: the cost of stripe s against stripe s)."""
-    ql, gl = np.asarray(ql), np.asarray(gl)
+    """(nq, ng) float64 local distances between the real, finite stripe
+    stacks (nq, S1, Dl) and (ng, S2, Dl), S and Dl >= 1. DP-aligned tiles
+    hold at most _TILE_CELLS grid cells, or one pair when a single grid is
+    larger. One-to-one sums, tile by tile, the DP-aligned distances of the S
+    single-stripe stacks (a 1 x 1 grid has one path: stripe s against s)."""
+    ql, gl = _real(ql), _real(gl)
     if ql.ndim != 3 or gl.ndim != 3:
         raise DataError("stripe sequences must be 2-D (S x Dl)")
     if ql.shape[2] != gl.shape[2]:
@@ -275,6 +283,8 @@ def _local_distances(ql, gl, mode: LocalMode) -> np.ndarray:
     (nq, s1), (ng, s2) = ql.shape[:2], gl.shape[:2]
     # laid out for _stripe_costs once per call; every tile is a slice
     qa, ga = (np.ascontiguousarray(x.transpose(2, 1, 0), dtype=np.float64) for x in (ql, gl))
+    if min(s1, s2, qa.shape[0]) < 1 or not (_finite(qa) and _finite(ga)):
+        raise DataError("stripe sequences need S >= 1, Dl >= 1 and finite values")
     stacks, cells = [(qa, ga)], s1 * s2
     if mode is LocalMode.ONE_TO_ONE:
         if s1 != s2:
@@ -318,8 +328,14 @@ def combine_distances(dg, dl: DistanceMatrix, lam: float) -> Iterator[DistanceMa
     block of dg (one DistanceMatrix or its row blocks, _checked_blocks
     against dl's shape) plus lambda times the rows of dl it covers."""
     check_lambda(lam)
-    return (DistanceMatrix(d.values + lam * dl.values[i : i + len(d.values)])
-            for i, d in _checked_blocks(dg, dl.shape))
+    return _combined(_checked_blocks(dg, dl.shape), dl.values, lam)
+
+
+def _combined(blocks, dl, lam) -> Iterator[DistanceMatrix]:
+    for i, d in blocks:
+        with np.errstate(over="ignore"):  # an overflow to inf is DistanceMatrix's DataError
+            v = d.values + lam * dl[i : i + len(d.values)]
+        yield DistanceMatrix(v)
 
 
 def _checked_blocks(dist, shape) -> Iterator[tuple[int, DistanceMatrix]]:
@@ -345,35 +361,28 @@ def encode_distance_matrix(d: DistanceMatrix | Iterable[DistanceMatrix], shape=N
 
 
 class _BlockParts:
-    """The .rdmx bytes of a matrix of a known shape given as row blocks
-    (_checked_blocks), as parts for gallery._write_file: the header, then
-    each block cast to float32 into one reused buffer, sized by the first
-    block, that no later block may outgrow. A non-finite float32 cell is
-    named by its row in the whole matrix. A part holds until the next is
-    drawn, so only a one-block stream may be joined; len() is the
-    container's size in bytes."""
+    """The .rdmx bytes of a matrix of a known shape given as row blocks of
+    any heights (_checked_blocks), as parts for gallery._write_file: the
+    header, then each block cast to its own C-ordered float32 array. A
+    non-finite float32 cell is named by its row in the whole matrix. Drawn
+    one at a time, only one part is alive; joined, the parts are the file's
+    bytes. len() is the container's size in bytes."""
 
     def __init__(self, blocks, shape):
         self.blocks, self.shape = blocks, shape
         self.header = _container_header(DISTANCE_MAGIC, *shape)
-        self.size = len(self.header) + 4 * shape[0] * shape[1]
 
     def __len__(self):
-        return self.size
+        return len(self.header) + 4 * self.shape[0] * self.shape[1]
 
     def __iter__(self):
         yield self.header
-        buf = None
         for row0, d in _checked_blocks(self.blocks, self.shape):
-            if buf is None:
-                buf = np.empty(d.shape, "<f4")
-            elif len(d.values) > len(buf):
-                raise DataError(f"a row block of {len(d.values)} rows follows one of {len(buf)}")
-            part = buf[: len(d.values)]
             with np.errstate(over="ignore"):  # _check_finite names an overflow to inf
-                part[...] = d.values
+                part = np.ascontiguousarray(d.values, "<f4")
             _check_finite(part, None, row0)
             yield part
+            del part  # before the next block is cast
 
 
 def decode_distance_matrix(data: bytes) -> DistanceMatrix:

@@ -154,6 +154,10 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()  # and the sign of each zero
 
 
+# _side_terms' error for a row with a NaN or inf, or too large a squared norm
+NO_SQUARED_NORM = "^feature row with a NaN, an inf or a squared norm past float64's max / 4$"
+
+
 class TestBlockedGlobalKernel:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -246,10 +250,56 @@ class TestBlockedGlobalKernel:
         q = np.array([[np.nan, 1.0, 2.0], [1.0, 0.0, 0.0]])
         g = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
         for a, b in ((q, g), (g, q)):
-            with pytest.raises(DataError, match="^distance matrix contains non-finite entries$"):
+            with pytest.raises(DataError, match=NO_SQUARED_NORM):
                 distance_matrix(a, b, metric)
-            with pytest.raises(DataError, match="non-finite"):
+            with pytest.raises(DataError, match=NO_SQUARED_NORM):
                 list(distance.global_distance_blocks(a, b, metric, 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160, 1e154])
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
+    def test_a_bad_row_raises_before_any_product(self, metric, bad):
+        # no numpy warning (an error under the suite's filterwarnings) comes
+        # first: a bad gallery row raises at the call, a bad query row when
+        # its block is drawn, and the blocks before it are finished. 1e154
+        # squares to no inf, but past float64's max / 4.
+        good = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
+        bad_rows = np.array([[bad, 1.0, 2.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(DataError, match=NO_SQUARED_NORM):
+            distance.global_distance_blocks(good, bad_rows, metric)
+        blocks = distance.global_distance_blocks(np.vstack([good, bad_rows]), good, metric, 2)
+        assert_same_bytes(next(blocks).values, distance_matrix(good, good, metric).values)
+        with pytest.raises(DataError, match=NO_SQUARED_NORM):
+            next(blocks)
+        for a, b in ((bad_rows, good), (good, bad_rows)):
+            with pytest.raises(DataError, match=NO_SQUARED_NORM):
+                distance_matrix(a, b, metric)
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
+    def test_rows_just_below_the_norm_limit_are_finished_without_overflow(self, metric):
+        # squared norms below float64's max / 4: the norm sum, the doubled
+        # product and their difference stay finite
+        x = np.array([[5e153, 0.0], [-5e153, 0.0], [0.0, 5e153]])
+        d = distance_matrix(x, x, metric).values
+        want = [[0, 1e154, 5e153 * 2**0.5], [1e154, 0, 5e153 * 2**0.5], [5e153 * 2**0.5] * 2 + [0]]
+        if metric is Metric.COSINE:
+            want = [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
+        np.testing.assert_allclose(d, want, rtol=1e-15)
+
+    @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])
+    def test_no_result_block_is_allocated_before_the_first_draw(self, metric):
+        # the call builds the gallery's norms (2 x 32 KiB); the 4 MiB result
+        # buffer waits for the first draw, so a caller can free its own
+        # copy of the gallery first
+        rng = np.random.default_rng(7)
+        q, g = rng.standard_normal((256, 4)), rng.standard_normal((4096, 4))
+        tracemalloc.start()
+        try:
+            blocks = distance.global_distance_blocks(q, g, metric, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 128 * 4096 / 8
+        assert [b.shape for b in blocks] == [(128, 4096)] * 2
 
     @pytest.mark.parametrize("offset", [0.0, 50.0])
     @pytest.mark.parametrize("metric", [Metric.EUCLIDEAN, Metric.COSINE])

@@ -416,11 +416,19 @@ class TestEvaluate:
             _write_file(tmp_path / "d.rdmx", encode_distance_matrix(combined, (3, 4)))
         assert list(tmp_path.iterdir()) == []
 
-    def test_row_block_longer_than_the_first_writes_no_rdmx(self, tmp_path):
-        blocks = (DistanceMatrix(np.zeros(shape)) for shape in [(1, 4), (2, 4)])
-        with pytest.raises(DataError, match=r"^a row block of 2 rows follows one of 1$"):
-            _write_file(tmp_path / "d.rdmx", encode_distance_matrix(blocks, (3, 4)))
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("heights", [(1, 2), (2, 1), (1, 1, 1)], ids=["1+2", "2+1", "1+1+1"])
+    def test_row_blocks_of_any_height_write_and_join_to_the_whole_rdmx(self, tmp_path, heights):
+        # each block is cast to its own float32 part: a block may be taller
+        # than the first, and the parts joined are the file's bytes
+        d = DistanceMatrix(np.arange(12.0).reshape(3, 4))
+        whole = b"".join(encode_distance_matrix(d))
+
+        def blocks():
+            return (DistanceMatrix(v) for v in np.split(d.values, np.cumsum(heights)[:-1]))
+
+        _write_file(tmp_path / "d.rdmx", encode_distance_matrix(blocks(), d.shape))
+        assert (tmp_path / "d.rdmx").read_bytes() == whole
+        assert b"".join(encode_distance_matrix(blocks(), d.shape)) == whole
 
 
 class TestProperties:

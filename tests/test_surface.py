@@ -3,12 +3,14 @@
 named in backticks in README.md as library surface. A function only tests
 call cannot come back unseen. Only `gallery._write_file` writes files, and
 `cli` reads no private name of another module but gallery's writer and
-JSON report form, so no library decision hides in the CLI."""
+JSON report form, nor picks a dtype, so no library decision hides in the
+CLI."""
 
 import ast
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -129,3 +131,18 @@ def test_cli_reads_no_private_name_but_the_writer_and_the_report_form():
     found = private_reads(MODULES["cli"])
     assert allowed <= found, "the scan no longer sees cli's writes"
     assert found <= allowed, sorted(found - allowed)
+
+
+def test_cli_leaves_every_dtype_to_the_library():
+    # the operand dtype of a stage is its library module's decision: cli
+    # calls no astype, names no numpy dtype and passes no dtype= argument
+    tree = MODULES["cli"]
+    numpy_reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert "errstate" in numpy_reads, "the scan no longer sees cli's numpy reads"
+    dtypes = {a for a in numpy_reads
+              if isinstance(t := getattr(np, a, None), type) and issubclass(t, (np.generic, np.dtype))}
+    casts = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "astype"
+             or isinstance(node, ast.keyword) and node.arg == "dtype"]
+    assert not dtypes and not casts, (sorted(dtypes), casts)
