@@ -17,7 +17,7 @@ import numpy as np
 
 from .distance import _blocks
 from .errors import DataError, FormatError
-from .gallery import _groups, _object_once
+from .gallery import _groups, _object_once, _real
 
 CONSISTENCY_EPS = 1e-8
 
@@ -55,8 +55,8 @@ class CameraResidualParams:
             raise DataError("matrix and bias camera ids differ")
         matrices, biases = {}, {}
         for c, a in self.matrices.items():
-            a = matrices[c] = np.asarray(a, dtype=np.float64)
-            b = biases[c] = np.asarray(self.biases[c], dtype=np.float64)
+            a = matrices[c] = np.asarray(_real(a), dtype=np.float64)
+            b = biases[c] = np.asarray(_real(self.biases[c]), dtype=np.float64)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise DataError(f"camera {c}: matrix must be square")
             if b.shape != (a.shape[0],):
@@ -69,14 +69,27 @@ class CameraResidualParams:
         object.__setattr__(self, "biases", biases)
 
 
-def _row_cameras(camids, n: int):
-    """Row camera ids as int64, and the distinct ids in order of first appearance
-    (a per-camera check then fails on the first offending row's camera)."""
-    camids = np.asarray(camids, dtype=np.int64)
-    if camids.shape != (n,):
+def _intake(emb, camids, table=None, missing="", what=""):
+    """emb as a real N x D array, camids as int64 of length N, and the
+    distinct camera ids ascending with each row's index among them. Given a
+    table (id -> an offset, or a bias, as wide as its matrix), each row's
+    camera must have an entry of shape (D,), checked in order of first
+    appearance so that a failure, worded by missing and what, names the
+    first offending row's camera, before any row is written."""
+    e = _real(emb)
+    if e.ndim != 2:
+        raise DataError("need an N x D embedding matrix")
+    camids = np.asarray(_real(camids), dtype=np.int64)
+    if camids.shape != e.shape[:1]:
         raise DataError("camera id count != row count")
-    cams, first = np.unique(camids, return_index=True)
-    return camids, [int(c) for c in cams[np.argsort(first)]]
+    keys, first, which = np.unique(camids, return_index=True, return_inverse=True)
+    for c in keys[np.argsort(first)].tolist() if table is not None else ():
+        if c not in table:
+            raise DataError(missing.format(c))
+        if (shape := np.shape(table[c])) != e.shape[1:]:
+            dim = shape[0] if len(shape) == 1 else shape
+            raise DataError(f"camera {c}: {what} dimension {dim} != embedding dim {e.shape[1]}")
+    return e, camids, keys, which
 
 
 def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:
@@ -87,10 +100,9 @@ def camera_offsets(emb: np.ndarray, camids, pids=None) -> CameraOffsets:
     from the camera's global offset. It needs person ids; without them the
     score is reported as 0.0 for degenerate single-group data.
     """
-    e = np.asarray(emb)
-    if e.ndim != 2 or e.shape[0] == 0:
+    e, camids, _, _ = _intake(emb, camids)
+    if not len(e):
         raise DataError("need a non-empty N x D embedding matrix")
-    camids, _ = _row_cameras(camids, e.shape[0])
     # means of the rows as stored, summed in float64: a float64 copy's bits
     global_mean = e.mean(axis=0, dtype=np.float64)
     cams = {int(c): rows for (c,), rows in _groups(camids)}
@@ -119,18 +131,9 @@ def camera_normalize(emb: np.ndarray, offsets: CameraOffsets, camids, out=None) 
     in a new float64 array when out is None. A float32 out receives the
     float64 difference rounded to nearest, the bits of casting the float64
     result afterwards, without holding that result."""
-    e = np.asarray(emb)
-    camids, cams = _row_cameras(camids, e.shape[0])
-    for c in cams:
-        if c not in offsets.offsets:
-            raise DataError(f"unknown camera id {c}")
-        shape = np.shape(offsets.offsets[c])
-        if shape != e.shape[1:]:
-            dim = shape[0] if len(shape) == 1 else shape
-            raise DataError(f"camera {c}: offset dimension {dim} != embedding dim {e.shape[1]}")
+    e, _, keys, which = _intake(emb, camids, offsets.offsets, "unknown camera id {}", "offset")
     # one float64 offset row per camera, gathered a block of rows at a time
-    keys, which = np.unique(camids, return_inverse=True)
-    table = np.array([offsets.offsets[int(c)] for c in keys], dtype=np.float64)
+    table = np.asarray(_real([offsets.offsets[c] for c in keys.tolist()]), dtype=np.float64)
     table = table.reshape(len(keys), e.shape[1])  # (0, D) when there are no rows
     out = _destination(e, out)
     for rows in _blocks(e.shape[0], e.shape[1]):
@@ -145,20 +148,11 @@ def apply_camera_residual(
     upcast exactly), stored in out, an array of the rows' shape that may be
     emb itself, or in a new float64 array when out is None. A float32 out
     receives each camera's float64 rows rounded to nearest."""
-    e = np.asarray(emb)
-    camids, cams = _row_cameras(camids, e.shape[0])
+    e, _, keys, which = _intake(emb, camids, params.biases, "no residual parameters for camera {}", "parameter")
     out = _destination(e, out)
-    for c in cams:
-        if c not in params.matrices:
-            raise DataError(f"no residual parameters for camera {c}")
-        a, b = params.matrices[c], params.biases[c]
-        if a.shape[0] != e.shape[1]:
-            raise DataError(
-                f"camera {c}: parameter dimension {a.shape[0]} != embedding dim {e.shape[1]}"
-            )
-        rows = camids == c
-        x = e[rows]
-        out[rows] = x + x @ a.T + b
+    for k, c in enumerate(keys.tolist()):
+        x = e[rows := which == k]
+        out[rows] = x + x @ params.matrices[c].T + params.biases[c]
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .gallery import EmbeddingSet, _check_finite, _container_header, _container_views, _finite
+from .gallery import EmbeddingSet, _check_finite, _container_header, _container_views, _finite, _real
 
 DISTANCE_MAGIC = b"RDMX"
 
@@ -30,16 +30,9 @@ class LocalMode(str, Enum):
     ONE_TO_ONE = "one_to_one"
 
 
-def _real(x) -> np.ndarray:
-    """x as an array that is not complex: numpy casts one to float64 with a ComplexWarning."""
-    if np.iscomplexobj(x := np.asarray(x)):
-        raise DataError("values must be real, not complex")
-    return x
-
-
 def check_lambda(lam: float) -> None:
     """Reject a global/local mixing weight that is complex, negative or not finite."""
-    if np.iscomplexobj(lam) or not np.isfinite(lam) or lam < 0:
+    if not np.isfinite(lam := _real(lam)) or lam < 0:
         raise DataError("lambda must be finite and >= 0")
 
 

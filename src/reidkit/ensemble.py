@@ -11,7 +11,7 @@ import numpy as np
 
 from . import gallery
 from .errors import DataError, FormatError
-from .gallery import EmbeddingSet, _object_once, load_embeddings, save_embeddings
+from .gallery import EmbeddingSet, _object_once, _real, load_embeddings, save_embeddings
 
 
 def _check_tensor_name(name) -> None:
@@ -45,7 +45,7 @@ class EmaState:
         object.__setattr__(
             self,
             "tensors",
-            {k: np.asarray(v, dtype=np.float64) for k, v in self.tensors.items()},
+            {k: np.asarray(_real(v), dtype=np.float64) for k, v in self.tensors.items()},
         )
 
 
@@ -64,7 +64,7 @@ def ema_update(state: EmaState, student: dict) -> EmaState:
         a = state.alpha
     new = {}
     for name, teacher in state.tensors.items():
-        s = np.asarray(student[name], dtype=np.float64)
+        s = np.asarray(_real(student[name]), dtype=np.float64)
         if s.shape != teacher.shape:
             raise DataError(
                 f"shape mismatch for tensor {name!r}: {teacher.shape} vs {s.shape}"
@@ -76,8 +76,8 @@ def ema_update(state: EmaState, student: dict) -> EmaState:
 def consistency_loss_grad(teacher_emb: np.ndarray, student_emb: np.ndarray):
     """MSE between teacher and student embeddings; gradient flows only to
     the student (teacher treated as constant)."""
-    t = np.asarray(teacher_emb, dtype=np.float64)
-    s = np.asarray(student_emb, dtype=np.float64)
+    t = np.asarray(_real(teacher_emb), dtype=np.float64)
+    s = np.asarray(_real(student_emb), dtype=np.float64)
     if t.shape != s.shape:
         raise DataError(f"shape mismatch: {t.shape} vs {s.shape}")
     diff = s - t

@@ -45,6 +45,13 @@ class Role(str, Enum):
 _ROLE_VALUES = frozenset(r.value for r in Role)
 
 
+def _real(x) -> np.ndarray:
+    """x as an array that is not complex: numpy casts one to float with a ComplexWarning."""
+    if np.iscomplexobj(x := np.asarray(x)):
+        raise DataError("values must be real, not complex")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class GalleryIndex:
     """Row-aligned columns of an index; row order is the canonical row order
@@ -77,8 +84,8 @@ class EmbeddingSet:
     def __post_init__(self):
         # a value beyond float32's range casts to inf, which the writer names
         with np.errstate(over="ignore"):
-            g = np.asarray(self.global_, dtype=np.float32)
-            l = None if self.local is None else np.asarray(self.local, dtype=np.float32)
+            g = np.asarray(_real(self.global_), dtype=np.float32)
+            l = None if self.local is None else np.asarray(_real(self.local), dtype=np.float32)
         object.__setattr__(self, "global_", g)
         if g.ndim != 2:
             raise DataError("global features must be an N x D matrix")
@@ -343,9 +350,9 @@ def save_embeddings(emb: EmbeddingSet, path) -> None:
 def load_embeddings(path) -> EmbeddingSet:
     """Read an embedding set. The file is read into one uninitialised buffer,
     sized by fstat, and the arrays are views of it, so the payload is copied
-    once and never zero-filled first. The whole float32 values of each
-    chunk read are checked finite while they are in cache; only when one
-    is not does decode_embeddings, given the bytes whole, name its cell."""
+    once and never zero-filled first. Each chunk's whole float32 values are
+    checked finite while in cache; bytes gained since fstat (a FIFO reports
+    0) or a non-finite value send the whole buffer to decode_embeddings."""
     with open(path, "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
         size, checked, finite = 0, _HEADER.size, True
@@ -353,13 +360,11 @@ def load_embeddings(path) -> EmbeddingSet:
             size += got
             if finite:
                 checked, finite = _check_chunk(buf, checked, size)
-        tail = fh.read()  # whatever the file gained since fstat (a FIFO reports 0)
-    buf = buf[:size]
-    if tail:
-        buf = np.concatenate((buf, np.frombuffer(tail, np.uint8)))
-        if finite:
-            checked, finite = _check_chunk(buf, checked, buf.size)
-    return EmbeddingSet(*_container_views(buf, EMBEDDING_MAGIC)) if finite else decode_embeddings(buf)
+        tail = fh.read()  # whatever the file gained since fstat
+    buf = np.concatenate((buf[:size], np.frombuffer(tail, np.uint8))) if tail else buf[:size]
+    if tail or not finite:  # checked whole: decode_embeddings names a faulty cell
+        return decode_embeddings(buf)
+    return EmbeddingSet(*_container_views(buf, EMBEDDING_MAGIC))
 
 
 def _check_chunk(buf: np.ndarray, start: int, stop: int) -> tuple[int, bool]:

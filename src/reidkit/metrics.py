@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .distance import DistanceMatrix, _checked_blocks
-from .gallery import GalleryIndex, _groups
+from .gallery import GalleryIndex, _groups, _real
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class EvalReport:
     protocol: EvalProtocol
 
     def __post_init__(self):
-        cmc = np.asarray(self.cmc, dtype=np.float64)
+        cmc = np.asarray(_real(self.cmc), dtype=np.float64)
         if (np.diff(cmc) < -1e-12).any():
             raise DataError("CMC curve must be non-decreasing")
         if ((cmc < -1e-12) | (cmc > 1 + 1e-12)).any():
@@ -67,7 +67,7 @@ def cmc_curve(first_hit_ranks, max_rank: int) -> np.ndarray:
     """cmc[r] = fraction of queries whose first correct match is at
     rank <= r+1; non-decreasing by construction. The curve has the
     max_rank entries asked for; evaluate clamps max_rank to the gallery."""
-    ranks = np.asarray(first_hit_ranks, dtype=np.int64)
+    ranks = np.asarray(_real(first_hit_ranks), dtype=np.int64)
     if len(ranks) == 0:
         raise DataError("no queries to aggregate")
     if (ranks < 1).any():

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .gallery import GalleryIndex, Role, _groups
+from .gallery import GalleryIndex, Role, _groups, _real
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def pk_sample(index: GalleryIndex, cfg: MiningConfig) -> np.ndarray:
 def batch_hard(d_batch: np.ndarray, labels) -> tuple[Triplet, ...]:
     """One triplet per anchor: farthest same-label positive, closest
     different-label negative; ties broken by lowest index."""
-    d = np.asarray(d_batch, dtype=np.float64)
+    d = np.asarray(_real(d_batch), dtype=np.float64)
     labels = np.asarray(labels)
     n = len(labels)
     if d.shape != (n, n):
@@ -91,7 +91,7 @@ def triplet_loss_grad(emb: np.ndarray, triplets: Sequence[Triplet], margin: floa
     """
     if len(triplets) == 0:
         raise DataError("empty triplet set")
-    e = np.asarray(emb, dtype=np.float64)
+    e = np.asarray(_real(emb), dtype=np.float64)
     rows = np.array([(t.anchor, t.positive, t.negative) for t in triplets])
     ap, an = e[rows[:, 0]] - e[rows[:, 1]], e[rows[:, 0]] - e[rows[:, 2]]
     # one dot per row, as np.linalg.norm takes it; einsum and norm(axis=1) sum in another order
@@ -104,4 +104,8 @@ def triplet_loss_grad(emb: np.ndarray, triplets: Sequence[Triplet], margin: floa
     steps = np.stack([scale * (u_ap - u_an), -(scale * u_ap), scale * u_an], axis=1)
     grad = np.zeros_like(e)
     np.add.at(grad, rows[on].ravel(), steps.reshape(-1, e.shape[1]))  # (a, p, n) rows, in triplet order
-    return np.cumsum(np.r_[0.0, hinge[on]])[-1] * scale, grad  # in turn: np.sum adds pairwise
+    with np.errstate(over="ignore"):  # an overflow to inf is the DataError below
+        loss = np.cumsum(np.r_[0.0, hinge[on]])[-1] * scale  # in turn: np.sum adds pairwise
+    if not np.isfinite(loss):
+        raise DataError("triplet loss is not finite")
+    return loss, grad

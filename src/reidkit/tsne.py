@@ -12,6 +12,7 @@ import numpy as np
 
 from .distance import _blocks, _sq_euclidean
 from .errors import DataError
+from .gallery import _real
 
 P_FLOOR = 1e-12
 PERPLEXITY_TOL = 1e-5
@@ -110,7 +111,7 @@ def perplexity_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     entries alone. A row within PERPLEXITY_TOL of the target stops there; a
     row that cannot reach it keeps its last beta after MAX_BISECTIONS steps.
     A point with k exact duplicates, say, cannot go below perplexity k."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(_real(x), dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 4:
         raise DataError("need at least 4 points")
     n = x.shape[0]
@@ -174,8 +175,8 @@ def kl_and_gradient(p: np.ndarray, y: np.ndarray):
     """KL(P || Q) under the Student-t low-dimensional kernel, with its
     gradient w.r.t. the 2-D coordinates. Raises DataError unless every
     off-diagonal entry of P is positive and finite and Y is finite."""
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    p = np.asarray(_real(p), dtype=np.float64)
+    y = np.asarray(_real(y), dtype=np.float64)
     if y.ndim != 2 or p.shape != (len(y), len(y)):
         raise DataError("shape mismatch between P and Y")
     p_off = _off_diagonal(p)

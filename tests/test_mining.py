@@ -223,6 +223,16 @@ class TestTripletLoss:
         with pytest.raises(DataError):
             triplet_loss_grad(np.zeros((2, 2)), (), 0.3)
 
+    @pytest.mark.parametrize(
+        "emb, margin",
+        # four hinges of 1e308 overflow their sum; a NaN row makes a NaN hinge
+        [(np.eye(3), 1e308), (np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]]), 0.3)],
+        ids=["overflow", "nan"],
+    )
+    def test_non_finite_loss_is_a_data_error(self, emb, margin):
+        with pytest.raises(DataError, match="^triplet loss is not finite$"):
+            triplet_loss_grad(emb, [Triplet(0, 2, 1)] * 4, margin)
+
     def test_loss_nonnegative_random(self, rng):
         for _ in range(50):
             e = rng.standard_normal((6, 4))

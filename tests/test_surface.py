@@ -146,3 +146,12 @@ def test_cli_leaves_every_dtype_to_the_library():
              if isinstance(node, ast.Attribute) and node.attr == "astype"
              or isinstance(node, ast.keyword) and node.arg == "dtype"]
     assert not dtypes and not casts, (sorted(dtypes), casts)
+
+
+def test_only_gallery_real_checks_for_complex():
+    # one home for the complex rule: every other module casts a caller's
+    # array through gallery._real
+    sites = {(module, getattr(top, "name", None)) for module, tree in MODULES.items() for top in tree.body
+             for node in ast.walk(top) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "iscomplexobj"}
+    assert sites == {("gallery", "_real")}, sorted(sites, key=str)
