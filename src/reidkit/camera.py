@@ -79,8 +79,9 @@ def _intake(emb, camids, table=None, missing="", what=""):
     e = _real(emb)
     if e.ndim != 2:
         raise DataError("need an N x D embedding matrix")
-    camids = np.asarray(_real(camids), dtype=np.int64)
-    if camids.shape != e.shape[:1]:
+    if (camids := _real(camids)).size and camids.dtype.kind not in "iu":  # no float id truncated
+        raise DataError("camera ids must be integers")
+    if (camids := camids.astype(np.int64)).shape != e.shape[:1]:
         raise DataError("camera id count != row count")
     keys, first, which = np.unique(camids, return_index=True, return_inverse=True)
     for c in keys[np.argsort(first)].tolist() if table is not None else ():

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError
-from .gallery import EmbeddingSet, _check_finite, _container_header, _container_views, _finite, _real
+from .gallery import EmbeddingSet, _BlockParts, _container_views, _finite, _real
 
 DISTANCE_MAGIC = b"RDMX"
 
@@ -348,34 +348,10 @@ def _checked_blocks(dist, shape) -> Iterator[tuple[int, DistanceMatrix]]:
 
 def encode_distance_matrix(d: DistanceMatrix | Iterable[DistanceMatrix], shape=None) -> _BlockParts:
     """Serialize with the shared binary container (magic RDMX, S=0), as the
-    parts of _BlockParts: of one DistanceMatrix, of its own shape; of its
-    row blocks, of the whole matrix's shape."""
-    return _BlockParts(d, d.shape if shape is None else shape)
-
-
-class _BlockParts:
-    """The .rdmx bytes of a matrix of a known shape given as row blocks of
-    any heights (_checked_blocks), as parts for gallery._write_file: the
-    header, then each block cast to its own C-ordered float32 array. A
-    non-finite float32 cell is named by its row in the whole matrix. Drawn
-    one at a time, only one part is alive; joined, the parts are the file's
-    bytes. len() is the container's size in bytes."""
-
-    def __init__(self, blocks, shape):
-        self.blocks, self.shape = blocks, shape
-        self.header = _container_header(DISTANCE_MAGIC, *shape)
-
-    def __len__(self):
-        return len(self.header) + 4 * self.shape[0] * self.shape[1]
-
-    def __iter__(self):
-        yield self.header
-        for row0, d in _checked_blocks(self.blocks, self.shape):
-            with np.errstate(over="ignore"):  # _check_finite names an overflow to inf
-                part = np.ascontiguousarray(d.values, "<f4")
-            _check_finite(part, None, row0)
-            yield part
-            del part  # before the next block is cast
+    parts of gallery._BlockParts: of one DistanceMatrix, of its own shape; of
+    its row blocks (_checked_blocks), of the whole matrix's shape."""
+    shape = d.shape if shape is None else shape
+    return _BlockParts(DISTANCE_MAGIC, shape, ((i, b.values) for i, b in _checked_blocks(d, shape)))
 
 
 def decode_distance_matrix(data: bytes) -> DistanceMatrix:

@@ -228,14 +228,17 @@ def _finite(arr: np.ndarray) -> bool:
     return not arr.size or bool(np.isfinite([arr.min(), arr.max()]).all())
 
 
-def _check_finite(main: np.ndarray, local: Optional[np.ndarray], row0: int = 0) -> None:
-    """Reject a non-finite payload value, naming its cell, whose row counts
-    from row0 (a block's first row in the whole matrix): two reductions per
-    array, and a mask only on failure."""
-    for arr, what in ((main, "value"), (local, "local value")):
-        if arr is not None and not _finite(arr):
-            row, *rest = (int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-            raise DataError(f"non-finite {what} at {(row0 + row, *rest)}")
+def _payload(arr, what: str = "value", row0: int = 0) -> np.ndarray:
+    """arr as a C-ordered little-endian float32 payload part, arr itself when
+    it is one, checked finite by two reductions; a mask is built only to name
+    the first non-finite cell (an overflow to inf too), its row counted from
+    row0, a block's first row in the whole matrix."""
+    with np.errstate(over="ignore"):
+        part = np.ascontiguousarray(arr, "<f4")
+    if not _finite(part):
+        row, *rest = (int(i) for i in np.argwhere(~np.isfinite(part))[0])
+        raise DataError(f"non-finite {what} at {(row0 + row, *rest)}")
+    return part
 
 
 def _container_header(magic: bytes, n: int, d: int, s: int = 0, dl: int = 0) -> bytes:
@@ -249,7 +252,7 @@ def _container_header(magic: bytes, n: int, d: int, s: int = 0, dl: int = 0) -> 
 def _container_views(data, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(main, local) payload arrays of a container, as float32 views of data,
     after the header and length checks; no local if S or Dl is 0. The values
-    are not checked: the caller checks them (_check_finite, or DistanceMatrix
+    are not checked: the caller checks them (_payload, or DistanceMatrix
     for an .rdmx)."""
     if len(data) < _HEADER.size:
         raise TruncationError(
@@ -271,15 +274,32 @@ def _container_views(data, magic: bytes) -> tuple[np.ndarray, Optional[np.ndarra
 
 
 def _embedding_parts(emb: EmbeddingSet) -> list:
-    """An embedding container as its header and its payload arrays, checked
-    finite. The arrays are emb's own when they are little-endian float32
-    and C-contiguous, as EmbeddingSet's are on a little-endian host, so
-    nothing is copied."""
-    main = np.ascontiguousarray(emb.global_, dtype="<f4")
-    local = None if emb.local is None else np.ascontiguousarray(emb.local, dtype="<f4")
+    """An embedding container as its header and its _payload arrays, checked
+    whole before any is written. The arrays are emb's own when they are
+    little-endian float32 and C-contiguous, as EmbeddingSet's are on a
+    little-endian host, so nothing is copied."""
+    main = _payload(emb.global_)
+    local = None if emb.local is None else _payload(emb.local, "local value")
     header = _container_header(EMBEDDING_MAGIC, *main.shape, *(() if local is None else local.shape[1:]))
-    _check_finite(main, local)
     return [header, main] + ([] if local is None else [local])
+
+
+class _BlockParts:
+    """A container of a known shape and no local part, from (first row,
+    values) pairs of row blocks of any heights, as _write_file's parts: the
+    header, then each block's _payload, made as it is drawn, so one part is
+    alive at a time. Joined, they are the file's bytes; len() is its size."""
+
+    def __init__(self, magic: bytes, shape, blocks):
+        self.header, self.shape, self.blocks = _container_header(magic, *shape), shape, blocks
+
+    def __len__(self):
+        return len(self.header) + 4 * self.shape[0] * self.shape[1]
+
+    def __iter__(self):
+        yield self.header
+        for row0, values in self.blocks:
+            yield _payload(values, row0=row0)  # held by no frame here: freed before the next cast
 
 
 def encode_embeddings(emb: EmbeddingSet) -> bytearray:
@@ -291,9 +311,8 @@ def encode_embeddings(emb: EmbeddingSet) -> bytearray:
 def decode_embeddings(data: bytes) -> EmbeddingSet:
     """Inverse of encode_embeddings; bit-exact round trip. The arrays are
     views of data, read-only where data is (bytes)."""
-    views = _container_views(data, EMBEDDING_MAGIC)
-    _check_finite(*views)
-    return EmbeddingSet(*views)
+    main, local = _container_views(data, EMBEDDING_MAGIC)
+    return EmbeddingSet(_payload(main), None if local is None else _payload(local, "local value"))
 
 
 def _json_report(doc: dict) -> str:

@@ -39,15 +39,17 @@ class EvalReport:
         cmc = np.asarray(_real(self.cmc), dtype=np.float64)
         if (np.diff(cmc) < -1e-12).any():
             raise DataError("CMC curve must be non-decreasing")
-        if ((cmc < -1e-12) | (cmc > 1 + 1e-12)).any():
+        if not ((cmc >= -1e-12) & (cmc <= 1 + 1e-12)).all():  # NaN fails it
             raise DataError("CMC values must lie in [0, 1]")
+        if not np.size(self.per_query_ap):  # a mean of no APs is NaN
+            raise DataError("no queries to aggregate")
         if not 0.0 <= self.map <= 1.0 + 1e-12:
             raise DataError("mAP must lie in [0, 1]")
         object.__setattr__(self, "cmc", cmc)
 
     @property
     def map(self) -> float:
-        return float(np.mean(self.per_query_ap))
+        return float(np.mean(_real(self.per_query_ap)))
 
     @property
     def num_valid_queries(self) -> int:
@@ -67,8 +69,9 @@ def cmc_curve(first_hit_ranks, max_rank: int) -> np.ndarray:
     """cmc[r] = fraction of queries whose first correct match is at
     rank <= r+1; non-decreasing by construction. The curve has the
     max_rank entries asked for; evaluate clamps max_rank to the gallery."""
-    ranks = np.asarray(_real(first_hit_ranks), dtype=np.int64)
-    if len(ranks) == 0:
+    if (ranks := _real(first_hit_ranks)).ndim != 1 or ranks.size and ranks.dtype.kind not in "iu":
+        raise DataError("ranks must be a 1-D array of integers")  # no float rank truncated
+    if len(ranks := ranks.astype(np.int64)) == 0:
         raise DataError("no queries to aggregate")
     if (ranks < 1).any():
         raise DataError("ranks must be >= 1")

@@ -407,6 +407,23 @@ def test_out_of_another_shape_rejected(fn):
         fn(np.ones((3, 2), np.float32), args, [0, 0, 0], out=np.empty((2, 3), np.float32))
 
 
+@pytest.mark.parametrize("fn", [camera_offsets, camera_normalize, apply_camera_residual])
+@pytest.mark.parametrize(
+    "cams",
+    [[0.5, 0, 0], np.array([0.0, 1.0, 0.0]), [True, False, True], np.array([0, 1, None], object)],
+    ids=["fraction", "integral-float", "bool", "object"],
+)
+def test_camera_ids_must_be_integers(fn, cams):
+    # a float id would be truncated: 0.5 would read as camera 0
+    args = {camera_offsets: (),
+            camera_normalize: (CameraOffsets({0: np.zeros(2), 1: np.zeros(2)}, {0: 2, 1: 1}, 0.0),),
+            apply_camera_residual: (CameraResidualParams({c: np.zeros((2, 2)) for c in (0, 1)},
+                                                         {c: np.zeros(2) for c in (0, 1)}),)}[fn]
+    with pytest.raises(DataError, match="^camera ids must be integers$"):
+        fn(np.ones((3, 2)), *args, cams)
+    assert fn(np.ones((3, 2)), *args, np.array([0, 1, 0], np.uint8)) is not None
+
+
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:

@@ -821,9 +821,9 @@ def test_distance_matrix_decode_checks_values_once(monkeypatch, bad, fault):
     # DistanceMatrix's float64 cast and min/max are the one value pass: the
     # float32 check of the writer never runs on a decode
     def second_pass(*args):
-        raise AssertionError("_check_finite called during a decode")
+        raise AssertionError("_payload called during a decode")
 
-    monkeypatch.setattr(distance, "_check_finite", second_pass)
+    monkeypatch.setattr(gallery, "_payload", second_pass)
     v = np.ones((3, 4), "<f4")
     header = struct.pack("<4s5I", b"RDMX", 1, 3, 4, 0, 0)
     assert decode_distance_matrix(header + v.tobytes()).values.tolist() == v.tolist()

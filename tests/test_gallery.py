@@ -676,6 +676,20 @@ class TestWriteFile:
         assert os.stat(out).st_mode & 0o777 == 0o604
         assert sorted(os.listdir(tmp_path)) == ["f", "g"]
 
+    def test_a_rejected_embedding_set_leaves_a_hard_linked_target_untouched(self, tmp_path):
+        # a hard-linked target is written in place, so save_embeddings checks
+        # the whole payload before the writer opens it
+        out, other = tmp_path / "f.remb", tmp_path / "g.remb"
+        out.write_bytes(b"old")
+        os.link(out, other)
+        local = np.zeros((3, 2, 4), np.float32)
+        local[2, 1, 3] = np.nan
+        with pytest.raises(DataError, match=r"^non-finite local value at \(2, 1, 3\)$"):
+            save_embeddings(EmbeddingSet(np.zeros((3, 5), np.float32), local), out)
+        assert out.read_bytes() == other.read_bytes() == b"old"
+        assert os.stat(out).st_nlink == 2
+        assert sorted(os.listdir(tmp_path)) == ["f.remb", "g.remb"]
+
 
 class TestEmbeddingSetInvariants:
     def test_local_row_count_must_match(self):

@@ -288,6 +288,7 @@ COMPLEX_CALLS = [
     ("consistency_loss_grad-teacher", lambda: ensemble.consistency_loss_grad(SEQ + 1j, SEQ)),
     ("consistency_loss_grad-student", lambda: ensemble.consistency_loss_grad(SEQ, SEQ + 1j)),
     ("EvalReport", lambda: metrics.EvalReport(np.array([0.5, 1.0]) + 1j, [0.5], metrics.EvalProtocol())),
+    ("EvalReport-per_query_ap", lambda: metrics.EvalReport(np.array([0.5, 1.0]), [0.5 + 1j], metrics.EvalProtocol())),
     ("cmc_curve", lambda: metrics.cmc_curve(np.array([1, 2]) + 1j, 2)),
     ("CameraResidualParams-matrix", lambda: camera.CameraResidualParams({0: np.eye(4) + 1j}, {0: np.zeros(4)})),
     ("CameraResidualParams-bias", lambda: camera.CameraResidualParams({0: np.eye(4)}, {0: np.zeros(4) + 1j})),

@@ -306,6 +306,22 @@ class TestCmcCurve:
         with pytest.raises(DataError, match=f"^{message}$"):
             cmc_curve(ranks, 3)
 
+    @pytest.mark.parametrize(
+        "ranks",
+        [[1.7, 2], np.array([1.0, 2.0]), [np.nan], [np.inf], [1e308], [True, False],
+         np.array([1, 2], object), [[1, 2]], 2],
+        ids=["fraction", "integral-float", "nan", "inf", "huge", "bool", "object", "2-D", "scalar"],
+    )
+    def test_ranks_must_be_a_1d_integer_array(self, ranks):
+        # a float rank would be truncated (1.7 read as 1), and a 2-D one
+        # would count a query per column
+        with pytest.raises(DataError, match="^ranks must be a 1-D array of integers$"):
+            cmc_curve(ranks, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+    def test_ranks_of_any_integer_dtype(self, dtype):
+        assert cmc_curve(np.array([1, 3], dtype), 3).tolist() == [0.5, 0.5, 1.0]
+
     def test_non_decreasing(self, rng):
         ranks = rng.integers(1, 30, size=50)
         curve = cmc_curve(ranks, 20)
@@ -469,6 +485,18 @@ class TestProperties:
     def test_report_rejects_cmc_values_out_of_range(self):
         with pytest.raises(DataError, match=r"^CMC values must lie in \[0, 1\]$"):
             EvalReport(np.array([0.5, 1.5]), [0.5], EvalProtocol(max_rank=2))
+
+    @pytest.mark.parametrize("cmc", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_report_rejects_a_nan_cmc(self, cmc):
+        # a NaN lies in no range, though it compares false both ways
+        with pytest.raises(DataError, match=r"^CMC values must lie in \[0, 1\]$"):
+            EvalReport(np.array(cmc), [0.5], EvalProtocol(max_rank=2))
+
+    @pytest.mark.parametrize("aps", [[], np.array([])], ids=["list", "array"])
+    def test_report_rejects_an_empty_ap_list(self, aps):
+        # the mean of no APs is NaN, which numpy warns of; evaluate never builds one
+        with pytest.raises(DataError, match="^no queries to aggregate$"):
+            EvalReport(np.array([0.5, 1.0]), aps, EvalProtocol(max_rank=2))
 
     def test_report_serialization_keys(self):
         report = EvalReport(np.array([0.5, 1.0]), [0.5], EvalProtocol(max_rank=2))

@@ -155,3 +155,14 @@ def test_only_gallery_real_checks_for_complex():
              for node in ast.walk(top) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "iscomplexobj"}
     assert sites == {("gallery", "_real")}, sorted(sites, key=str)
+
+
+def test_only_gallery_holds_the_container_payload():
+    # one home for the payload rule: gallery casts and checks every float32
+    # part of .remb and .rdmx, and distance hands it row blocks
+    sites = {module for module, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "<f4"}
+    assert sites == {"gallery"}, sorted(sites)
+    reads = {name for module, name in private_reads(MODULES["distance"]) if module == "gallery"}
+    assert "_BlockParts" in reads, "the scan no longer sees distance's reads of gallery"
+    assert not reads & {"_container_header", "_payload"}, sorted(reads)
